@@ -9,6 +9,7 @@ package bao_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -122,14 +123,58 @@ func BenchmarkSelect(b *testing.B) {
 			if err := o.LoadModel(bytes.NewReader(saved.Bytes())); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
+			meter := startAllocMeter()
 			for i := 0; i < b.N; i++ {
 				if _, err := o.Select(sql); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			recordBenchCache(b, 0, runtime.GOMAXPROCS(0), cacheHitRate(c.Observer))
+			recordBenchAllocs(b, 0, runtime.GOMAXPROCS(0), cacheHitRate(c.Observer), &meter)
+		})
+	}
+}
+
+// BenchmarkPlanArms times the planner stage of a plan-cache miss on its
+// own: one join enumeration costing all 49 hint sets, for one, three and
+// five relations.
+func BenchmarkPlanArms(b *testing.B) {
+	inst := workload.IMDb(workload.Config{Scale: 0.06, Queries: 1, Seed: 42})
+	eng := bao.NewEngine(bao.GradePostgreSQL, 2000)
+	if err := inst.Setup(eng); err != nil {
+		b.Fatal(err)
+	}
+	arms := bao.DefaultArms()
+	hints := make([]bao.Hints, len(arms))
+	for i, a := range arms {
+		hints[i] = a.Hints
+	}
+	ctx := context.Background()
+	for _, v := range []struct {
+		rels int
+		sql  string
+	}{
+		{1, "SELECT COUNT(*) FROM title t WHERE t.production_year > 1990 AND t.votes > 1000"},
+		{3, "SELECT COUNT(*) FROM title t, cast_info ci, name n WHERE t.id = ci.movie_id AND ci.person_id = n.id AND t.votes > 1000 AND n.gender = 1"},
+		{5, "SELECT COUNT(*) FROM title t, cast_info ci, name n, movie_companies mc, company c WHERE t.id = ci.movie_id AND ci.person_id = n.id AND t.id = mc.movie_id AND mc.company_id = c.id AND t.votes > 1000 AND c.country = 3 AND n.gender = 2"},
+	} {
+		b.Run(fmt.Sprintf("rels=%d", v.rels), func(b *testing.B) {
+			q, err := eng.AnalyzeSQL(v.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			meter := startAllocMeter()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eng.Opt.PlanArms(ctx, q, hints); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			recordBenchAllocs(b, 0, 1, 0, &meter)
 		})
 	}
 }

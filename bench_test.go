@@ -50,6 +50,21 @@ type benchRow struct {
 	// an explicit 0 and the cache-on/off qps pairs are auditable from this
 	// file alone).
 	CacheHitRate float64 `json:"cache_hit_rate"`
+	// AllocsPerOp and BytesPerOp are the heap allocations of one
+	// iteration, for the benchmarks that meter them (allocMeter).
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+}
+
+// allocMeter measures the heap allocations of a benchmark's timed loop —
+// what b.ReportAllocs prints, in a form a benchRow can record. Start it
+// right after b.ResetTimer.
+type allocMeter struct{ mallocs, bytes uint64 }
+
+func startAllocMeter() allocMeter {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return allocMeter{m.Mallocs, m.TotalAlloc}
 }
 
 var benchResults struct {
@@ -78,6 +93,13 @@ func recordBenchWorkers(b *testing.B, queriesPerIter, workers int) {
 // behavior that produced it.
 func recordBenchCache(b *testing.B, queriesPerIter, workers int, hitRate float64) {
 	b.Helper()
+	recordBenchAllocs(b, queriesPerIter, workers, hitRate, nil)
+}
+
+// recordBenchAllocs additionally records the allocations since the meter
+// was started (nil = not metered). Call it after b.StopTimer.
+func recordBenchAllocs(b *testing.B, queriesPerIter, workers int, hitRate float64, meter *allocMeter) {
+	b.Helper()
 	elapsed := b.Elapsed()
 	if b.N == 0 || elapsed <= 0 {
 		return
@@ -86,6 +108,11 @@ func recordBenchCache(b *testing.B, queriesPerIter, workers int, hitRate float64
 		Cores: workers, CacheHitRate: hitRate}
 	if queriesPerIter > 0 {
 		row.QueriesPerSec = float64(queriesPerIter*b.N) / elapsed.Seconds()
+	}
+	if meter != nil {
+		end := startAllocMeter()
+		row.AllocsPerOp = float64(end.mallocs-meter.mallocs) / float64(b.N)
+		row.BytesPerOp = float64(end.bytes-meter.bytes) / float64(b.N)
 	}
 	benchResults.mu.Lock()
 	benchResults.rows = append(benchResults.rows, row)

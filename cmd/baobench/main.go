@@ -26,8 +26,7 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "dataset scale multiplier")
 	queries := flag.Int("queries", 1200, "workload stream length")
 	seed := flag.Int64("seed", 42, "random seed")
-	workers := flag.Int("workers", 0, "goroutines for Bao planning/inference/training (0 = one per CPU, 1 = sequential)")
-	parallelPlanning := flag.Bool("parallel-planning", false, "plan hint-set arms concurrently")
+	workers := flag.Int("workers", 0, "goroutines for Bao inference/training (0 = one per CPU, 1 = sequential)")
 	planCache := flag.Bool("plan-cache", false, "cache planned arm sets and featurized tensors per query fingerprint")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "plan-cache resident byte bound (0 = 64 MiB)")
 	inferBatch := flag.Int("infer-batch", 0, "coalesce concurrent predictions into shared forward passes of at most this many plan tensors (0 = off)")
@@ -46,7 +45,7 @@ func main() {
 	}
 
 	opts := harness.Options{Scale: *scale, Queries: *queries, Seed: *seed,
-		Workers: *workers, ParallelPlanning: *parallelPlanning,
+		Workers:   *workers,
 		PlanCache: *planCache, PlanCacheBytes: *planCacheBytes, InferBatch: *inferBatch,
 		QueryTimeout: *queryTimeout, Out: os.Stdout}
 	s := harness.NewSession(opts)

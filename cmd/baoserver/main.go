@@ -9,7 +9,7 @@
 //	baoserver [-listen 127.0.0.1:8765] [-workload IMDb|Stack|Corp] [-scale 0.25]
 //	          [-explog bao.explog] [-model bao.model] [-train 0]
 //	          [-max-inflight 64] [-timeout 30s] [-query-timeout 0]
-//	          [-workers N] [-parallel-planning]
+//	          [-workers N]
 //	          [-plan-cache=true] [-plan-cache-size 512] [-plan-cache-bytes N] [-infer-batch 64]
 //	          [-checkpoint-dir DIR] [-checkpoint-keep 5] [-guard=true]
 //
@@ -51,8 +51,7 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 64, "admitted concurrent requests before shedding with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request handling timeout")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query execution deadline; timed-out queries return 504 and record a censored experience (0 = off)")
-	workers := flag.Int("workers", 0, "goroutines for Bao planning/inference/training (0 = one per CPU)")
-	parallelPlanning := flag.Bool("parallel-planning", false, "plan hint-set arms concurrently")
+	workers := flag.Int("workers", 0, "goroutines for Bao inference/training (0 = one per CPU)")
 	planCache := flag.Bool("plan-cache", true, "cache planned arm sets and featurized tensors per query fingerprint (invalidated on retrain, DDL, and ANALYZE)")
 	planCacheSize := flag.Int("plan-cache-size", 512, "plan-cache entry bound")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "plan-cache resident byte bound (0 = 64 MiB)")
@@ -74,7 +73,6 @@ func main() {
 	}
 	cfg := bao.FastConfig()
 	cfg.Workers = *workers
-	cfg.ParallelPlanning = *parallelPlanning
 	cfg.PlanCache = *planCache
 	cfg.PlanCacheSize = *planCacheSize
 	cfg.PlanCacheBytes = *planCacheBytes

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	baoshell [-workload IMDb|Stack|Corp] [-scale 0.25] [-train 0] [-workers N]
-//	         [-parallel-planning] [-query-timeout 0] [-guard]
+//	         [-query-timeout 0] [-guard]
 //
 // With -guard, Bao runs behind its guardrails (validation-gated hot-swap
 // and the default-plan circuit breaker); \g prints the guard status line.
@@ -39,8 +39,7 @@ func main() {
 	wlName := flag.String("workload", "IMDb", "dataset to load (IMDb, Stack, Corp)")
 	scale := flag.Float64("scale", 0.25, "dataset scale")
 	train := flag.Int("train", 0, "pre-train Bao on this many workload queries")
-	workers := flag.Int("workers", 0, "goroutines for Bao planning/inference/training (0 = one per CPU, 1 = sequential)")
-	parallelPlanning := flag.Bool("parallel-planning", false, "plan hint-set arms concurrently")
+	workers := flag.Int("workers", 0, "goroutines for Bao inference/training (0 = one per CPU, 1 = sequential)")
 	planCache := flag.Bool("plan-cache", false, "cache planned arm sets and featurized tensors per query fingerprint")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "plan-cache resident byte bound (0 = 64 MiB)")
 	inferBatch := flag.Int("infer-batch", 0, "coalesce concurrent predictions into shared forward passes of at most this many plan tensors (0 = off)")
@@ -71,7 +70,6 @@ func main() {
 	}
 	cfg := bao.FastConfig()
 	cfg.Workers = *workers
-	cfg.ParallelPlanning = *parallelPlanning
 	cfg.PlanCache = *planCache
 	cfg.PlanCacheBytes = *planCacheBytes
 	cfg.InferBatch = *inferBatch

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bao/internal/cloud"
@@ -78,17 +77,12 @@ type Config struct {
 	// curriculum: new arms join once the model has matured enough to
 	// judge them. Zero disables the warm-up.
 	ArmWarmup int
-	// ParallelPlanning plans the arms on separate goroutines (each with
-	// its own planner over the shared read-only statistics), the "each of
-	// the n query plans can be generated and evaluated in parallel"
-	// optimization of §2. Off by default: the experiment harness models
-	// parallel planning time analytically (cloud.BaoPlanSeconds) and
-	// single-goroutine planning keeps runs deterministic profile-to-wall.
-	ParallelPlanning bool
 	// Workers bounds the goroutines used by every parallel stage of the
-	// decision loop: arm planning (when ParallelPlanning is on), TCNN
-	// inference, and model training. Zero or negative means one worker
-	// per CPU; one forces fully sequential execution. Results are
+	// decision loop: TCNN inference and model training. (Arm planning is
+	// one join enumeration costing every arm on the calling goroutine; the
+	// time the paper's parallel planners would take is modelled
+	// analytically by cloud.BaoPlanSeconds.) Zero or negative means one
+	// worker per CPU; one forces fully sequential execution. Results are
 	// bit-identical at every worker count.
 	Workers int
 	// NoPlanDedup disables the per-query plan deduplication that
@@ -534,9 +528,9 @@ func (b *Bao) Select(sql string) (*Selection, error) {
 }
 
 // SelectCtx is Select under a context: cancellation is checked between
-// pipeline stages and between per-arm planning steps (each arm plan is the
-// unit of abandonable work), so an abandoned request stops planning within
-// one arm rather than finishing all of them for nobody. A cancelled
+// pipeline stages and, inside planning, once per relation subset of the
+// join enumeration, so an abandoned request stops planning within one
+// subset rather than finishing the enumeration for nobody. A cancelled
 // selection returns the context's error; nothing is recorded.
 func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 	o := b.observer
@@ -572,21 +566,13 @@ func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 	// the experience so the window keeps learning through the outage.
 	if !b.breaker.Allow() {
 		o.BreakerDefault.Inc()
-		opt := &planner.Optimizer{Schema: b.Eng.Schema, Stats: b.Eng,
-			Sampling: b.Eng.Grade() == engine.GradeComSys}
-		n, cands, err := b.planArm(opt, q, 0)
-		if err != nil {
+		if err := b.planArms(ctx, q, sel, 1); err != nil {
 			return nil, err
 		}
-		sel.Plans[0], sel.Candidates[0] = n, cands
 		planDone := time.Now()
 		o.PlanSeconds.Observe(planDone.Sub(parseDone).Seconds())
 		tr.AddSpan("plan_arms", parseDone, planDone.Sub(parseDone), "breaker open: default arm only")
 		return b.finishDefault(sel, selStart, planDone, warm, windowLen, "breaker-open")
-	}
-	workers := 1
-	if b.Cfg.ParallelPlanning {
-		workers = b.planArmWorkers()
 	}
 	// Plan-cache lookup: when the cache is on, the fingerprint chain is
 	// consulted before any planner runs. The epochs are snapshotted here —
@@ -641,50 +627,30 @@ func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 		}
 		planDone = time.Now()
 		if tr != nil {
-			tr.Workers = workers
 			tr.UniquePlans = sel.UniquePlans
 			tr.AddSpan("plancache", parseDone, planDone.Sub(parseDone), verdict)
 		}
 	} else {
-		degraded := false
-		if workers > 1 {
-			var err error
-			degraded, err = b.planArmsParallel(ctx, q, sel, workers)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			// A private optimizer (not the engine's shared one) keeps the
-			// serial path safe under concurrent Selects: the schema and
-			// statistics it reads are immutable between queries, but the
-			// optimizer itself carries per-plan scratch (LastCandidates).
-			opt := &planner.Optimizer{Schema: b.Eng.Schema, Stats: b.Eng,
-				Sampling: b.Eng.Grade() == engine.GradeComSys}
-			for i := range b.Cfg.Arms {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("core: select cancelled: %w", err)
-				}
-				n, cands, err := b.planArm(opt, q, i)
-				if err != nil {
-					if i != 0 && errors.Is(err, errPlannerPanic) {
-						degraded = true
-						continue
-					}
-					return nil, err
-				}
-				sel.Plans[i] = n
-				sel.Candidates[i] = cands
-			}
+		// One join enumeration plans every arm; arms with the same plan
+		// come back sharing one tree.
+		err := b.planArms(ctx, q, sel, len(b.Cfg.Arms))
+		degraded := errors.Is(err, errPlannerPanic) && len(b.Cfg.Arms) > 1
+		if degraded {
+			// The planner panicked somewhere in the hint-set family (and
+			// the breaker tripped). If the default arm plans fine on its
+			// own, this query degrades to the default plan instead of
+			// failing; a panic there too leaves nothing to degrade to.
+			err = b.planArms(ctx, q, sel, 1)
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: select cancelled: %w", err)
+		if err == nil && ctx.Err() != nil {
+			err = fmt.Errorf("core: select cancelled: %w", ctx.Err())
+		}
+		if err != nil {
+			return nil, err
 		}
 		planDone = time.Now()
 		o.PlanSeconds.Observe(planDone.Sub(parseDone).Seconds())
 		if degraded {
-			// A hint-set planner panicked (and the breaker tripped), but the
-			// default arm planned fine: this query degrades to the default
-			// plan instead of failing.
 			o.BreakerDefault.Inc()
 			tr.AddSpan("plan_arms", parseDone, planDone.Sub(parseDone), "planner panic: degraded to default arm")
 			return b.finishDefault(sel, selStart, planDone, warm, windowLen, "planner-panic")
@@ -720,10 +686,9 @@ func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 			verdict = "miss"
 		}
 		if tr != nil {
-			tr.Workers = workers
 			tr.UniquePlans = sel.UniquePlans
 			tr.AddSpan("plan_arms", parseDone, planDone.Sub(parseDone),
-				fmt.Sprintf("arms=%d parallel=%v workers=%d", len(b.Cfg.Arms), b.Cfg.ParallelPlanning, workers))
+				fmt.Sprintf("arms=%d distinct=%d", len(b.Cfg.Arms), sel.UniquePlans))
 			tr.AddSpan("featurize", planDone, featDone.Sub(planDone),
 				fmt.Sprintf("unique=%d deduped=%d", sel.UniquePlans, len(sel.Plans)-sel.UniquePlans))
 		}
@@ -933,104 +898,51 @@ func (b *Bao) finishDefault(sel *Selection, selStart, planDone time.Time, warm b
 	return sel, nil
 }
 
-// errPlannerPanic marks a planning error that was a recovered panic: on
-// a non-default arm the selection degrades to the default plan instead of
-// failing (the panicking arm's plan is simply absent this query).
+// errPlannerPanic marks a planning error that was a recovered panic: the
+// selection degrades to the default arm planned alone instead of failing.
 var errPlannerPanic = errors.New("planner panicked")
 
-// planArm plans one arm, converting a planner panic — real, or injected
-// via Cfg.Fault.PlanPanicArm — into a breaker trip plus an error wrapping
+// armHints returns the hint sets of the first n arms.
+func (b *Bao) armHints(n int) []planner.Hints {
+	hints := make([]planner.Hints, n)
+	for i := range hints {
+		hints[i] = b.Cfg.Arms[i].Hints
+	}
+	return hints
+}
+
+// planArms plans the first n arms of the query in one join enumeration
+// (planner.PlanArms) and stores each arm's plan and the enumeration's
+// candidate count — which does not depend on the hint set — in sel. A
+// planner panic — real, or injected via Cfg.Fault.PlanPanicArm when that
+// arm is among the n — becomes a breaker trip plus an error wrapping
 // errPlannerPanic: one buggy hint-set extension must degrade queries to
 // the default plan, never crash the process (the paper's extensibility
-// story depends on new arms being safe to add).
-func (b *Bao) planArm(opt *planner.Optimizer, q *planner.Query, armIdx int) (n *planner.Node, cands int, err error) {
+// story depends on new arms being safe to add). A cancelled enumeration
+// returns the context's error.
+func (b *Bao) planArms(ctx context.Context, q *planner.Query, sel *Selection, n int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			b.observer.PlannerPanics.Inc()
 			b.breaker.Trip("planner-panic")
-			n, cands = nil, 0
-			err = fmt.Errorf("core: planning arm %s: %w: %v", b.Cfg.Arms[armIdx].Name, errPlannerPanic, r)
+			err = fmt.Errorf("core: planning %d arms: %w: %v", n, errPlannerPanic, r)
 		}
 	}()
-	if f := b.Cfg.Fault; f != nil && f.PlanPanicArm > 0 && armIdx == f.PlanPanicArm {
+	if f := b.Cfg.Fault; f != nil && f.PlanPanicArm > 0 && f.PlanPanicArm < n {
 		panic("guard: injected planner fault")
 	}
-	n, err = opt.Plan(q, b.Cfg.Arms[armIdx].Hints)
+	roots, cands, err := b.Eng.Opt.PlanArms(ctx, q, b.armHints(n))
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: planning arm %s: %w", b.Cfg.Arms[armIdx].Name, err)
-	}
-	return n, opt.LastCandidates, nil
-}
-
-// planArmWorkers resolves Config.Workers to the fan-out used for arm
-// planning: at most one worker per arm, at least one.
-func (b *Bao) planArmWorkers() int {
-	w := nn.Workers(b.Cfg.Workers)
-	if w > len(b.Cfg.Arms) {
-		w = len(b.Cfg.Arms)
-	}
-	return w
-}
-
-// planArmsParallel plans the arms across a bounded pool of workers rather
-// than one goroutine per arm: arms are claimed from an atomic cursor, and
-// the calling goroutine serves as one of the workers so workers=2 spawns a
-// single extra goroutine. Each arm gets its own Optimizer (the schema and
-// statistics it reads are immutable between queries); all writes land at
-// disjoint indices, so no synchronization beyond the WaitGroup is needed.
-// Workers check the context before claiming each arm, so a cancelled
-// request drains the pool within one arm's worth of planning per worker.
-// A recovered planner panic on a non-default arm reports degraded=true
-// (the caller serves the default plan); any other error — or a panic on
-// the default arm itself, which leaves nothing to degrade to — fails the
-// selection.
-func (b *Bao) planArmsParallel(ctx context.Context, q *planner.Query, sel *Selection, workers int) (degraded bool, err error) {
-	errs := make([]error, len(b.Cfg.Arms))
-	var next atomic.Int64
-	work := func() {
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(b.Cfg.Arms) {
-				return
-			}
-			opt := &planner.Optimizer{Schema: b.Eng.Schema, Stats: b.Eng,
-				Sampling: b.Eng.Grade() == engine.GradeComSys}
-			n, cands, perr := b.planArm(opt, q, i)
-			if perr != nil {
-				errs[i] = perr
-				continue
-			}
-			sel.Plans[i] = n
-			sel.Candidates[i] = cands
+		if cerr := ctx.Err(); cerr != nil {
+			return fmt.Errorf("core: select cancelled: %w", cerr)
 		}
+		return fmt.Errorf("core: planning %d arms: %w", n, err)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers-1; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	copy(sel.Plans, roots)
+	for i := range roots {
+		sel.Candidates[i] = cands
 	}
-	work()
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return false, fmt.Errorf("core: select cancelled: %w", err)
-	}
-	for i, perr := range errs {
-		if perr == nil {
-			continue
-		}
-		if i != 0 && errors.Is(perr, errPlannerPanic) {
-			degraded = true
-			continue
-		}
-		return false, perr
-	}
-	return degraded, nil
+	return nil
 }
 
 // warmupActive reports whether arm selection is currently restricted to
@@ -1893,28 +1805,37 @@ func (b *Bao) ExploreCritical() (executor.Counters, error) {
 // checks cancellation between arms and inside each arm's execution, and an
 // aborted exploration stores nothing for the query being explored (a
 // critical set is only useful complete — a partial set would bias the
-// enforcement loop toward whichever arms happened to run).
+// enforcement loop toward whichever arms happened to run). Queries are
+// explored in sorted key order, so buffer-pool residency — and with it the
+// cache-aware features of the recorded experiences — repeats run to run.
 func (b *Bao) ExploreCriticalCtx(ctx context.Context) (executor.Counters, error) {
 	b.mu.RLock()
 	marked := make(map[string]string, len(b.markedCrit))
+	keys := make([]string, 0, len(b.markedCrit))
 	for k, v := range b.markedCrit {
 		marked[k] = v
+		keys = append(keys, k)
 	}
 	b.mu.RUnlock()
+	sort.Strings(keys)
+	hints := b.armHints(len(b.Cfg.Arms))
 	var total executor.Counters
-	for key, sql := range marked {
-		q, err := b.Eng.AnalyzeSQL(sql)
+	for _, key := range keys {
+		q, err := b.Eng.AnalyzeSQL(marked[key])
 		if err != nil {
 			return total, err
 		}
-		var exps []Experience
-		for _, arm := range b.Cfg.Arms {
+		plans, _, err := b.Eng.Opt.PlanArms(ctx, q, hints)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return total, fmt.Errorf("core: exploration cancelled: %w", cerr)
+			}
+			return total, err
+		}
+		exps := make([]Experience, 0, len(plans))
+		for i, n := range plans {
 			if err := ctx.Err(); err != nil {
 				return total, fmt.Errorf("core: exploration cancelled: %w", err)
-			}
-			n, _, err := b.Eng.Plan(q, arm.Hints)
-			if err != nil {
-				return total, err
 			}
 			tree := b.Feat.Vectorize(n)
 			res, err := b.Eng.ExecuteCtx(ctx, n)
@@ -1924,7 +1845,7 @@ func (b *Bao) ExploreCriticalCtx(ctx context.Context) (executor.Counters, error)
 			total.Add(res.Counters)
 			exps = append(exps, Experience{
 				Tree: tree, Secs: b.Cfg.Metric.Value(res.Counters),
-				ArmID: arm.ID, Key: key, Critical: true,
+				ArmID: b.Cfg.Arms[i].ID, Key: key, Critical: true,
 			})
 		}
 		b.mu.Lock()

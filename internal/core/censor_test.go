@@ -114,7 +114,7 @@ func TestSelectCtxCancelled(t *testing.T) {
 // runCensored builds a fresh engine+Bao with the given worker settings,
 // stalls execution at a fixed page ordinal, and runs one query under a
 // deadline. It returns the abort counters and the recorded experience.
-func runCensored(t *testing.T, workers int, parallel bool) (executor.Counters, Experience) {
+func runCensored(t *testing.T, workers int) (executor.Counters, Experience) {
 	t.Helper()
 	e := engine.New(engine.GradePostgreSQL, 3000)
 	inst := workload.IMDb(workload.Config{Scale: 0.12, Queries: 1, Seed: 42})
@@ -124,7 +124,6 @@ func runCensored(t *testing.T, workers int, parallel bool) (executor.Counters, E
 	cfg := FastConfig()
 	cfg.Arms = TopArms(3)
 	cfg.Workers = workers
-	cfg.ParallelPlanning = parallel
 	cfg.RetrainEvery = 1000
 	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 	b := New(e, cfg)
@@ -152,9 +151,9 @@ func runCensored(t *testing.T, workers int, parallel bool) (executor.Counters, E
 // TestCensoredTimeoutDeterministicAcrossWorkers pins the acceptance
 // criterion: a fault-injected stall at the same simulated-clock point
 // yields byte-identical abort counters and the same censored experience
-// shape regardless of planning concurrency (and, under -race, timing).
+// shape regardless of worker count (and, under -race, timing).
 func TestCensoredTimeoutDeterministicAcrossWorkers(t *testing.T) {
-	baseC, baseE := runCensored(t, 1, false)
+	baseC, baseE := runCensored(t, 1)
 	if got := baseC.PageHits + baseC.PageMisses; got != 10 {
 		t.Fatalf("abort pages = %d, want 10 (stall at 11 precedes the charge)", got)
 	}
@@ -167,7 +166,7 @@ func TestCensoredTimeoutDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("censored Secs = %v, want in (0, %v]", baseE.Secs, maxBudget)
 	}
 	for _, w := range []int{2, 4} {
-		c, exp := runCensored(t, w, true)
+		c, exp := runCensored(t, w)
 		if c != baseC {
 			t.Fatalf("workers=%d: abort counters %+v != sequential baseline %+v", w, c, baseC)
 		}

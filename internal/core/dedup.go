@@ -48,18 +48,23 @@ func planFingerprint(root *planner.Node) uint64 {
 // count and groupFP[armGroup[i]] is arm i's plan hash — the shape cache
 // stores these instead of re-hashing every plan on a repeat query). Arm
 // i's plan is a duplicate iff armGroup[i] != position of a first
-// appearance; arm 0's plan is always group 0.
+// appearance; arm 0's plan is always group 0. planner.PlanArms returns
+// arms with the same plan sharing one root, so each distinct root is
+// hashed once and the rest are matched by pointer.
 func dedupPlans(plans []*planner.Node) (armGroup []int, groupFP []uint64) {
 	armGroup = make([]int, len(plans))
-	groupFP = make([]uint64, 0, len(plans))
-	seen := make(map[uint64]int, len(plans))
+	byRoot := make(map[*planner.Node]int)
+	byFP := make(map[uint64]int)
 	for i, p := range plans {
-		fp := planFingerprint(p)
-		g, ok := seen[fp]
-		if !ok {
-			g = len(groupFP)
-			groupFP = append(groupFP, fp)
-			seen[fp] = g
+		g, seen := byRoot[p]
+		if !seen {
+			fp := planFingerprint(p)
+			if g, seen = byFP[fp]; !seen {
+				g = len(groupFP)
+				groupFP = append(groupFP, fp)
+				byFP[fp] = g
+			}
+			byRoot[p] = g
 		}
 		armGroup[i] = g
 	}

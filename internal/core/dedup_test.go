@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"bao/internal/obs"
@@ -168,6 +169,55 @@ func TestTieBreakStable(t *testing.T) {
 				if sel.Plans[i].EstCost == sel.Plans[sel.ArmID].EstCost && i < sel.ArmID {
 					t.Fatalf("arm %d ties on prediction and cost but has lower index than chosen arm %d", i, sel.ArmID)
 				}
+			}
+		}
+	}
+}
+
+// TestDedupSharedRoots: planner.PlanArms hands arms with the same plan one
+// shared root. dedupPlans must give pointer-equal roots the same group and
+// fingerprint, number groups in order of first appearance, and agree with
+// hashing every arm's plan on its own.
+func TestDedupSharedRoots(t *testing.T) {
+	e := buildIMDbEngine(t)
+	q, err := e.AnalyzeSQL("SELECT COUNT(*) FROM title t, cast_info ci, movie_info mi WHERE t.id = ci.movie_id AND t.id = mi.movie_id AND t.kind_id = 3 AND t.votes > 1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := DefaultArms()
+	hints := make([]planner.Hints, len(arms))
+	for i, a := range arms {
+		hints[i] = a.Hints
+	}
+	plans, _, err := e.Opt.PlanArms(context.Background(), q, hints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	armGroup, groupFP := dedupPlans(plans)
+	roots := map[*planner.Node]int{}
+	next := 0
+	for i, p := range plans {
+		if g, seen := roots[p]; seen && g != armGroup[i] {
+			t.Fatalf("arm %d shares its root with an arm of group %d but is in group %d", i, g, armGroup[i])
+		}
+		roots[p] = armGroup[i]
+		switch {
+		case armGroup[i] == next:
+			next++
+		case armGroup[i] > next:
+			t.Fatalf("armGroup %v: group %d appears before group %d", armGroup, armGroup[i], next)
+		}
+		if fp := planFingerprint(p); fp != groupFP[armGroup[i]] {
+			t.Fatalf("arm %d: group fingerprint %x, plan hashes to %x", i, groupFP[armGroup[i]], fp)
+		}
+	}
+	if next != len(groupFP) || len(roots) >= len(plans) || len(groupFP) > len(roots) {
+		t.Fatalf("%d groups, %d fingerprints, %d distinct roots over %d arms", next, len(groupFP), len(roots), len(plans))
+	}
+	for g := range groupFP {
+		for h := 0; h < g; h++ {
+			if groupFP[g] == groupFP[h] {
+				t.Fatalf("groups %d and %d share fingerprint %x", h, g, groupFP[g])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"bao/internal/nn"
 	"bao/internal/obs"
 	"bao/internal/planner"
+	"bao/internal/stats"
 )
 
 // guardTestConfig is the shared guard-enabled configuration: small arms,
@@ -180,32 +183,101 @@ func TestBreakerOpenServesDefaultAndRecords(t *testing.T) {
 	}
 }
 
-// TestPlannerPanicDegradesToDefault: a panicking non-default arm planner
-// must not fail the query — it degrades to the default plan and trips the
-// breaker, in both serial and parallel planning modes.
+// TestPlannerPanicDegradesToDefault: a planner panic in a non-default arm
+// must not fail the query — it degrades to the default arm planned alone
+// and trips the breaker once, whichever arm the fault names.
 func TestPlannerPanicDegradesToDefault(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
+	for _, arm := range []int{1, 2} {
 		e := buildIMDbEngine(t)
-		cfg := guardTestConfig(4, &guard.Fault{PlanPanicArm: 1})
-		cfg.ParallelPlanning = parallel
-		b := New(e, cfg)
+		b := New(e, guardTestConfig(4, &guard.Fault{PlanPanicArm: arm}))
 
+		want, err := e.PlanSQL(obsTestSQL, b.Cfg.Arms[0].Hints)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sel, err := b.Select(obsTestSQL)
 		if err != nil {
-			t.Fatalf("parallel=%v: planner panic failed the query: %v", parallel, err)
+			t.Fatalf("arm %d: planner panic failed the query: %v", arm, err)
 		}
 		if sel.ArmID != 0 || sel.UsedModel {
-			t.Fatalf("parallel=%v: arm=%d usedModel=%v, want degraded default", parallel, sel.ArmID, sel.UsedModel)
+			t.Fatalf("arm %d: arm=%d usedModel=%v, want degraded default", arm, sel.ArmID, sel.UsedModel)
+		}
+		if sel.Plans[0].Explain() != want.Explain() || sel.Trees[0] == nil {
+			t.Fatalf("arm %d: degraded selection does not carry the default plan", arm)
 		}
 		if b.Breaker().State() != guard.Open {
-			t.Fatalf("parallel=%v: breaker = %v after planner panic, want Open", parallel, b.Breaker().State())
+			t.Fatalf("arm %d: breaker = %v after planner panic, want Open", arm, b.Breaker().State())
 		}
 		if got := b.Stats().Counter("bao_planner_panics_total"); got != 1 {
-			t.Fatalf("parallel=%v: bao_planner_panics_total = %v, want 1", parallel, got)
+			t.Fatalf("arm %d: bao_planner_panics_total = %v, want 1", arm, got)
 		}
 		if got := b.Breaker().Trips(); got != 1 {
-			t.Fatalf("parallel=%v: trips = %d, want 1 (concurrent workers must coalesce)", parallel, got)
+			t.Fatalf("arm %d: trips = %d, want 1", arm, got)
 		}
+	}
+}
+
+// panicStats is a StatsProvider whose every call panics: a planner that
+// cannot even plan the default arm.
+type panicStats struct{}
+
+func (panicStats) TableStats(string) *stats.TableStats { panic("stats: provider is broken") }
+
+// TestPlannerPanicOnDefaultArmFailsRequest: when planning panics for the
+// default arm too there is nothing to degrade to — the request fails with
+// an error (the process does not crash) and the breaker is open.
+func TestPlannerPanicOnDefaultArmFailsRequest(t *testing.T) {
+	e := buildIMDbEngine(t)
+	b := New(e, guardTestConfig(4, nil))
+	e.Opt.Stats = panicStats{}
+	sel, err := b.Select(obsTestSQL)
+	if err == nil || !errors.Is(err, errPlannerPanic) {
+		t.Fatalf("sel=%v err=%v, want a planner-panic error", sel, err)
+	}
+	if b.Breaker().State() != guard.Open {
+		t.Fatalf("breaker = %v after planner panic, want Open", b.Breaker().State())
+	}
+	// The open breaker plans arm 0 alone; that panics as well and must
+	// also come back as an error.
+	if _, err := b.Select(obsTestSQL); !errors.Is(err, errPlannerPanic) {
+		t.Fatalf("breaker-open select: err=%v, want a planner-panic error", err)
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its n-th Err
+// call on.
+type cancelAfter struct {
+	context.Context
+	polls, at int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls++; c.polls >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSelectCancelledMidEnumeration: a request abandoned while the join
+// enumeration is running returns the context's error and records nothing.
+func TestSelectCancelledMidEnumeration(t *testing.T) {
+	e := buildIMDbEngine(t)
+	b := New(e, guardTestConfig(4, nil))
+	const sql = "SELECT COUNT(*) FROM title t, cast_info ci, movie_info mi WHERE t.id = ci.movie_id AND t.id = mi.movie_id AND t.kind_id = 3"
+	free := &cancelAfter{Context: context.Background(), at: 1 << 30}
+	if _, err := b.SelectCtx(free, sql); err != nil {
+		t.Fatal(err)
+	}
+	if free.polls < 7 {
+		t.Fatalf("a 3-relation select polled its context %d times, want at least once per relation subset (7)", free.polls)
+	}
+	ctx := &cancelAfter{Context: context.Background(), at: free.polls - 1}
+	sel, err := b.SelectCtx(ctx, sql)
+	if sel != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("sel=%v err=%v, want context.Canceled", sel, err)
+	}
+	if got := b.Stats().Counter("bao_planner_panics_total"); got != 0 || b.Breaker().State() != guard.Closed {
+		t.Fatalf("cancellation counted as a planner fault: panics=%v breaker=%v", got, b.Breaker().State())
 	}
 }
 

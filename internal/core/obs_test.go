@@ -196,9 +196,8 @@ func TestAddExternalExperienceRetrainSchedule(t *testing.T) {
 	}
 }
 
-// TestDecisionLoopMetricsAndTraces runs the full Run loop (with parallel
-// planning, exercising the concurrent featurization timing path) and
-// checks that metrics and decision traces come out consistent.
+// TestDecisionLoopMetricsAndTraces runs the full Run loop and checks that
+// metrics and decision traces come out consistent.
 func TestDecisionLoopMetricsAndTraces(t *testing.T) {
 	e := buildIMDbEngine(t)
 	o := obs.NewObserver(obs.NewRegistry(), nil)
@@ -206,7 +205,6 @@ func TestDecisionLoopMetricsAndTraces(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Arms = TopArms(3)
 	cfg.RetrainEvery = 1000
-	cfg.ParallelPlanning = true
 	cfg.Observer = o
 	b := New(e, cfg)
 

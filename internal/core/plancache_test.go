@@ -66,7 +66,6 @@ func TestPlanCacheDeterminism(t *testing.T) {
 				cfg := FastConfig()
 				cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 				cfg.Workers = workers
-				cfg.ParallelPlanning = workers > 1
 				if cache {
 					cfg.PlanCache = true
 					cfg.InferBatch = 64

@@ -198,10 +198,11 @@ func (e *Engine) AnalyzeSQL(sql string) (*planner.Query, error) {
 	return planner.Analyze(stmt, e.Schema)
 }
 
-// Plan optimizes an analyzed query under a hint set.
+// Plan optimizes an analyzed query under a hint set, returning the plan
+// and the planner effort (join candidates costed) spent producing it.
+// Safe for concurrent use: the optimizer holds no per-plan state.
 func (e *Engine) Plan(q *planner.Query, h planner.Hints) (*planner.Node, int, error) {
-	n, err := e.Opt.Plan(q, h)
-	return n, e.Opt.LastCandidates, err
+	return e.Opt.Plan(q, h)
 }
 
 // PlanSQL parses, analyzes, and optimizes in one step.

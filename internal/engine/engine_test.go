@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"bao/internal/catalog"
@@ -422,4 +423,49 @@ func TestThreeWayJoin(t *testing.T) {
 	if total != 800 {
 		t.Fatalf("three-way join total = %d, want 800", total)
 	}
+}
+
+// TestPlanConcurrentCandidateCounts: Engine.Plan returns the planner
+// effort of its own call. Queries of one, two and three relations cost
+// different numbers of join candidates; planned concurrently on one
+// engine, each caller must get its own query's count (the count used to
+// travel through a field of the shared optimizer, so concurrent callers —
+// /v1/critical exploration, advisor-mode runs — could read each other's).
+func TestPlanConcurrentCandidateCounts(t *testing.T) {
+	e := testEngine(t, GradePostgreSQL, 200, 800, 11)
+	sqls := []string{
+		"SELECT COUNT(*) FROM movies m WHERE m.year > 2000",
+		"SELECT COUNT(*) FROM movies m, ratings r WHERE m.id = r.movie_id",
+		"SELECT COUNT(*) FROM movies m, ratings r, ratings r2 WHERE m.id = r.movie_id AND m.id = r2.movie_id AND r.score = r2.score",
+	}
+	queries := make([]*planner.Query, len(sqls))
+	want := make([]int, len(sqls))
+	for i, sql := range sqls {
+		q, err := e.AnalyzeSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[i] = q
+		if _, want[i], err = e.Plan(q, planner.AllOn()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0] == want[1] || want[1] == want[2] {
+		t.Fatalf("candidate counts %v do not tell the queries apart", want)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			i := g % len(queries)
+			for n := 0; n < 200; n++ {
+				if _, got, err := e.Plan(queries[i], planner.AllOn()); err != nil || got != want[i] {
+					t.Errorf("query %d: %d candidates (err %v), want %d", i, got, err, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

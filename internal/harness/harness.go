@@ -29,12 +29,9 @@ type Options struct {
 	Scale   float64
 	Queries int
 	Seed    int64
-	// Workers bounds the goroutines Bao uses for planning, inference, and
-	// training (core.Config.Workers). Zero means one per CPU.
+	// Workers bounds the goroutines Bao uses for inference and training
+	// (core.Config.Workers). Zero means one per CPU.
 	Workers int
-	// ParallelPlanning turns on concurrent arm planning
-	// (core.Config.ParallelPlanning).
-	ParallelPlanning bool
 	// PlanCache enables the query-fingerprint plan cache
 	// (core.Config.PlanCache); PlanCacheSize bounds its entries and
 	// PlanCacheBytes its resident bytes (zero = the core defaults).

@@ -51,7 +51,6 @@ func (s *Session) BaoConfig() core.Config {
 	cfg := core.FastConfig()
 	cfg.Seed = s.Opts.Seed
 	cfg.Workers = s.Opts.Workers
-	cfg.ParallelPlanning = s.Opts.ParallelPlanning
 	cfg.PlanCache = s.Opts.PlanCache
 	cfg.PlanCacheSize = s.Opts.PlanCacheSize
 	cfg.PlanCacheBytes = s.Opts.PlanCacheBytes

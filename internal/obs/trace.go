@@ -42,7 +42,6 @@ type Trace struct {
 	WarmUp        bool      `json:"warm_up"`
 	WindowSize    int       `json:"window_size"`
 	UniquePlans   int       `json:"unique_plans"` // distinct plans across arms after dedup
-	Workers       int       `json:"workers"`      // planning fan-out used for this query
 	PredictedSecs float64   `json:"predicted_secs"`
 	ObservedSecs  float64   `json:"observed_secs"`
 	Ratio         float64   `json:"observed_over_predicted,omitempty"`

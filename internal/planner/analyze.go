@@ -27,6 +27,18 @@ type JoinEdge struct {
 	LCol, RCol string
 }
 
+// crosses reports whether the edge joins a relation of lmask to one of
+// rmask, and if so whether it does so flipped — its R side in lmask.
+func (e JoinEdge) crosses(lmask, rmask uint32) (flipped, ok bool) {
+	switch {
+	case lmask&(1<<e.L) != 0 && rmask&(1<<e.R) != 0:
+		return false, true
+	case lmask&(1<<e.R) != 0 && rmask&(1<<e.L) != 0:
+		return true, true
+	}
+	return false, false
+}
+
 // OutputExpr is one resolved select-list entry.
 type OutputExpr struct {
 	Agg  sqlparser.AggFunc // AggNone for a plain column

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -8,6 +9,7 @@ import (
 
 	"bao/internal/catalog"
 	"bao/internal/sqlparser"
+	"bao/internal/stats"
 )
 
 // Hints is a set of boolean optimizer flags, PostgreSQL's enable_* GUCs.
@@ -51,388 +53,385 @@ func (h Hints) SQL() string {
 }
 
 // Optimizer is a Selinger-style cost-based planner over the analyzed query.
-// Sampling switches on the ComSys-grade correlation-aware estimation.
+// Sampling switches on the ComSys-grade correlation-aware estimation. It
+// holds no per-plan state, so one Optimizer serves concurrent callers.
 type Optimizer struct {
 	Schema   *catalog.Schema
 	Stats    StatsProvider
 	Sampling bool
-	// LastCandidates counts join candidates costed during the most recent
-	// Plan call; the cloud clock converts it into optimization time.
-	LastCandidates int
 }
 
-// Plan produces the cheapest physical plan for the query under the hints.
-func (o *Optimizer) Plan(q *Query, h Hints) (*Node, error) {
-	k := len(q.Scans)
-	if k == 0 {
-		return nil, fmt.Errorf("planner: no relations")
+// Plan produces the cheapest physical plan for the query under the hints,
+// and the number of join candidates costed on the way (the cloud clock
+// converts it into optimization time). It is PlanArms for one hint set.
+func (o *Optimizer) Plan(q *Query, h Hints) (*Node, int, error) {
+	roots, cands, err := o.PlanArms(context.Background(), q, []Hints{h})
+	if err != nil {
+		return nil, 0, err
 	}
-	if k > 16 {
-		return nil, fmt.Errorf("planner: %d relations exceeds the enumeration limit", k)
-	}
-	o.LastCandidates = 0
+	return roots[0], cands, nil
+}
 
-	// Per-relation filtered cardinalities and per-edge selectivities.
-	filtered := make([]float64, k)
+// estimates holds the cardinality inputs of a query that no hint set
+// changes: per-relation statistics and filtered row counts, per-edge join
+// selectivities.
+type estimates struct {
+	tstats   []*stats.TableStats
+	filtered []float64
+	edgeSels []float64
+}
+
+func (o *Optimizer) estimate(q *Query) (*estimates, error) {
+	est := &estimates{
+		tstats:   make([]*stats.TableStats, len(q.Scans)),
+		filtered: make([]float64, len(q.Scans)),
+		edgeSels: make([]float64, len(q.Edges)),
+	}
 	for i, si := range q.Scans {
 		ts := o.Stats.TableStats(si.Table)
 		if ts == nil {
 			return nil, fmt.Errorf("planner: no statistics for table %s (run ANALYZE)", si.Table)
 		}
-		filtered[i] = math.Max(float64(ts.Rows)*o.scanSel(si, ts), 0.5)
+		est.tstats[i] = ts
+		est.filtered[i] = math.Max(float64(ts.Rows)*o.scanSel(si, ts), 0.5)
 	}
-	edgeSels := make([]float64, len(q.Edges))
 	for i, e := range q.Edges {
-		edgeSels[i] = o.edgeSel(q, e)
+		est.edgeSels[i] = o.edgeSel(q, e)
 	}
-	// Joint cardinality per relation subset (order-independent).
-	rowsOf := func(mask uint32) float64 {
-		r := 1.0
-		for i := 0; i < k; i++ {
-			if mask&(1<<i) != 0 {
-				r *= filtered[i]
-			}
-		}
-		for i, e := range q.Edges {
-			if mask&(1<<e.L) != 0 && mask&(1<<e.R) != 0 {
-				r *= edgeSels[i]
-			}
-		}
-		return math.Max(r, 0.5)
-	}
+	return est, nil
+}
 
-	best := make([]*Node, 1<<k)
+// rowsOf is the joint cardinality of a relation subset (order-independent).
+func (est *estimates) rowsOf(q *Query, mask uint32) float64 {
+	r := 1.0
+	for i := range q.Scans {
+		if mask&(1<<i) != 0 {
+			r *= est.filtered[i]
+		}
+	}
+	for i, e := range q.Edges {
+		if mask&(1<<e.L) != 0 && mask&(1<<e.R) != 0 {
+			r *= est.edgeSels[i]
+		}
+	}
+	return math.Max(r, 0.5)
+}
+
+// perProbe is the rows one index probe of rel returns through edge.
+func (est *estimates) perProbe(rel, edge int) float64 {
+	return math.Max(est.filtered[rel]*est.edgeSels[edge], 1e-4)
+}
+
+// Join operators in tie-break order: a later operator replaces an earlier
+// one only when strictly cheaper.
+const (
+	joinHash = iota
+	joinMerge
+	joinNestLoop
+	joinIndexNestLoop
+)
+
+// edgeCols is the hint-independent view of one join edge the enumeration
+// works on: each side's column as an identity (column IDs are dense over
+// all scans' outputs; -1 when the scan does not output the column) and
+// whether the column is indexed.
+type edgeCols struct {
+	lID, rID           int32
+	lIndexed, rIndexed bool
+}
+
+// enumeration is one query's join enumeration for a family of hint sets.
+// Everything that does not depend on the hint set is computed once; what
+// does lives in flat tables indexed [mask*arms + arm], so the dynamic
+// program's innermost loop runs over the arms of one (subset, partition)
+// and allocates nothing.
+type enumeration struct {
+	o    *Optimizer
+	q    *Query
+	est  *estimates
+	arms int
+	pens []armPen
+
+	scans [][]scanCand // per relation
+	cols  [][]OutCol   // per relation
+	edges []edgeCols
+
+	// Per relation subset.
+	rows     []float64 // joint cardinality
+	sortRows []float64 // sortRows(rows) and its log2, for pricing merge-join sorts
+	sortLog  []float64
+	reach    []bool // some join tree covers the subset
+
+	// Per (relation subset, arm): the cheapest plan's cost, the column its
+	// output is sorted by (a column ID, or -1), and the choice that
+	// produced it — a scans[] index for one relation, sub<<2|operator for
+	// a join of best[sub] with best[mask^sub].
+	cost   []float64
+	sorted []int32
+	choice []uint32
+
+	candidates int
+}
+
+// PlanArms produces, for every hint set, the cheapest physical plan under
+// it — one join enumeration costing all of them, not one per hint set.
+// The result is what planning each hint set on its own returns, bit for
+// bit; hint sets that reach the same subplan share its Nodes, and hint
+// sets with the same plan share the root, so callers can tell distinct
+// plans apart by pointer before hashing them. The int is the number of
+// join candidates the enumeration costs for one hint set (it does not
+// depend on the hint set). The context is polled once per relation
+// subset; a cancelled enumeration returns the context's error.
+func (o *Optimizer) PlanArms(ctx context.Context, q *Query, hints []Hints) ([]*Node, int, error) {
+	k := len(q.Scans)
+	if k == 0 {
+		return nil, 0, fmt.Errorf("planner: no relations")
+	}
+	if k > 16 {
+		return nil, 0, fmt.Errorf("planner: %d relations exceeds the enumeration limit", k)
+	}
+	est, err := o.estimate(q)
+	if err != nil {
+		return nil, 0, err
+	}
+	en := o.newEnumeration(q, est, hints)
+	if err := en.run(ctx); err != nil {
+		return nil, 0, err
+	}
+	full := uint32(1)<<k - 1
+	if !en.reach[full] {
+		return nil, 0, fmt.Errorf("planner: no join path found (disconnected join graph)")
+	}
+	roots := make([]*Node, len(hints))
+	memo := make(map[consKey]*Node, 4*k)
+	tops := make(map[*Node]*Node) // join tree → finished plan
+	for a := range hints {
+		joinRoot := en.node(memo, full, a)
+		top, ok := tops[joinRoot]
+		if !ok {
+			if top, err = o.buildTop(q, joinRoot); err != nil {
+				return nil, 0, err
+			}
+			tops[joinRoot] = top
+		}
+		roots[a] = top
+	}
+	return roots, en.candidates, nil
+}
+
+func (o *Optimizer) newEnumeration(q *Query, est *estimates, hints []Hints) *enumeration {
+	k, arms := len(q.Scans), len(hints)
+	en := &enumeration{o: o, q: q, est: est, arms: arms,
+		pens:  make([]armPen, arms),
+		scans: make([][]scanCand, k),
+		cols:  make([][]OutCol, k),
+		edges: make([]edgeCols, len(q.Edges)),
+	}
+	for a, h := range hints {
+		en.pens[a] = penalties(h)
+	}
+	colBase := make([]int32, k)
 	for i, si := range q.Scans {
-		n, err := o.bestScan(si, h, filtered[i])
-		if err != nil {
-			return nil, err
+		if i > 0 {
+			colBase[i] = colBase[i-1] + int32(len(q.Scans[i-1].Needed))
 		}
-		best[1<<i] = n
+		en.cols[i] = scanCols(si)
+		en.scans[i] = o.scanCands(si, est.tstats[i])
+	}
+	colID := func(rel int, col string) int32 {
+		if pos := outPos(q.Scans[rel], col); pos >= 0 {
+			return colBase[rel] + int32(pos)
+		}
+		return -1
+	}
+	for i, e := range q.Edges {
+		_, lIndexed := o.Schema.IndexOn(q.Scans[e.L].Table, e.LCol)
+		_, rIndexed := o.Schema.IndexOn(q.Scans[e.R].Table, e.RCol)
+		en.edges[i] = edgeCols{lID: colID(e.L, e.LCol), rID: colID(e.R, e.RCol),
+			lIndexed: lIndexed, rIndexed: rIndexed}
 	}
 
-	full := uint32(1<<k) - 1
+	subsets := 1 << k
+	en.rows = make([]float64, subsets)
+	en.sortRows = make([]float64, subsets)
+	en.sortLog = make([]float64, subsets)
+	en.reach = make([]bool, subsets)
+	en.cost = make([]float64, subsets*arms)
+	en.sorted = make([]int32, subsets*arms)
+	en.choice = make([]uint32, subsets*arms)
+	for mask := 1; mask < subsets; mask++ {
+		en.rows[mask] = est.rowsOf(q, uint32(mask))
+	}
+	for i := range q.Scans {
+		// A scan's estimate is the filtered count itself, and the scan's
+		// sort column moves from output position to column ID.
+		mask := 1 << i
+		en.rows[mask] = est.filtered[i]
+		en.reach[mask] = true
+		for a := range en.pens {
+			c, cost := cheapestScan(en.scans[i], &en.pens[a])
+			at := mask*arms + a
+			en.cost[at], en.choice[at], en.sorted[at] = cost, uint32(c), -1
+			if pos := en.scans[i][c].sorted; pos >= 0 {
+				en.sorted[at] = colBase[i] + int32(pos)
+			}
+		}
+	}
+	for mask := 1; mask < subsets; mask++ {
+		en.sortRows[mask] = sortRows(en.rows[mask])
+		en.sortLog[mask] = math.Log2(en.sortRows[mask])
+	}
+	return en
+}
+
+// run is the dynamic program: for every relation subset of two or more
+// relations, every ordered (left, right) partition with a join predicate
+// across it, every join operator, every arm. Subsets ascend, partitions
+// descend from (mask-1)&mask, operators follow the join* order, and a
+// candidate replaces the incumbent only when strictly cheaper — the
+// enumeration order is what breaks cost ties, so it is part of the
+// result.
+func (en *enumeration) run(ctx context.Context) error {
+	q, arms := en.q, en.arms
+	full := uint32(1)<<len(q.Scans) - 1
 	for mask := uint32(1); mask <= full; mask++ {
-		if bits.OnesCount32(mask) < 2 {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("planner: enumeration cancelled: %w", err)
+		}
+		if mask&(mask-1) == 0 {
 			continue
 		}
-		joinRows := rowsOf(mask)
-		// Enumerate ordered (left, right) partitions.
+		joinRows := en.rows[mask]
+		out := int(mask) * arms
+		outCost, outSorted, outChoice := en.cost[out:out+arms], en.sorted[out:out+arms], en.choice[out:out+arms]
+		first := true
 		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 			other := mask ^ sub
-			left, right := best[sub], best[other]
-			if left == nil || right == nil {
+			if !en.reach[sub] || !en.reach[other] {
 				continue
 			}
-			cand := o.joinCandidates(q, h, left, right, sub, other, joinRows, filtered, edgeSels)
-			if cand != nil && (best[mask] == nil || cand.EstCost < best[mask].EstCost) {
-				best[mask] = cand
+			// The predicates crossing the partition, left side in sub:
+			// the first one's columns are the merge keys, and the first
+			// with an indexed right column drives the index nested loop
+			// when the right side is a single relation.
+			lKey, rKey := int32(-1), int32(-1)
+			probe, probeCost := false, 0.0
+			rightSingle := other&(other-1) == 0
+			for ei, e := range q.Edges {
+				flipped, ok := e.crosses(sub, other)
+				if !ok {
+					continue
+				}
+				ec := en.edges[ei]
+				l, r, rRel, rIndexed := ec.lID, ec.rID, e.R, ec.rIndexed
+				if flipped {
+					l, r, rRel, rIndexed = ec.rID, ec.lID, e.L, ec.lIndexed
+				}
+				if l < 0 || r < 0 {
+					continue
+				}
+				if lKey < 0 {
+					lKey, rKey = l, r
+				}
+				if rightSingle && rIndexed && !probe {
+					probe = true
+					probeCost = indexProbeCost(float64(en.est.tstats[rRel].Rows),
+						en.est.perProbe(rRel, ei), len(q.Scans[rRel].Filters))
+				}
 			}
+			if lKey < 0 {
+				continue // no join predicate crosses the partition
+			}
+			en.candidates += 3
+			if probe {
+				en.candidates++
+			}
+
+			lRows, rRows := en.rows[sub], en.rows[other]
+			lSortRows, lSortLog := en.sortRows[sub], en.sortLog[sub]
+			rSortRows, rSortLog := en.sortRows[other], en.sortLog[other]
+			li, ri := int(sub)*arms, int(other)*arms
+			lCost, rCost := en.cost[li:li+arms], en.cost[ri:ri+arms]
+			lSorted, rSorted := en.sorted[li:li+arms], en.sorted[ri:ri+arms]
+			for a := range outCost {
+				p := &en.pens[a]
+				l, r := lCost[a], rCost[a]
+				best, op, sorted := hashJoinCost(l, r, lRows, rRows, joinRows)+p.hashJoin, uint32(joinHash), int32(-1)
+				ml, mr := l, r
+				if lSorted[a] != lKey {
+					ml = sortCost(l, lSortRows, lSortLog)
+				}
+				if rSorted[a] != rKey {
+					mr = sortCost(r, rSortRows, rSortLog)
+				}
+				if c := mergeJoinCost(ml, mr, lRows, rRows, joinRows) + p.mergeJoin; c < best {
+					best, op, sorted = c, joinMerge, lKey
+				}
+				if c := nestLoopCost(l, r, lRows, rRows, joinRows) + p.nestLoop; c < best {
+					best, op, sorted = c, joinNestLoop, -1
+				}
+				if probe {
+					c := indexNestLoopCost(l, lRows, probeCost, joinRows)
+					c += p.nestLoop
+					c += p.indexScan
+					if c < best {
+						best, op, sorted = c, joinIndexNestLoop, -1
+					}
+				}
+				if first || best < outCost[a] {
+					outCost[a], outSorted[a], outChoice[a] = best, sorted, sub<<2|op
+				}
+			}
+			first = false
 		}
+		en.reach[mask] = !first
 	}
-	root := best[full]
-	if root == nil {
-		return nil, fmt.Errorf("planner: no join path found (disconnected join graph)")
-	}
-	return o.buildTop(q, root)
+	return nil
 }
 
-// bestScan picks the cheapest access path for one relation under the hints.
-func (o *Optimizer) bestScan(si *ScanInfo, h Hints, estRows float64) (*Node, error) {
-	ts := o.Stats.TableStats(si.Table)
-	cols := make([]OutCol, len(si.Needed))
-	for i, name := range si.Needed {
-		ci := si.Meta.ColumnIndex(name)
-		cols[i] = OutCol{Alias: si.Alias, Name: name, Type: si.Meta.Columns[ci].Type}
-	}
-	baseRows := float64(ts.Rows)
-	pages := float64(ts.Pages)
-
-	var cands []*Node
-
-	// Sequential scan is always available.
-	seq := &Node{Op: OpSeqScan, Table: si.Table, Alias: si.Alias,
-		Filters: si.Filters, Cols: cols, EstRows: estRows, SortedBy: -1}
-	seq.EstCost = pages*seqPageCost + baseRows*cpuTupleCost +
-		baseRows*float64(len(si.Filters))*cpuOperatorCost
-	if !h.SeqScan {
-		seq.EstCost += disablePenalty
-	}
-	cands = append(cands, seq)
-
-	// Index scans: one per filter on an indexed column.
-	for fi := range si.Filters {
-		f := &si.Filters[fi]
-		if f.Kind != FEq && f.Kind != FRange {
-			continue
-		}
-		if _, ok := o.Schema.IndexOn(si.Table, f.Col); !ok {
-			continue
-		}
-		cs := ts.Cols[colName(si, f.Col)]
-		idxSel := filterSel(cs, f)
-		matched := math.Max(baseRows*idxSel, 0.5)
-		rest := make([]Filter, 0, len(si.Filters)-1)
-		for fj := range si.Filters {
-			if fj != fi {
-				rest = append(rest, si.Filters[fj])
-			}
-		}
-		ix := &Node{Op: OpIndexScan, Table: si.Table, Alias: si.Alias,
-			IndexCol: f.Col, IndexFilter: f, Filters: rest, Cols: cols,
-			EstRows: estRows, SortedBy: outPos(si, f.Col)}
-		// The 4×log2 descent term matches the executor's
-		// descentOpsPerLevel billing for index scans and index nested
-		// loops, so costed and charged descents agree.
-		ix.EstCost = math.Log2(baseRows+2)*cpuOperatorCost*4 +
-			matched*cpuIndexTupleCost +
-			matched*randPageCost +
-			matched*(float64(len(rest))*cpuOperatorCost+cpuTupleCost)
-		if !h.IndexScan {
-			ix.EstCost += disablePenalty
-		}
-		cands = append(cands, ix)
-
-		// Index-only scan: the index alone can answer the scan when every
-		// needed column and every filter touches only the indexed column.
-		if coveredByIndex(si, f.Col) {
-			ixPages := matched/float64(catalogIndexFanout) + 1
-			io := &Node{Op: OpIndexOnlyScan, Table: si.Table, Alias: si.Alias,
-				IndexCol: f.Col, IndexFilter: f, Filters: rest, Cols: cols,
-				EstRows: estRows, SortedBy: outPos(si, f.Col)}
-			io.EstCost = math.Log2(baseRows+2)*cpuOperatorCost*4 +
-				matched*cpuIndexTupleCost + ixPages*seqPageCost
-			if !h.IndexOnlyScan {
-				io.EstCost += disablePenalty
-			}
-			cands = append(cands, io)
-		}
-	}
-
-	// Unfiltered full-index scans provide sorted output (useful under merge
-	// joins); heap fetches make them expensive, so they rarely win unless
-	// sorting is worth avoiding.
-	for _, col := range si.Needed {
-		if _, ok := o.Schema.IndexOn(si.Table, col); !ok {
-			continue
-		}
-		if si.IndexedFilterOn(col) {
-			continue // already considered above with the filter
-		}
-		ix := &Node{Op: OpIndexScan, Table: si.Table, Alias: si.Alias,
-			IndexCol: col, Filters: si.Filters, Cols: cols,
-			EstRows: estRows, SortedBy: outPos(si, col)}
-		ix.EstCost = baseRows*cpuIndexTupleCost + baseRows*randPageCost +
-			baseRows*(float64(len(si.Filters))*cpuOperatorCost+cpuTupleCost)
-		if !h.IndexScan {
-			ix.EstCost += disablePenalty
-		}
-		if coveredByIndex(si, col) {
-			io := *ix
-			io.Op = OpIndexOnlyScan
-			io.EstCost = baseRows*cpuIndexTupleCost + baseRows/float64(catalogIndexFanout)*seqPageCost
-			if !h.IndexOnlyScan {
-				io.EstCost += disablePenalty
-			}
-			cands = append(cands, &io)
-		}
-		cands = append(cands, ix)
-	}
-
-	bestN := cands[0]
-	for _, c := range cands[1:] {
-		if c.EstCost < bestN.EstCost {
-			bestN = c
-		}
-	}
-	return bestN, nil
+// consKey identifies a Node by what determines it: the relation subset,
+// the choice made there, the child Nodes and the cost. Arms that agree on
+// all of it get the same Node.
+type consKey struct {
+	mask, choice uint32
+	left, right  *Node
+	cost         uint64
 }
 
-// catalogIndexFanout mirrors storage.IndexEntriesPerPage without importing
-// it into cost arithmetic everywhere.
-const catalogIndexFanout = 256
-
-// IndexedFilterOn reports whether the scan has an eq/range filter on col.
-func (si *ScanInfo) IndexedFilterOn(col string) bool {
-	for i := range si.Filters {
-		if si.Filters[i].Col == col && (si.Filters[i].Kind == FEq || si.Filters[i].Kind == FRange) {
-			return true
-		}
+// node materializes arm a's cheapest plan for the subset, hash-consed
+// through memo. Nodes are built only here — for choices that won — and
+// are immutable from then on: they are shared between arms, and by the
+// plan cache between requests.
+func (en *enumeration) node(memo map[consKey]*Node, mask uint32, a int) *Node {
+	at := int(mask)*en.arms + a
+	key := consKey{mask: mask, choice: en.choice[at], cost: math.Float64bits(en.cost[at])}
+	sub := key.choice >> 2
+	if mask&(mask-1) != 0 {
+		key.left, key.right = en.node(memo, sub, a), en.node(memo, mask^sub, a)
 	}
-	return false
-}
-
-// coveredByIndex reports whether an index on col alone can satisfy the scan
-// (all needed outputs and all filters are on col).
-func coveredByIndex(si *ScanInfo, col string) bool {
-	for _, n := range si.Needed {
-		if n != col {
-			return false
-		}
-	}
-	for i := range si.Filters {
-		if si.Filters[i].Col != col {
-			return false
-		}
-	}
-	return true
-}
-
-// outPos finds col's position in the scan's output, or -1.
-func outPos(si *ScanInfo, col string) int {
-	for i, n := range si.Needed {
-		if n == col {
-			return i
-		}
-	}
-	return -1
-}
-
-// joinCandidates costs every legal join operator for (left ⋈ right) and
-// returns the cheapest, or nil when no join edge crosses the partition.
-func (o *Optimizer) joinCandidates(q *Query, h Hints, left, right *Node,
-	lmask, rmask uint32, joinRows float64, filtered, edgeSels []float64) *Node {
-	var best *Node
-	for _, c := range o.joinCandidatesByOp(q, h, left, right, lmask, rmask, joinRows, filtered, edgeSels) {
-		o.LastCandidates++
-		if best == nil || c.EstCost < best.EstCost {
-			best = c
-		}
-	}
-	return best
-}
-
-// joinCandidatesByOp constructs every legal join candidate for
-// (left ⋈ right): hash, merge (with sorts as needed), naive nested loop,
-// and a parameterized index nested loop when the inner side is a single
-// indexed relation.
-func (o *Optimizer) joinCandidatesByOp(q *Query, h Hints, left, right *Node,
-	lmask, rmask uint32, joinRows float64, filtered, edgeSels []float64) []*Node {
-
-	// Collect crossing edges, normalized so the left key is in `left`.
-	type key struct {
-		lk, rk int
-		edge   int
-		rCol   string // join column name on the right side
-		rRel   int
-	}
-	var keys []key
-	for ei, e := range q.Edges {
-		var lRel, rRel int
-		var lCol, rCol string
-		switch {
-		case lmask&(1<<e.L) != 0 && rmask&(1<<e.R) != 0:
-			lRel, rRel, lCol, rCol = e.L, e.R, e.LCol, e.RCol
-		case lmask&(1<<e.R) != 0 && rmask&(1<<e.L) != 0:
-			lRel, rRel, lCol, rCol = e.R, e.L, e.RCol, e.LCol
-		default:
-			continue
-		}
-		lk := left.ColIndex(q.Scans[lRel].Alias, lCol)
-		rk := right.ColIndex(q.Scans[rRel].Alias, rCol)
-		if lk == -1 || rk == -1 {
-			continue
-		}
-		keys = append(keys, key{lk: lk, rk: rk, edge: ei, rCol: rCol, rRel: rRel})
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	lks := make([]int, len(keys))
-	rks := make([]int, len(keys))
-	for i, kk := range keys {
-		lks[i], rks[i] = kk.lk, kk.rk
-	}
-	outCols := append(append([]OutCol{}, left.Cols...), right.Cols...)
-
-	var cands []*Node
-	consider := func(n *Node) { cands = append(cands, n) }
-
-	// Hash join: build the right (inner) side, probe with the left.
-	hj := &Node{Op: OpHashJoin, Left: left, Right: right,
-		LeftKeys: lks, RightKeys: rks, Cols: outCols, EstRows: joinRows, SortedBy: -1}
-	hj.EstCost = left.EstCost + right.EstCost +
-		right.EstRows*cpuOperatorCost*1.5 +
-		left.EstRows*cpuOperatorCost +
-		joinRows*cpuTupleCost
-	if !h.HashJoin {
-		hj.EstCost += disablePenalty
-	}
-	consider(hj)
-
-	// Merge join on the first key; extra keys are checked during the merge.
-	ml := sortedInput(left, lks[0])
-	mr := sortedInput(right, rks[0])
-	mj := &Node{Op: OpMergeJoin, Left: ml, Right: mr,
-		LeftKeys: lks, RightKeys: rks, Cols: outCols, EstRows: joinRows,
-		SortedBy: lks[0]}
-	mj.EstCost = ml.EstCost + mr.EstCost +
-		(left.EstRows+right.EstRows)*cpuOperatorCost +
-		joinRows*cpuTupleCost
-	if !h.MergeJoin {
-		mj.EstCost += disablePenalty
-	}
-	consider(mj)
-
-	// Naive nested loop: rescan the inner for every outer row. Looks cheap
-	// exactly when the outer cardinality is under-estimated — the paper's
-	// 16b failure mode.
-	nl := &Node{Op: OpNestLoop, Left: left, Right: right,
-		LeftKeys: lks, RightKeys: rks, Cols: outCols, EstRows: joinRows, SortedBy: -1}
-	nl.EstCost = left.EstCost + math.Max(left.EstRows, 1)*right.EstCost +
-		left.EstRows*right.EstRows*cpuOperatorCost +
-		joinRows*cpuTupleCost
-	if !h.NestLoop {
-		nl.EstCost += disablePenalty
-	}
-	consider(nl)
-
-	// Index nested loop: when the inner side is a single base relation with
-	// an index on a join column, probe it per outer row.
-	if bits.OnesCount32(rmask) == 1 {
-		for _, kk := range keys {
-			si := q.Scans[kk.rRel]
-			if _, ok := o.Schema.IndexOn(si.Table, kk.rCol); !ok {
-				continue
-			}
-			ts := o.Stats.TableStats(si.Table)
-			baseRows := float64(ts.Rows)
-			perProbe := math.Max(filtered[kk.rRel]*edgeSels[kk.edge], 1e-4)
-			probeCost := math.Log2(baseRows+2)*cpuOperatorCost*4 +
-				perProbe*(cpuIndexTupleCost+randPageCost+cpuTupleCost+
-					float64(len(si.Filters))*cpuOperatorCost)
-			inner := &Node{Op: OpIndexScan, Table: si.Table, Alias: si.Alias,
-				IndexCol: kk.rCol, Filters: si.Filters, Cols: right.Cols,
-				EstRows: perProbe, EstCost: probeCost, SortedBy: -1, Param: true}
-			inl := &Node{Op: OpNestLoop, Left: left, Right: inner,
-				LeftKeys: lks, RightKeys: rks, Cols: outCols,
-				EstRows: joinRows, SortedBy: -1}
-			inl.EstCost = left.EstCost + math.Max(left.EstRows, 1)*probeCost +
-				joinRows*cpuTupleCost
-			if !h.NestLoop {
-				inl.EstCost += disablePenalty
-			}
-			if !h.IndexScan {
-				inl.EstCost += disablePenalty
-			}
-			consider(inl)
-			break // one parameterized-index candidate is enough
-		}
-	}
-	return cands
-}
-
-// sortedInput wraps a child in a Sort node when it is not already ordered
-// by the merge key.
-func sortedInput(n *Node, keyPos int) *Node {
-	if n.SortedBy == keyPos {
+	if n, ok := memo[key]; ok {
 		return n
 	}
-	rows := math.Max(n.EstRows, 2)
-	s := &Node{Op: OpSort, Left: n, SortCols: []int{keyPos},
-		SortDesc: []bool{false}, Cols: n.Cols, EstRows: n.EstRows,
-		SortedBy: keyPos}
-	s.EstCost = n.EstCost + 2*rows*math.Log2(rows)*cpuOperatorCost + rows*cpuTupleCost
-	return s
+	var n *Node
+	p := &en.pens[a]
+	if key.left == nil {
+		rel := bits.TrailingZeros32(mask)
+		n = scanNode(en.q.Scans[rel], en.scans[rel][key.choice], en.cols[rel], en.est.filtered[rel], p)
+	} else {
+		in, _ := joinInputsOf(en.q, key.left, key.right, sub, mask^sub, en.rows[mask])
+		switch key.choice & 3 {
+		case joinHash:
+			n = in.hashJoin(p)
+		case joinMerge:
+			n = in.mergeJoin(p)
+		case joinNestLoop:
+			n = in.nestLoop(p)
+		default:
+			n = en.o.indexNestLoop(&in, en.q, en.est, mask^sub, p)
+		}
+	}
+	memo[key] = n
+	return n
 }
 
 // buildTop adds aggregation, ordering, projection, and limit above the join

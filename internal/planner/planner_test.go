@@ -154,7 +154,7 @@ func TestHintsSQLRendering(t *testing.T) {
 func TestDisabledOperatorsStillPlan(t *testing.T) {
 	f := newFixture(t)
 	q := f.analyze(t, "SELECT COUNT(*) FROM movies m, ratings r WHERE m.id = r.movie_id")
-	n, err := f.opt.Plan(q, Hints{}) // everything disabled → penalties only
+	n, _, err := f.opt.Plan(q, Hints{}) // everything disabled → penalties only
 	if err != nil {
 		t.Fatalf("all-disabled hints failed to plan: %v", err)
 	}
@@ -166,11 +166,11 @@ func TestDisabledOperatorsStillPlan(t *testing.T) {
 func TestPlanDeterministic(t *testing.T) {
 	f := newFixture(t)
 	q := f.analyze(t, "SELECT COUNT(*) FROM movies m, ratings r WHERE m.id = r.movie_id AND m.year > 2000")
-	a, err := f.opt.Plan(q, AllOn())
+	a, _, err := f.opt.Plan(q, AllOn())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.opt.Plan(q, AllOn())
+	b, _, err := f.opt.Plan(q, AllOn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPlanDeterministic(t *testing.T) {
 func TestEstimatesOnEveryNode(t *testing.T) {
 	f := newFixture(t)
 	q := f.analyze(t, "SELECT m.year, COUNT(*) FROM movies m, ratings r WHERE m.id = r.movie_id GROUP BY m.year ORDER BY m.year LIMIT 5")
-	n, err := f.opt.Plan(q, AllOn())
+	n, _, err := f.opt.Plan(q, AllOn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestPlanSpaceJoinConstruction(t *testing.T) {
 func TestJoinOrderSignature(t *testing.T) {
 	f := newFixture(t)
 	q := f.analyze(t, "SELECT COUNT(*) FROM movies m, ratings r WHERE m.id = r.movie_id")
-	n, err := f.opt.Plan(q, AllOn())
+	n, _, err := f.opt.Plan(q, AllOn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestTooManyRelationsRejected(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		q.Scans = append(q.Scans, &ScanInfo{})
 	}
-	if _, err := f.opt.Plan(q, AllOn()); err == nil {
+	if _, _, err := f.opt.Plan(q, AllOn()); err == nil {
 		t.Fatal("17-relation query accepted")
 	}
 }
@@ -276,7 +276,7 @@ func TestPlanRejectsSumOverString(t *testing.T) {
 	for _, agg := range []sqlparser.AggFunc{sqlparser.AggSum, sqlparser.AggAvg} {
 		q := f.analyze(t, "SELECT MIN(title) FROM movies m")
 		q.Outputs[0].Agg = agg // bypass Analyze's bind-time rejection
-		if _, err := f.opt.Plan(q, AllOn()); err == nil {
+		if _, _, err := f.opt.Plan(q, AllOn()); err == nil {
 			t.Fatalf("%s over string column planned successfully", agg)
 		}
 	}

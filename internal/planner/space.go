@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -12,26 +11,18 @@ import (
 // themselves (the Neo and DQ baselines) share the same physical algebra,
 // estimates, and executor as the native optimizer.
 type PlanSpace struct {
-	opt      *Optimizer
-	q        *Query
-	filtered []float64
-	edgeSels []float64
+	opt *Optimizer
+	q   *Query
+	est *estimates
 }
 
 // NewSpace analyzes cardinalities for a query and returns its plan space.
 func (o *Optimizer) NewSpace(q *Query) (*PlanSpace, error) {
-	s := &PlanSpace{opt: o, q: q}
-	for _, si := range q.Scans {
-		ts := o.Stats.TableStats(si.Table)
-		if ts == nil {
-			return nil, fmt.Errorf("planner: no statistics for table %s", si.Table)
-		}
-		s.filtered = append(s.filtered, math.Max(float64(ts.Rows)*o.scanSel(si, ts), 0.5))
+	est, err := o.estimate(q)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range q.Edges {
-		s.edgeSels = append(s.edgeSels, o.edgeSel(q, e))
-	}
-	return s, nil
+	return &PlanSpace{opt: o, q: q, est: est}, nil
 }
 
 // NumRelations returns the relation count.
@@ -41,31 +32,21 @@ func (s *PlanSpace) NumRelations() int { return len(s.q.Scans) }
 func (s *PlanSpace) Query() *Query { return s.q }
 
 // RowsOf estimates the joint cardinality of a relation subset.
-func (s *PlanSpace) RowsOf(mask uint32) float64 {
-	r := 1.0
-	for i := range s.q.Scans {
-		if mask&(1<<i) != 0 {
-			r *= s.filtered[i]
-		}
-	}
-	for i, e := range s.q.Edges {
-		if mask&(1<<e.L) != 0 && mask&(1<<e.R) != 0 {
-			r *= s.edgeSels[i]
-		}
-	}
-	return math.Max(r, 0.5)
-}
+func (s *PlanSpace) RowsOf(mask uint32) float64 { return s.est.rowsOf(s.q, mask) }
 
 // Scan returns the cheapest access path for one relation under the hints.
 func (s *PlanSpace) Scan(rel int, h Hints) (*Node, error) {
-	return s.opt.bestScan(s.q.Scans[rel], h, s.filtered[rel])
+	si := s.q.Scans[rel]
+	cands := s.opt.scanCands(si, s.est.tstats[rel])
+	p := penalties(h)
+	c, _ := cheapestScan(cands, &p)
+	return scanNode(si, cands[c], scanCols(si), s.est.filtered[rel], &p), nil
 }
 
 // Connected reports whether a join edge links the two subsets.
 func (s *PlanSpace) Connected(lmask, rmask uint32) bool {
 	for _, e := range s.q.Edges {
-		if (lmask&(1<<e.L) != 0 && rmask&(1<<e.R) != 0) ||
-			(lmask&(1<<e.R) != 0 && rmask&(1<<e.L) != 0) {
+		if _, ok := e.crosses(lmask, rmask); ok {
 			return true
 		}
 	}
@@ -78,19 +59,24 @@ func (s *PlanSpace) Connected(lmask, rmask uint32) bool {
 // parameterized index inner when one is available. Returns nil when no
 // join predicate connects the sides or the operator cannot apply.
 func (s *PlanSpace) Join(op Op, left, right *Node, lmask, rmask uint32) *Node {
-	joinRows := s.RowsOf(lmask | rmask)
-	all := AllOn()
-	cands := s.opt.joinCandidatesByOp(s.q, all, left, right, lmask, rmask, joinRows, s.filtered, s.edgeSels)
-	var best *Node
-	for _, c := range cands {
-		if c.Op != op {
-			continue
-		}
-		if best == nil || c.EstCost < best.EstCost {
-			best = c
-		}
+	in, ok := joinInputsOf(s.q, left, right, lmask, rmask, s.RowsOf(lmask|rmask))
+	if !ok {
+		return nil
 	}
-	return best
+	p := penalties(AllOn())
+	switch op {
+	case OpHashJoin:
+		return in.hashJoin(&p)
+	case OpMergeJoin:
+		return in.mergeJoin(&p)
+	case OpNestLoop:
+		nl := in.nestLoop(&p)
+		if inl := s.opt.indexNestLoop(&in, s.q, s.est, rmask, &p); inl != nil && inl.EstCost < nl.EstCost {
+			return inl
+		}
+		return nl
+	}
+	return nil
 }
 
 // Finish adds aggregation, ordering, projection, and limit on top of a

@@ -51,12 +51,11 @@ func waitCounter(t *testing.T, b *core.Bao, name string, want float64) {
 // censoredQuery runs one fault-stalled query against a fresh server with a
 // per-query deadline and returns the 504 payload plus the recorded
 // experience.
-func censoredQuery(t *testing.T, workers int, parallel bool) (queryTimeoutResponse, core.Experience) {
+func censoredQuery(t *testing.T, workers int) (queryTimeoutResponse, core.Experience) {
 	t.Helper()
 	const stallAt = 11
 	s := newTestServer(t, Config{QueryTimeout: 25 * time.Millisecond}, func(cfg *core.Config) {
 		cfg.Workers = workers
-		cfg.ParallelPlanning = parallel
 	})
 	s.Bao().Eng.Exec.Fault = &executor.Fault{AfterPages: stallAt, Stall: true}
 	code, body := postRaw(t, "http://"+s.Addr()+"/v1/query", selectRequest{SQL: testSQL})
@@ -88,7 +87,7 @@ func censoredQuery(t *testing.T, workers int, parallel bool) (queryTimeoutRespon
 // counts (and, under -race, across runs).
 func TestQueryTimeoutCensoredAndDeterministic(t *testing.T) {
 	wantBudget := cloud.DeadlineBudgetSecs(25 * time.Millisecond)
-	base, baseExp := censoredQuery(t, 1, false)
+	base, baseExp := censoredQuery(t, 1)
 	if !base.Censored || base.BudgetSecs != wantBudget {
 		t.Fatalf("504 payload %+v, want censored at budget %v", base, wantBudget)
 	}
@@ -102,7 +101,7 @@ func TestQueryTimeoutCensoredAndDeterministic(t *testing.T) {
 		t.Fatalf("experience %+v, want Censored at Secs=%v", baseExp, wantBudget)
 	}
 	for _, w := range []int{2, 4} {
-		resp, exp := censoredQuery(t, w, true)
+		resp, exp := censoredQuery(t, w)
 		if resp.PartialSecs != base.PartialSecs || resp.ArmID != base.ArmID {
 			t.Fatalf("workers=%d: abort point (%v, arm %d) != baseline (%v, arm %d)",
 				w, resp.PartialSecs, resp.ArmID, base.PartialSecs, base.ArmID)
