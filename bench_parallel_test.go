@@ -2,10 +2,10 @@ package bao_test
 
 // Sequential-vs-parallel pairs for the TCNN hot path: training
 // (data-parallel mini-batches), inference (tree fan-out), and Select
-// (plan deduplication). Each pair lands in BENCH_results.json with its
-// own worker count in the cores field, so a workers=4 row is directly
-// comparable against its workers=1 twin (results are bit-identical
-// either way; speedups additionally require GOMAXPROCS > 1).
+// (plan deduplication). Each pair lands in BENCH_results.json with the
+// cores its workers could use in the cores field — min(workers,
+// GOMAXPROCS) — so a workers=4 row recorded on one core says so
+// (results are bit-identical either way; speedups require GOMAXPROCS > 1).
 
 import (
 	"bytes"
@@ -16,28 +16,37 @@ import (
 	"testing"
 
 	"bao"
+	"bao/internal/core"
 	"bao/internal/model"
 	"bao/internal/nn"
 	"bao/internal/obs"
 	"bao/internal/workload"
 )
 
-const benchTreeDim = 16
-
-// benchTrees builds a reproducible set of strictly binary feature trees.
+// benchTrees builds a reproducible set of trees shaped the way the
+// featurizer shapes a plan: strictly binary, 5–15 nodes, each row
+// core.FeatureDim wide with a one-hot operator slot, a row and a cost
+// estimate, and a cache fraction on the leaves (the scans) — four
+// non-zeros of fourteen at most.
 func benchTrees(n int) ([]*nn.Tree, []float64) {
+	const d = core.FeatureDim
 	rng := rand.New(rand.NewSource(5))
 	trees := make([]*nn.Tree, 0, n)
 	ys := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		size := 5 + 2*rng.Intn(6) // odd node counts keep the tree strictly binary
-		t := nn.NewTree(size, benchTreeDim)
+		t := nn.NewTree(size, d)
 		for j := 0; j+2 < size; j += 2 {
 			t.Left[j/2] = j + 1
 			t.Right[j/2] = j + 2
 		}
-		for j := range t.Feat {
-			t.Feat[j] = rng.Float64()
+		for j := 0; j < size; j++ {
+			row := t.Row(j)
+			row[rng.Intn(d-3)] = 1
+			row[d-3], row[d-2] = rng.Float64(), rng.Float64()
+			if t.Left[j] == -1 {
+				row[d-1] = rng.Float64()
+			}
 		}
 		trees = append(trees, t)
 		ys = append(ys, rng.Float64())
@@ -49,19 +58,21 @@ func BenchmarkTrain(b *testing.B) {
 	trees, ys := benchTrees(256)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := nn.DefaultTCNNConfig(benchTreeDim)
+			cfg := nn.DefaultTCNNConfig(core.FeatureDim)
 			cfg.Seed = 3
 			tc := nn.DefaultTrainConfig()
 			tc.MaxEpochs = 5
 			tc.Patience = 10 // fixed epoch count: no early stop inside the loop
 			tc.Workers = workers
+			b.ReportAllocs()
 			b.ResetTimer()
+			meter := startAllocMeter()
 			for i := 0; i < b.N; i++ {
 				m := nn.NewTCNN(cfg)
 				m.Train(trees, ys, tc)
 			}
 			b.StopTimer()
-			recordBenchWorkers(b, 0, workers)
+			recordBenchAllocs(b, 0, min(workers, runtime.GOMAXPROCS(0)), 0, &meter)
 		})
 	}
 }
@@ -70,18 +81,20 @@ func BenchmarkPredict(b *testing.B) {
 	trees, ys := benchTrees(128)
 	tc := nn.DefaultTrainConfig()
 	tc.MaxEpochs = 3
-	m := model.NewTCNN(benchTreeDim, tc, 7)
+	m := model.NewTCNN(core.FeatureDim, tc, 7)
 	m.Fit(trees, ys)
 	batch := trees[:49] // one prediction fan per arm family
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			m.SetWorkers(workers)
+			b.ReportAllocs()
 			b.ResetTimer()
+			meter := startAllocMeter()
 			for i := 0; i < b.N; i++ {
 				m.Predict(batch)
 			}
 			b.StopTimer()
-			recordBenchWorkers(b, 0, workers)
+			recordBenchAllocs(b, 0, min(workers, runtime.GOMAXPROCS(0)), 0, &meter)
 		})
 	}
 }

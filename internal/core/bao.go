@@ -1490,9 +1490,9 @@ func (b *Bao) Retrain() {
 // The guard wraps the swap: a panic inside the fit is recovered into a
 // breaker model-failure signal (the incumbent keeps serving), and when
 // the validation gate is enabled the candidate must pass it — non-finite
-// predictions or a validation-error regression past the threshold reject
-// the candidate, count bao_retrain_rejected_total, and keep the
-// incumbent. Returns false when nothing was trained or the candidate was
+// weights, non-finite predictions or a validation-error regression past
+// the threshold reject the candidate, count bao_retrain_rejected_total,
+// and keep the incumbent. Returns false when nothing was trained or the candidate was
 // rejected.
 func (b *Bao) RetrainAsync() bool { return b.RetrainAsyncFor(obs.Cause{}) }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bao/internal/guard"
@@ -481,5 +482,63 @@ func TestValidationRejectsNaNCandidateKeepsIncumbent(t *testing.T) {
 	}
 	if !b.Trained() || b.TrainCount() != 1 {
 		t.Fatalf("post-rejection retrain: trained=%v trainCount=%d", b.Trained(), b.TrainCount())
+	}
+}
+
+// badWeightsModel is a TCNN whose weight scan fails: what a fit that left
+// a NaN below the output layer looks like from outside — every prediction
+// finite (the rectifiers map NaN to zero), a parameter that is not.
+type badWeightsModel struct{ *model.TCNNModel }
+
+func (badWeightsModel) WeightsFinite() error {
+	return errors.New("model: non-finite value in parameter conv1.root")
+}
+
+// TestValidationRejectsNonFiniteWeightsKeepsIncumbent: the fit → validate
+// → swap path consults the candidate's weight scan, so a model Load would
+// refuse at the next restart is never swapped in (nor checkpointed); the
+// incumbent keeps serving and the rejection is counted and journaled.
+func TestValidationRejectsNonFiniteWeightsKeepsIncumbent(t *testing.T) {
+	e := buildIMDbEngine(t)
+	cfg := guardTestConfig(1, nil)
+	cfg.RetrainEvery = 1000
+	fits := 0
+	cfg.NewModel = func() model.Model {
+		m := model.NewTCNN(FeatureDim, cfg.Train, cfg.Seed)
+		fits++
+		if fits == 3 { // New builds one, the first retrain the second
+			return badWeightsModel{m}
+		}
+		return m
+	}
+	cfg.Observer.EnableEvents(16)
+	b := New(e, cfg)
+
+	sel, err := b.Select(obsTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		b.ObserveValue(sel, 0.01)
+	}
+	if !b.RetrainAsync() {
+		t.Fatal("healthy candidate rejected")
+	}
+	incumbent := b.Model
+	if b.RetrainAsync() {
+		t.Fatal("candidate with non-finite weights passed the validation gate")
+	}
+	if b.Model != incumbent || b.TrainCount() != 1 {
+		t.Fatalf("rejected candidate replaced the incumbent: trainCount=%d", b.TrainCount())
+	}
+	if got := b.Stats().Counter("bao_retrain_rejected_total"); got != 1 {
+		t.Fatalf("bao_retrain_rejected_total = %v, want 1", got)
+	}
+	ev := cfg.Observer.Events()[0]
+	if ev.Kind != obs.EventSwapRejected || !strings.Contains(ev.Detail, "non-finite weights") {
+		t.Fatalf("newest event = %+v, want a swap rejection for non-finite weights", ev)
+	}
+	if sel, err := b.Select(obsTestSQL); err != nil || !sel.UsedModel {
+		t.Fatalf("incumbent stopped serving after the rejection: %+v, %v", sel, err)
 	}
 }

@@ -60,13 +60,23 @@ type Verdict struct {
 	Samples int
 }
 
+// weightChecker is implemented by value models that can scan their own
+// parameters (model.TCNNModel).
+type weightChecker interface {
+	WeightsFinite() error
+}
+
 // ValidateCandidate judges a freshly fitted candidate on held-out
-// experiences before it may replace the incumbent. Two checks, in order:
+// experiences before it may replace the incumbent. Three checks, in order:
 //
-//  1. Finiteness: a candidate that predicts NaN or Inf for any holdout
-//     tree is rejected unconditionally — a numerically exploded fit must
-//     never serve, whatever its aggregate error.
-//  2. Regression: the candidate's mean absolute error (in the model's
+//  1. Finite weights: a candidate that can scan its own parameters
+//     (weightChecker) and reports a NaN or Inf among them is rejected,
+//     holdout or no holdout. The prediction check below cannot see this:
+//     the rectifiers map NaN to zero, so only a non-finite weight in the
+//     output layer ever reaches a prediction.
+//  2. Finite predictions: a candidate that predicts NaN or Inf for any
+//     holdout tree is rejected, whatever its aggregate error.
+//  3. Regression: the candidate's mean absolute error (in the model's
 //     log-latency space, so one scale covers microseconds to minutes)
 //     must not exceed the incumbent's by more than cfg.MaxRegress. Skipped
 //     when there is no incumbent (first fit), the holdout is smaller than
@@ -78,6 +88,12 @@ type Verdict struct {
 func ValidateCandidate(cand, incumbent Predictor, trees []*nn.Tree, secs []float64, cfg ValidateConfig) Verdict {
 	cfg = cfg.WithDefaults()
 	v := Verdict{Samples: len(trees)}
+	if wc, ok := cand.(weightChecker); ok {
+		if err := wc.WeightsFinite(); err != nil {
+			v.Reason = "non-finite weights: " + err.Error()
+			return v
+		}
+	}
 	if len(trees) == 0 {
 		v.OK = true
 		v.Reason = "no-holdout"

@@ -54,16 +54,12 @@ func (m *TCNNModel) Load(r io.Reader) error {
 			return fmt.Errorf("model: load: parameter %s has %d weights, expected %d",
 				p.Name, len(st.Weights[i]), p.Size())
 		}
-		for _, w := range st.Weights[i] {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return fmt.Errorf("model: load: parameter %s has non-finite weights", p.Name)
-			}
+		if !allFinite(st.Weights[i]) {
+			return fmt.Errorf("model: load: parameter %s has non-finite weights", p.Name)
 		}
 	}
-	for _, v := range [...]float64{st.Mean, st.Std, st.YMin, st.YMax} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("model: load: non-finite target normalization")
-		}
+	if !allFinite([]float64{st.Mean, st.Std, st.YMin, st.YMax}) {
+		return fmt.Errorf("model: load: non-finite target normalization")
 	}
 	if st.Std <= 0 {
 		return fmt.Errorf("model: load: non-positive target std %g", st.Std)
@@ -77,5 +73,35 @@ func (m *TCNNModel) Load(r io.Reader) error {
 	m.mean, m.std = st.Mean, st.Std
 	m.yMin, m.yMax = st.YMin, st.YMax
 	m.fit = true
+	return nil
+}
+
+// allFinite reports whether no value is NaN or ±Inf.
+func allFinite(vs []float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// WeightsFinite returns an error naming the first parameter that holds a
+// NaN or ±Inf, the same scan Load runs on a snapshot. Predictions cannot
+// stand in for it: ReLU's v > 0 maps NaN to 0, so a non-finite weight
+// anywhere below the last layer still yields a finite prediction. The
+// candidate gate (guard.ValidateCandidate) calls this before a freshly
+// fitted model may serve — a model that would be refused at the next
+// restart must not be swapped in and checkpointed now, and the nn
+// kernels' zero-skipping is exact only over finite weights.
+func (m *TCNNModel) WeightsFinite() error {
+	if !m.fit {
+		return nil
+	}
+	for _, p := range m.net.Params() {
+		if !allFinite(p.W) {
+			return fmt.Errorf("model: non-finite value in parameter %s", p.Name)
+		}
+	}
 	return nil
 }

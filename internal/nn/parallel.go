@@ -129,49 +129,3 @@ func (p *trainPool) work(w int, trees []*Tree, targets []float64, idx []int, sca
 		rep.Backward(scale * diff)
 	}
 }
-
-// ForwardBatch evaluates the network on every tree, fanning the work
-// across at most `workers` goroutines (resolved via Workers). Each output
-// index is computed by exactly one worker from shared read-only weights,
-// so the result is identical to a sequential loop regardless of worker
-// count or scheduling. The receiver itself serves as one of the replicas;
-// callers must not train concurrently.
-func (m *TCNN) ForwardBatch(trees []*Tree, workers int) []float64 {
-	out := make([]float64, len(trees))
-	w := Workers(workers)
-	if w > len(trees) {
-		w = len(trees)
-	}
-	if w <= 1 {
-		for i, t := range trees {
-			out[i] = m.Forward(t)
-		}
-		return out
-	}
-	reps := make([]*TCNN, w)
-	reps[0] = m
-	for i := 1; i < w; i++ {
-		reps[i] = m.SharedReplica()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	run := func(rep *TCNN) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(trees) {
-				return
-			}
-			out[i] = rep.Forward(trees[i])
-		}
-	}
-	for i := 1; i < w; i++ {
-		wg.Add(1)
-		go func(rep *TCNN) {
-			defer wg.Done()
-			run(rep)
-		}(reps[i])
-	}
-	run(reps[0])
-	wg.Wait()
-	return out
-}

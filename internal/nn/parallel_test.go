@@ -49,24 +49,6 @@ func TestTrainParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// ForwardBatch must agree exactly with sequential Forward: replicas share
-// the master's weights and each output index is written by one worker.
-func TestForwardBatchMatchesSequential(t *testing.T) {
-	m, trees, _ := trainFixture(30)
-	want := make([]float64, len(trees))
-	for i, tr := range trees {
-		want[i] = m.Forward(tr)
-	}
-	for _, workers := range []int{1, 4} {
-		got := m.ForwardBatch(trees, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: ForwardBatch[%d] = %g, Forward = %g", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // SharedReplica must alias the master's weights (updates propagate) while
 // keeping gradients private.
 func TestSharedReplicaAliasesWeights(t *testing.T) {

@@ -81,14 +81,39 @@ func (p *Param) Restore(w []float64) {
 	copy(p.W, w)
 }
 
-// matVec computes y = W·x for a Rows×Cols matrix W and a Cols-vector x,
-// accumulating into y (callers zero y when they need assignment).
-func matVec(w []float64, rows, cols int, x, y []float64) {
-	for r := 0; r < rows; r++ {
+// sparseMatVec accumulates y += W·x for a row-major matrix W with cols
+// columns and len(y) rows, where x is given by its non-zero entries
+// (columns idx, ascending, and their values val). Four output rows run at
+// a time so the four running sums are independent of each other; each sum
+// still starts at zero and takes its terms in ascending column order,
+// which is what keeps it bit-identical to the dense product (see the note
+// at the top of layers.go).
+func sparseMatVec(w []float64, cols int, idx []int32, val, y []float64) {
+	val = val[:len(idx)]
+	r := 0
+	for ; r+4 <= len(y); r += 4 {
+		w0 := w[r*cols:][:cols]
+		w1 := w[(r+1)*cols:][:cols]
+		w2 := w[(r+2)*cols:][:cols]
+		w3 := w[(r+3)*cols:][:cols]
+		var s0, s1, s2, s3 float64
+		for k, c := range idx {
+			v := val[k]
+			s0 += w0[c] * v
+			s1 += w1[c] * v
+			s2 += w2[c] * v
+			s3 += w3[c] * v
+		}
+		y[r] += s0
+		y[r+1] += s1
+		y[r+2] += s2
+		y[r+3] += s3
+	}
+	for ; r < len(y); r++ {
+		row := w[r*cols:][:cols]
 		s := 0.0
-		row := w[r*cols : r*cols+cols]
-		for c, xv := range x {
-			s += row[c] * xv
+		for k, c := range idx {
+			s += row[c] * val[k]
 		}
 		y[r] += s
 	}
@@ -108,17 +133,33 @@ func matTVec(w []float64, rows, cols int, g, x []float64) {
 	}
 }
 
-// outerAccum accumulates dW += g ⊗ x (outer product) into a Rows×Cols
-// gradient buffer.
-func outerAccum(dw []float64, rows, cols int, g, x []float64) {
-	for r := 0; r < rows; r++ {
-		gv := g[r]
+// matTVecAt is matTVec restricted to the columns in idx; the other
+// elements of x are left alone.
+func matTVecAt(w []float64, cols int, g []float64, idx []int32, x []float64) {
+	for r, gv := range g {
 		if gv == 0 {
 			continue
 		}
-		row := dw[r*cols : r*cols+cols]
-		for c, xv := range x {
-			row[c] += gv * xv
+		row := w[r*cols:][:cols]
+		for _, c := range idx {
+			x[c] += row[c] * gv
+		}
+	}
+}
+
+// outerAccum accumulates dW += g ⊗ x (outer product) into a gradient
+// buffer with cols columns, x given by its non-zero entries as in
+// sparseMatVec. The skipped terms are g·±0 added to a sum that started at
+// +0, so skipping them changes nothing.
+func outerAccum(dw []float64, cols int, g []float64, idx []int32, val []float64) {
+	val = val[:len(idx)]
+	for r, gv := range g {
+		if gv == 0 {
+			continue
+		}
+		row := dw[r*cols:][:cols]
+		for k, c := range idx {
+			row[c] += gv * val[k]
 		}
 	}
 }

@@ -58,21 +58,35 @@ func NewTCNN(cfg TCNNConfig) *TCNN {
 		m.act[i] = &TreeReLU{}
 		in = cfg.Channels[i]
 	}
+	// Nobody reads the gradient of the plan features, and the upper
+	// convolutions sit on ReLU outputs.
+	m.conv[0].inGrad = inGradNone
+	m.conv[1].inGrad = inGradNonZero
+	m.conv[2].inGrad = inGradNonZero
 	m.fc1 = NewLinear("fc1", cfg.Channels[2], cfg.Hidden, rng)
 	m.fc2 = NewLinear("fc2", cfg.Hidden, 1, rng)
 	return m
 }
 
 // Forward runs a plan tree through the network and returns the scalar
-// performance prediction.
+// performance prediction. Within a block, each node's row goes through
+// convolution, layer norm and ReLU before the next node's is started; the
+// ReLU's non-zero list is the next block's input. Everything is written
+// into the layers' scratch, so a pass allocates nothing.
 func (m *TCNN) Forward(t *Tree) float64 {
-	x := t
-	for i := 0; i < 3; i++ {
-		x = m.conv[i].Forward(x)
-		x = m.norm[i].Forward(x)
-		x = m.act[i].Forward(x)
+	x := &m.conv[0].nz
+	x.fill(t.Feat, t.N, t.D)
+	for k := 0; k < 3; k++ {
+		conv, norm, act := m.conv[k], m.norm[k], m.act[k]
+		conv.begin(t, x)
+		norm.begin(t.N)
+		act.begin(t.N, norm.D)
+		for i := 0; i < t.N; i++ {
+			act.node(i, norm.node(i, conv.node(i)))
+		}
+		x = &act.nz
 	}
-	v := m.pool.Forward(x)
+	v := m.pool.forward(m.act[2].outBuf, t.N, m.Cfg.Channels[2])
 	v = m.fc1.Forward(v)
 	v = m.relu.Forward(v)
 	return m.fc2.Forward(v)[0]
@@ -85,11 +99,11 @@ func (m *TCNN) Backward(dLoss float64) {
 	g := m.fc2.Backward([]float64{dLoss})
 	g = m.relu.Backward(g)
 	g = m.fc1.Backward(g)
-	tg := m.pool.Backward(g, m.Cfg.Channels[2])
+	tg := m.act[2].Backward(m.pool.Backward(g, m.Cfg.Channels[2]))
 	for i := 2; i >= 0; i-- {
-		tg = m.act[i].Backward(tg)
-		tg = m.norm[i].Backward(tg)
-		tg = m.conv[i].Backward(tg)
+		// Below the top block, act[i]'s backward is already done: conv[i+1]
+		// left the gradient zero wherever act[i] rectified (inGradNonZero).
+		tg = m.conv[i].Backward(m.norm[i].Backward(tg))
 	}
 }
 
