@@ -338,7 +338,7 @@ type ExplogOptions = baoserver.LogOptions
 
 // OpenExperienceLogWith opens a durable experience log with explicit
 // options — notably SegmentBytes, which bounds recovery replay to the
-// unsnapshotted tail (<0 keeps the legacy monolithic layout).
+// unsnapshotted tail (0 = 4 MiB; a negative bound is an error).
 func OpenExperienceLogWith(path string, o ExplogOptions) (*ExperienceLog, error) {
 	if o.Observer == nil {
 		o.Observer = DefaultObserver()

@@ -1,23 +1,18 @@
 package bao_test
 
-// BenchmarkExecutorBatchVsTuple measures the batch-streaming executor
-// rework against the legacy tuple-at-a-time pipeline on two plan shapes:
-// join-heavy (a large hash join whose output feeds an aggregate — the
-// batch pipeline streams the join output into the aggregate instead of
-// materializing it, with a pre-sized build table and allocation-free
-// probe keys) and scan-heavy (a filtered sequential scan under an
-// aggregate, where batching mainly avoids the full scan materialization).
-// Counters are asserted byte-identical across all modes before timing:
-// the rework changes wall-clock only, never the simulated clock the
-// experiments report.
+// BenchmarkExecutor times the executor on two plan shapes, with
+// allocations: join-heavy (a large hash join whose output streams into an
+// aggregate without being materialized, built into a pre-sized table and
+// probed with allocation-free keys) and scan-heavy (a filtered sequential
+// scan under an aggregate). These are the rows an executor performance
+// change names beforehand; equivalence to the volcano oracle is
+// internal/executor's tests' job, not this file's.
 
 import (
-	"fmt"
 	"testing"
 
 	"bao/internal/catalog"
 	"bao/internal/engine"
-	"bao/internal/executor"
 	"bao/internal/planner"
 	"bao/internal/storage"
 )
@@ -50,9 +45,9 @@ func benchExecutorEngine(b *testing.B) *engine.Engine {
 	return e
 }
 
-func BenchmarkExecutorBatchVsTuple(b *testing.B) {
+func BenchmarkExecutor(b *testing.B) {
 	e := benchExecutorEngine(b)
-	shapes := []struct {
+	for _, shape := range []struct {
 		name  string
 		sql   string
 		hints planner.Hints
@@ -60,67 +55,28 @@ func BenchmarkExecutorBatchVsTuple(b *testing.B) {
 		// Join output is 2× the probe side; the aggregate consumes it.
 		{"join_heavy", "SELECT COUNT(*), MAX(l.a) FROM l, r WHERE l.a = r.b", planner.Hints{HashJoin: true, SeqScan: true}},
 		{"scan_heavy", "SELECT COUNT(*), MAX(s.v) FROM s WHERE s.v BETWEEN 1000 AND 80000", planner.Hints{SeqScan: true}},
-	}
-	modes := []struct {
-		name    string
-		tuple   bool
-		workers int
-	}{
-		{"tuple", true, 1},
-		{"batch_w1", false, 1},
-		{"batch_w4", false, 4},
-	}
-	for _, shape := range shapes {
+	} {
 		plan, err := e.PlanSQL(shape.sql, shape.hints)
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Warm the buffer pool to its steady state for this shape, so the
-		// parity gate and the timed loops all see the same LRU contents
-		// (the first execution of a shape takes the cold misses).
-		e.Exec.Tuple = true
-		e.Exec.Workers = 1
+		// Warm the buffer pool to its steady state for this shape (the
+		// first execution takes the cold misses).
 		if _, err := e.Execute(plan); err != nil {
 			b.Fatal(err)
 		}
-		// Parity gate: all modes must produce identical rows and charge
-		// identical counters for the shape before any of them is timed.
-		var refRows string
-		var refC executor.Counters
-		for i, m := range modes {
-			e.Exec.Tuple = m.tuple
-			e.Exec.Workers = m.workers
-			e.Exec.ResetCounters()
-			res, err := e.Execute(plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				refRows, refC = fmt.Sprint(res.Rows), e.Exec.C
-				continue
-			}
-			if fmt.Sprint(res.Rows) != refRows {
-				b.Fatalf("%s/%s: rows diverge from tuple pipeline", shape.name, m.name)
-			}
-			if e.Exec.C != refC {
-				b.Fatalf("%s/%s: counters %+v diverge from tuple pipeline %+v", shape.name, m.name, e.Exec.C, refC)
-			}
-		}
-		for _, m := range modes {
-			b.Run(shape.name+"/"+m.name, func(b *testing.B) {
-				e.Exec.Tuple = m.tuple
-				e.Exec.Workers = m.workers
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.Exec.ResetCounters()
-					if _, err := e.Execute(plan); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			meter := startAllocMeter()
+			for i := 0; i < b.N; i++ {
+				e.Exec.ResetCounters()
+				if _, err := e.Execute(plan); err != nil {
+					b.Fatal(err)
 				}
-				recordBenchWorkers(b, 1, m.workers)
-			})
-		}
+			}
+			b.StopTimer()
+			recordBenchAllocs(b, 1, 1, 0, &meter) // the executor runs on one goroutine
+		})
 	}
-	e.Exec.Tuple = false
-	e.Exec.Workers = 0
 }

@@ -106,8 +106,8 @@ func BenchmarkSelect(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Train one model, then share it across the variants so each measures
-	// the identical Select path minus the feature under test: plan dedup
-	// (on/off) and the query-fingerprint plan cache (repeat-shape hits).
+	// the identical Select path with and without the query-fingerprint
+	// plan cache (repeat-shape hits).
 	cfg := bao.FastConfig()
 	cfg.RetrainEvery = 25
 	cfg.Train.MaxEpochs = 10
@@ -123,13 +123,11 @@ func BenchmarkSelect(b *testing.B) {
 	}
 	sql := inst.Queries[0].SQL
 	for _, v := range []struct {
-		name    string
-		noDedup bool
-		cache   bool
-	}{{"dedup", false, false}, {"nodedup", true, false}, {"plancache", false, true}} {
+		name  string
+		cache bool
+	}{{"dedup", false}, {"plancache", true}} {
 		b.Run(v.name, func(b *testing.B) {
 			c := bao.FastConfig()
-			c.NoPlanDedup = v.noDedup
 			c.PlanCache = v.cache
 			c.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 			o := bao.New(eng, c)

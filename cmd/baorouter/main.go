@@ -52,8 +52,11 @@ func main() {
 	maxResident := flag.Int("max-resident", 8, "per-shard resident-tenant count bound")
 	maxResidentBytes := flag.Int64("max-resident-bytes", 256<<20, "per-shard resident model byte bound")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "per-tenant plan-cache resident byte bound (0 = 64 MiB; -local mode)")
-	explogSegBytes := flag.Int64("explog-segment-bytes", 0, "per-tenant explog segment rotation bound in bytes (0 = 4 MiB; <0 = monolithic; -local mode)")
+	explogSegBytes := flag.Int64("explog-segment-bytes", 0, "per-tenant explog segment rotation bound in bytes (0 = 4 MiB; -local mode)")
 	flag.Parse()
+	if *explogSegBytes < 0 {
+		fatal(fmt.Errorf("-explog-segment-bytes must be >= 0 (0 = 4 MiB default), got %d", *explogSegBytes))
+	}
 
 	var infos []baorouter.ShardInfo
 	var localShards []*baoserver.Shard

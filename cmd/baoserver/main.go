@@ -46,7 +46,7 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "dataset scale")
 	train := flag.Int("train", 0, "pre-train Bao on this many workload queries before serving")
 	explog := flag.String("explog", "", "durable experience log path (replayed on startup)")
-	explogSegBytes := flag.Int64("explog-segment-bytes", 0, "explog segment rotation bound in bytes (0 = 4 MiB default, <0 = monolithic, no rotation)")
+	explogSegBytes := flag.Int64("explog-segment-bytes", 0, "explog segment rotation bound in bytes (0 = 4 MiB default)")
 	modelPath := flag.String("model", "", "value-model path (loaded on startup, saved on shutdown)")
 	maxInFlight := flag.Int("max-inflight", 64, "admitted concurrent requests before shedding with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request handling timeout")
@@ -61,6 +61,9 @@ func main() {
 	guardOn := flag.Bool("guard", true, "enable the model-quality guardrails: validation-gated hot-swap and the default-plan circuit breaker")
 	eventLog := flag.String("eventlog", "", "rotating JSONL file for the structured event journal (swaps, breaker transitions, checkpoints; /debug/events serves it in-memory regardless)")
 	flag.Parse()
+	if *explogSegBytes < 0 {
+		fatal(fmt.Errorf("-explog-segment-bytes must be >= 0 (0 = 4 MiB default), got %d", *explogSegBytes))
+	}
 
 	inst, err := workload.ByName(*wlName, workload.Config{Scale: *scale, Queries: maxInt(*train, 1), Seed: 42})
 	if err != nil {

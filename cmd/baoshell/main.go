@@ -46,9 +46,12 @@ func main() {
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query execution deadline; timed-out Bao queries record censored experiences (0 = off)")
 	guardOn := flag.Bool("guard", false, "enable Bao's guardrails: validation-gated hot-swap and the default-plan circuit breaker")
 	explog := flag.String("explog", "", "durable experience log path: replayed on startup, appended during the session")
-	explogSegBytes := flag.Int64("explog-segment-bytes", 0, "explog segment rotation bound in bytes (0 = 4 MiB default, <0 = monolithic, no rotation)")
+	explogSegBytes := flag.Int64("explog-segment-bytes", 0, "explog segment rotation bound in bytes (0 = 4 MiB default)")
 	listen := flag.String("listen", "", "serve /metrics and /debug/traces on this address (e.g. 127.0.0.1:9090)")
 	flag.Parse()
+	if *explogSegBytes < 0 {
+		fatal(fmt.Errorf("-explog-segment-bytes must be >= 0 (0 = 4 MiB default), got %d", *explogSegBytes))
+	}
 
 	if *listen != "" {
 		srv, err := bao.ServeObs(*listen)

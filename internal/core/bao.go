@@ -85,11 +85,6 @@ type Config struct {
 	// worker per CPU; one forces fully sequential execution. Results are
 	// bit-identical at every worker count.
 	Workers int
-	// NoPlanDedup disables the per-query plan deduplication that
-	// featurizes and predicts each distinct plan once (§2: most of the 49
-	// hint sets collapse to a handful of distinct plans). Exists for
-	// benchmarks and ablation; selections are identical either way.
-	NoPlanDedup bool
 	// PlanCache enables the query-fingerprint plan cache: the per-shape
 	// work of a selection — planned arm set, dedup groups, featurized
 	// tensors, and predictions — is cached keyed by (query fingerprint,
@@ -99,8 +94,7 @@ type Config struct {
 	// (catalog version), ANALYZE (statistics epoch), and eagerly on model
 	// publication (retrain hot-swap or checkpoint restore). Cached and
 	// uncached selections are byte-identical at any worker count. Off by
-	// default (the cmd layer turns it on for serving); ignored when
-	// NoPlanDedup is set.
+	// default (the cmd layer turns it on for serving).
 	PlanCache bool
 	// PlanCacheSize bounds the cache's entry count (0 = 512). The cache is
 	// additionally bounded by PlanCacheBytes (0 = 64 MiB), the approximate
@@ -361,7 +355,7 @@ func New(eng *engine.Engine, cfg Config) *Bao {
 			})
 		})
 	}
-	if cfg.PlanCache && !cfg.NoPlanDedup {
+	if cfg.PlanCache {
 		b.pcache = newPlanCache(cfg.PlanCacheSize, cfg.PlanCacheBytes, b.observer)
 	}
 	if cfg.InferBatch > 0 {
@@ -379,11 +373,6 @@ func New(eng *engine.Engine, cfg Config) *Bao {
 	if w, ok := b.Model.(interface{ SetWorkers(int) }); ok {
 		w.SetWorkers(cfg.Workers)
 	}
-	// Intra-query executor parallelism follows the same knob (zero
-	// resolves to one worker per CPU, one forces sequential). Results and
-	// counters are worker-count invariant, so the learned latency signal
-	// is unaffected; only wall-clock improves.
-	eng.SetExecWorkers(nn.Workers(cfg.Workers))
 	// Resolve the warm-up family to indices in the configured arm list.
 	if cfg.ArmWarmup > 0 {
 		for _, top := range TopArms(6) {
@@ -659,16 +648,8 @@ func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 		// same physical plan, and identical plans featurize to identical trees
 		// and predictions, so each distinct plan is vectorized and inferred
 		// exactly once and the result fanned back out per arm.
-		if b.Cfg.NoPlanDedup {
-			armGroup = make([]int, len(sel.Plans))
-			for i := range armGroup {
-				armGroup[i] = i
-			}
-			sel.UniquePlans = len(sel.Plans)
-		} else {
-			armGroup, groupFP = dedupPlans(sel.Plans)
-			sel.UniquePlans = len(groupFP)
-		}
+		armGroup, groupFP = dedupPlans(sel.Plans)
+		sel.UniquePlans = len(groupFP)
 		o.PlansDeduped.Add(float64(len(sel.Plans) - sel.UniquePlans))
 		uniqTrees = make([]*nn.Tree, sel.UniquePlans)
 		uniq = make([]*planner.Node, sel.UniquePlans)
@@ -1945,14 +1926,28 @@ type Advice struct {
 }
 
 // Advise predicts the default plan's performance and the best hint set for
-// a query without executing anything.
+// a query without executing anything. When there are no predictions to
+// advise from — no model yet, or Select degraded to the default arm
+// (breaker open, planner panic, all-non-finite predictions) — it returns
+// the default plan with an error naming the reason.
 func (b *Bao) Advise(sql string) (*Advice, *planner.Node, error) {
 	sel, err := b.Select(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !b.trained {
+	if !b.Trained() {
 		return nil, sel.Plans[0], fmt.Errorf("core: advisor needs a trained model (no experience yet)")
+	}
+	if !sel.UsedModel || sel.Preds == nil {
+		// The trace, when tracing is on, has the exact degradation note;
+		// without it, every such degradation leaves the breaker open.
+		reason := "model unavailable"
+		if sel.Trace != nil && sel.Trace.Breaker != "" {
+			reason = sel.Trace.Breaker
+		} else if b.breaker.State() == guard.Open {
+			reason = "breaker-open"
+		}
+		return nil, sel.Plans[0], fmt.Errorf("core: advisor has no predictions, default plan served (%s)", reason)
 	}
 	best := 0
 	for i, p := range sel.Preds {

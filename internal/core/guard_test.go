@@ -390,15 +390,125 @@ func TestDegeneratePredictionsTripBreaker(t *testing.T) {
 	}
 }
 
-// TestSingleNaNPredictionClamped: one degenerate arm among healthy ones
-// must lose the argmin (clamped to +max), not poison it — and the breaker
-// stays closed because the model still has finite signal.
+// trainedGuardBao runs obsTestSQL through the full loop until the model
+// has trained (RetrainEvery is 16 in guardTestConfig).
+func trainedGuardBao(t *testing.T, cfg Config) *Bao {
+	t.Helper()
+	b := New(buildIMDbEngine(t), cfg)
+	for i := 0; i < 40; i++ {
+		if _, _, err := b.Run(obsTestSQL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !b.Trained() {
+		t.Fatal("model never trained")
+	}
+	return b
+}
+
+// adviseMustDecline asserts the advisor's contract when Select served the
+// default arm without predictions: an error naming the reason and the
+// default plan, from both entry points — never a panic.
+func adviseMustDecline(t *testing.T, b *Bao, reason string) {
+	t.Helper()
+	a, plan, err := b.Advise(obsTestSQL)
+	if err == nil || a != nil {
+		t.Fatalf("Advise = %+v, %v; want an error and no advice", a, err)
+	}
+	if !strings.Contains(err.Error(), reason) {
+		t.Fatalf("Advise error %q does not name the reason %q", err, reason)
+	}
+	want, perr := b.Eng.PlanSQL(obsTestSQL, b.Cfg.Arms[0].Hints)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if plan == nil || plan.Explain() != want.Explain() {
+		t.Fatal("Advise did not return the default plan alongside the error")
+	}
+	if out, err := b.ExplainWithAdvice(obsTestSQL); err == nil || out != "" {
+		t.Fatalf("ExplainWithAdvice = %q, %v; want an error", out, err)
+	}
+}
+
+// TestAdviseWhileBreakerOpen: EXPLAIN during a breaker cool-down used to
+// index the nil predictions of a default-arm selection and panic (killing
+// baoshell -guard). It must decline with the breaker's reason — and read
+// the trained flag under the lock, so it can run beside a background
+// retrain (the race detector is the assertion for that half).
+func TestAdviseWhileBreakerOpen(t *testing.T) {
+	b := trainedGuardBao(t, guardTestConfig(1, nil))
+	if _, err := b.ExplainWithAdvice(obsTestSQL); err != nil {
+		t.Fatalf("advisor on a healthy trained model: %v", err)
+	}
+	b.Breaker().Trip("forced")
+	adviseMustDecline(t, b, "breaker-open")
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.RetrainAsync()
+	}()
+	for i := 0; i < 5; i++ {
+		if _, _, err := b.Advise(obsTestSQL); err == nil && b.Breaker().State() == guard.Open {
+			t.Fatal("Advise succeeded while the breaker is open")
+		}
+	}
+	<-done
+}
+
+// TestAdviseOnDegeneratePredictions: a swapped-in model whose every
+// prediction is non-finite makes Select trip the breaker and drop the
+// predictions mid-call; the advisor must decline, not index them.
+func TestAdviseOnDegeneratePredictions(t *testing.T) {
+	cfg := guardTestConfig(1, &guard.Fault{NaNOnFit: 1})
+	cfg.Validate = guard.ValidateConfig{} // gate off: nothing stops the NaN swap
+	cfg.RetrainEvery = 1000
+	cfg.Observer.EnableTracing(4) // the trace carries the exact note
+	b := New(buildIMDbEngine(t), cfg)
+	sel, err := b.Select(obsTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		b.ObserveValue(sel, 0.01)
+	}
+	if !b.RetrainAsync() || !b.Trained() {
+		t.Fatal("unvalidated NaN candidate should have swapped in")
+	}
+	adviseMustDecline(t, b, "degenerate-predictions")
+	// From here the breaker is cooling down: same contract, other reason.
+	adviseMustDecline(t, b, "breaker-open")
+}
+
+// TestAdviseAfterPlannerPanic: a hint set whose planning panics degrades
+// every selection to the default arm (first as planner-panic, then as
+// breaker-open while it cools down); the model still trains from those
+// default-arm experiences, and the advisor must decline either way.
+func TestAdviseAfterPlannerPanic(t *testing.T) {
+	b := trainedGuardBao(t, guardTestConfig(1, &guard.Fault{PlanPanicArm: 1}))
+	for i := 0; i < 10; i++ { // spans cool-down, half-open probe, and re-trip
+		a, plan, err := b.Advise(obsTestSQL)
+		if err == nil || a != nil || plan == nil {
+			t.Fatalf("decision %d: Advise = %+v, %v; want an error with the default plan", i, a, err)
+		}
+		if !strings.Contains(err.Error(), "planner-panic") && !strings.Contains(err.Error(), "breaker-open") {
+			t.Fatalf("decision %d: error %q names neither degradation", i, err)
+		}
+	}
+}
+
+// TestSingleNaNPredictionClamped: one degenerate prediction among healthy
+// ones must lose the argmin (clamped to +max), not poison it — and the
+// breaker stays closed because the model still has finite signal. Arms
+// that share a plan share its prediction, so the unit that is clamped and
+// loses is the NaN plan's whole dedup group.
 func TestSingleNaNPredictionClamped(t *testing.T) {
 	e := buildIMDbEngine(t)
 	cfg := guardTestConfig(1, nil)
 	cfg.RetrainEvery = 1000
-	cfg.NoPlanDedup = true // keep per-arm predictions distinct slots
-	nan := &nanArmModel{badIdx: 1}
+	cfg.Arms = DefaultArms() // enough hint sets that plans are shared and differ
+	const nanGroup = 1
+	nan := &nanArmModel{badIdx: nanGroup}
 	cfg.NewModel = func() model.Model { return nan }
 	b := New(e, cfg)
 
@@ -417,15 +527,31 @@ func TestSingleNaNPredictionClamped(t *testing.T) {
 	if !sel2.UsedModel {
 		t.Fatal("model not used")
 	}
-	if sel2.ArmID == 1 {
-		t.Fatal("argmin picked the NaN-predicted arm")
+	armGroup, groupFP := dedupPlans(sel2.Plans)
+	if len(groupFP) <= nanGroup {
+		t.Fatalf("%d distinct plans: no group %d for the model to poison", len(groupFP), nanGroup)
 	}
-	if sel2.Preds[1] != math.MaxFloat64 {
-		t.Fatalf("NaN prediction = %v, want clamped to MaxFloat64", sel2.Preds[1])
+	clamped := 0
+	for i, g := range armGroup {
+		switch {
+		case g == nanGroup && sel2.Preds[i] != math.MaxFloat64:
+			t.Fatalf("arm %d shares the NaN plan but predicts %v, want clamped to MaxFloat64", i, sel2.Preds[i])
+		case g != nanGroup && sel2.Preds[i] != 0.01*float64(g+1):
+			t.Fatalf("arm %d (group %d) predicts %v, want the healthy %v", i, g, sel2.Preds[i], 0.01*float64(g+1))
+		case g == nanGroup:
+			clamped++
+		}
+	}
+	if clamped < 2 {
+		t.Fatalf("%d arms map to the NaN group, want a shared plan (≥ 2)", clamped)
+	}
+	if armGroup[sel2.ArmID] == nanGroup {
+		t.Fatalf("argmin picked arm %d, which shares the NaN-predicted plan", sel2.ArmID)
 	}
 	if b.Breaker().State() != guard.Closed {
 		t.Fatalf("breaker = %v, want Closed (finite predictions remain)", b.Breaker().State())
 	}
+	// One non-finite prediction, however many arms it fans out to.
 	if got := b.Stats().Counter("bao_nonfinite_predictions_total"); got != 1 {
 		t.Fatalf("bao_nonfinite_predictions_total = %v, want 1", got)
 	}

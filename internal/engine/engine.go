@@ -84,13 +84,6 @@ func New(grade Grade, poolPages int) *Engine {
 // Grade returns the engine's estimation grade.
 func (e *Engine) Grade() Grade { return e.grade }
 
-// SetExecWorkers bounds the executor's opt-in intra-query parallelism
-// (currently the hash-join build/probe phases). Zero or one runs fully
-// sequential. Rows, Counters, and the simulated clock are byte-identical
-// at every setting — only wall-clock changes — so callers may tune this
-// freely without perturbing learned latencies.
-func (e *Engine) SetExecWorkers(w int) { e.Exec.Workers = w }
-
 // CreateTable registers a table schema and allocates empty storage.
 func (e *Engine) CreateTable(meta *catalog.Table) {
 	e.Schema.AddTable(meta)

@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"bao/internal/catalog"
 	"bao/internal/planner"
@@ -20,7 +19,7 @@ const batchSize = storage.RowsPerPage
 // storage.Row values inside may be retained.
 type rowSink func([]storage.Row)
 
-// collect drains a subtree into a materialized slice. It is the batch
+// collect drains a subtree into a materialized slice. It is the
 // pipeline's root driver and its fallback for operators that inherently
 // need a whole input (sort, merge join, nested-loop sides).
 func (e *Executor) collect(n *planner.Node) ([]storage.Row, error) {
@@ -36,8 +35,7 @@ func (e *Executor) collect(n *planner.Node) ([]storage.Row, error) {
 
 // stream pushes n's output through sink batch by batch, recording the
 // node's per-operator evaluation count and, when tracing, its actual
-// output cardinality (EXPLAIN ANALYZE sees the same numbers as the tuple
-// pipeline).
+// output cardinality (EXPLAIN ANALYZE).
 func (e *Executor) stream(n *planner.Node, sink rowSink) error {
 	if e.Ops != nil {
 		e.Ops.With(n.Op.String()).Inc()
@@ -96,9 +94,9 @@ func emitBatches(rows []storage.Row, sink rowSink) {
 // stream (scans, hash-join probe, aggregate, project, limit) never
 // materialize their own output; operators that inherently need whole
 // inputs (sort, merge join, nested loops) collect their children and emit
-// the result in batches. Child evaluation order is identical to the tuple
-// pipeline (left before right), so the LRU buffer pool sees the same page
-// access sequence and PageHits/PageMisses match byte for byte.
+// the result in batches. Children are always evaluated left before right:
+// the LRU buffer pool is access-order sensitive, so that order is part of
+// what PageHits/PageMisses mean.
 func (e *Executor) streamOp(n *planner.Node, sink rowSink) error {
 	switch n.Op {
 	case planner.OpSeqScan:
@@ -183,8 +181,8 @@ func (e *Executor) streamOp(n *planner.Node, sink rowSink) error {
 	case planner.OpLimit:
 		remaining := n.N
 		return e.stream(n.Left, func(b []storage.Row) {
-			// The child runs to completion (billing matches the
-			// materializing pipeline); only emission is truncated.
+			// The child runs to completion and bills in full; only
+			// emission is truncated.
 			if remaining <= 0 {
 				return
 			}
@@ -210,29 +208,13 @@ func presizeHint(est float64) int {
 	return int(est)
 }
 
-// joinTable is the hash-join build table: one map when built
-// sequentially, Workers partitioned maps (routed by key hash) when built
-// in parallel. Partitioning only changes internal layout — lookups return
-// the same row lists in the same (build-input) order either way. Joins on
-// a single integer column use the intParts maps instead, skipping key
-// formatting entirely; results are identical, only lookup speed differs.
+// joinTable is the hash-join build table. Joins on a single integer column
+// use the ints map, skipping key formatting entirely; every other join
+// uses strs, keyed by appendRowKey's encoding. Exactly one is non-nil.
+// Row lists are in build-input order.
 type joinTable struct {
-	parts    []map[string][]storage.Row
-	intParts []map[int64][]storage.Row
-}
-
-func (t *joinTable) lookup(key []byte) []storage.Row {
-	if len(t.parts) == 1 {
-		return t.parts[0][string(key)]
-	}
-	return t.parts[int(fnv1a(key)%uint64(len(t.parts)))][string(key)]
-}
-
-func (t *joinTable) lookupInt(k int64) []storage.Row {
-	if len(t.intParts) == 1 {
-		return t.intParts[0][k]
-	}
-	return t.intParts[int(uint64(k)%uint64(len(t.intParts)))][k]
+	strs map[string][]storage.Row
+	ints map[int64][]storage.Row
 }
 
 // singleIntKey reports whether the join runs on exactly one integer
@@ -244,106 +226,36 @@ func singleIntKey(n *planner.Node) bool {
 		n.Right.Cols[n.RightKeys[0]].Type == catalog.Int
 }
 
-// fnv1a hashes the key bytes (FNV-1a 64) to pick a build partition.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func fnv1aString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// parallelSpans splits [0,n) into `workers` contiguous spans and runs fn
-// on each concurrently, returning after all complete. fn must be pure
-// with respect to the Executor: no counter charges, no page accesses, no
-// ticks — those stay on the driving goroutine so Counters and Fault
-// ordinals are identical at every worker count.
-func parallelSpans(workers, n int, fn func(lo, hi int)) {
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		lo := p * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// probeRound is how many probe rows each worker handles per parallel
-// round. Rounds keep the driving goroutine's cancellation checks and
-// batch emission interleaved with probe progress instead of deferring
-// them to the end of the whole probe side.
-const probeRound = 4096
-
 // streamHashJoin builds a hash table over the right input and probes with
-// the left. The probe side is collected *first* — the tuple pipeline
-// evaluates left before right, and the LRU buffer pool is access-order
-// sensitive, so preserving that order keeps PageHits/PageMisses
-// byte-identical across pipelines. The build table is pre-sized from the
-// planner's cardinality estimate for the build side. With Workers > 1,
-// key computation, partitioned builds, and probe rounds fan out across
-// goroutines; every counter charge, page access, and cancellation check
-// stays on the driving goroutine.
+// the left. The probe side is collected *first*: left-before-right is the
+// evaluation order every operator uses, and the LRU buffer pool is
+// access-order sensitive, so PageHits/PageMisses depend on it. The build
+// side then streams straight into a table pre-sized from the planner's
+// cardinality estimate, without being materialized.
 func (e *Executor) streamHashJoin(n *planner.Node, sink rowSink) error {
 	left, err := e.collect(n.Left)
 	if err != nil {
 		return err
 	}
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	intKey := singleIntKey(n)
-	var table joinTable
-	var buildRows int64
-	if workers == 1 {
-		table, buildRows, err = e.buildSequential(n, intKey)
-	} else {
-		table, buildRows, err = e.buildParallel(n, workers, intKey)
-	}
+	table, buildRows, err := e.buildSequential(n)
 	if err != nil {
 		return err
 	}
 	var outCount int64
-	counted := func(b []storage.Row) {
+	e.probeSequential(n, &table, left, func(b []storage.Row) {
 		outCount += int64(len(b))
 		sink(b)
-	}
-	if workers == 1 {
-		e.probeSequential(n, &table, left, counted)
-	} else {
-		e.probeParallel(n, &table, left, workers, counted)
-	}
+	})
 	e.hashJoinCharge(buildRows, int64(len(left)), outCount)
 	return nil
 }
 
 // buildSequential streams the build side directly into one pre-sized map
-// without materializing it.
-func (e *Executor) buildSequential(n *planner.Node, intKey bool) (joinTable, int64, error) {
+// without materializing it, returning the table and the build row count.
+func (e *Executor) buildSequential(n *planner.Node) (joinTable, int64, error) {
 	hint := presizeHint(n.Right.EstRows)
 	var count int64
-	if intKey {
+	if singleIntKey(n) {
 		m := make(map[int64][]storage.Row, hint)
 		rk := n.RightKeys[0]
 		err := e.stream(n.Right, func(b []storage.Row) {
@@ -355,10 +267,7 @@ func (e *Executor) buildSequential(n *planner.Node, intKey bool) (joinTable, int
 				}
 			}
 		})
-		if err != nil {
-			return joinTable{}, 0, err
-		}
-		return joinTable{intParts: []map[int64][]storage.Row{m}}, count, nil
+		return joinTable{ints: m}, count, err
 	}
 	m := make(map[string][]storage.Row, hint)
 	var kb []byte
@@ -375,80 +284,12 @@ func (e *Executor) buildSequential(n *planner.Node, intKey bool) (joinTable, int
 			m[k] = append(m[k], r)
 		}
 	})
-	if err != nil {
-		return joinTable{}, 0, err
-	}
-	return joinTable{parts: []map[string][]storage.Row{m}}, count, nil
-}
-
-// buildParallel materializes the build side, computes keys across worker
-// spans, then builds one map per worker, each owning the keys that hash
-// to its partition. Per-partition insertion order is input order, so the
-// table's row lists match the sequential build exactly.
-func (e *Executor) buildParallel(n *planner.Node, workers int, intKey bool) (joinTable, int64, error) {
-	right, err := e.collect(n.Right)
-	if err != nil {
-		return joinTable{}, 0, err
-	}
-	e.tick(len(right))
-	if intKey {
-		rk := n.RightKeys[0]
-		intParts := make([]map[int64][]storage.Row, workers)
-		ihint := presizeHint(n.Right.EstRows)/workers + 1
-		var iwg sync.WaitGroup
-		for p := 0; p < workers; p++ {
-			iwg.Add(1)
-			go func(p int) {
-				defer iwg.Done()
-				m := make(map[int64][]storage.Row, ihint)
-				for _, r := range right {
-					if v := r[rk]; !v.Null && int(uint64(v.I)%uint64(workers)) == p {
-						m[v.I] = append(m[v.I], r)
-					}
-				}
-				intParts[p] = m
-			}(p)
-		}
-		iwg.Wait()
-		return joinTable{intParts: intParts}, int64(len(right)), nil
-	}
-	keys := make([]string, len(right))
-	valid := make([]bool, len(right))
-	parallelSpans(workers, len(right), func(lo, hi int) {
-		var kb []byte
-		for i := lo; i < hi; i++ {
-			var ok bool
-			kb, ok = appendRowKey(kb[:0], right[i], n.RightKeys)
-			if ok {
-				keys[i] = string(kb)
-				valid[i] = true
-			}
-		}
-	})
-	parts := make([]map[string][]storage.Row, workers)
-	hint := presizeHint(n.Right.EstRows)/workers + 1
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			m := make(map[string][]storage.Row, hint)
-			for i, k := range keys {
-				if valid[i] && int(fnv1aString(k)%uint64(workers)) == p {
-					m[k] = append(m[k], right[i])
-				}
-			}
-			parts[p] = m
-		}(p)
-	}
-	wg.Wait()
-	return joinTable{parts: parts}, int64(len(right)), nil
+	return joinTable{strs: m}, count, err
 }
 
 // probeSequential probes the materialized left side batch at a time.
 func (e *Executor) probeSequential(n *planner.Node, table *joinTable, left []storage.Row, sink rowSink) {
 	bt := newBatcher(sink)
-	intKey := len(table.intParts) > 0
 	lk := n.LeftKeys[0]
 	var kb []byte
 	for i := 0; i < len(left); i += batchSize {
@@ -459,19 +300,19 @@ func (e *Executor) probeSequential(n *planner.Node, table *joinTable, left []sto
 		e.tick(j - i)
 		for _, l := range left[i:j] {
 			var matches []storage.Row
-			if intKey {
+			if table.ints != nil {
 				v := l[lk]
 				if v.Null {
 					continue
 				}
-				matches = table.lookupInt(v.I)
+				matches = table.ints[v.I]
 			} else {
 				var ok bool
 				kb, ok = appendRowKey(kb[:0], l, n.LeftKeys)
 				if !ok {
 					continue
 				}
-				matches = table.lookup(kb)
+				matches = table.strs[string(kb)]
 			}
 			for _, r := range matches {
 				bt.push(joinRows(l, r))
@@ -479,71 +320,4 @@ func (e *Executor) probeSequential(n *planner.Node, table *joinTable, left []sto
 		}
 	}
 	bt.flush()
-}
-
-// probeParallel probes the left side in rounds of workers×probeRound
-// rows: workers produce per-span outputs concurrently, then the driving
-// goroutine ticks and emits them in span order, so output order and
-// cancellation behavior match the sequential probe.
-func (e *Executor) probeParallel(n *planner.Node, table *joinTable, left []storage.Row, workers int, sink rowSink) {
-	outs := make([][]storage.Row, workers)
-	for start := 0; start < len(left); start += workers * probeRound {
-		end := start + workers*probeRound
-		if end > len(left) {
-			end = len(left)
-		}
-		var wg sync.WaitGroup
-		for p := 0; p < workers; p++ {
-			lo := start + p*probeRound
-			if lo >= end {
-				outs[p] = nil
-				continue
-			}
-			hi := lo + probeRound
-			if hi > end {
-				hi = end
-			}
-			wg.Add(1)
-			go func(p, lo, hi int) {
-				defer wg.Done()
-				outs[p] = probeSpan(n, table, left[lo:hi])
-			}(p, lo, hi)
-		}
-		wg.Wait()
-		e.tick(end - start)
-		for p := 0; p < workers; p++ {
-			emitBatches(outs[p], sink)
-		}
-	}
-}
-
-// probeSpan probes one contiguous span of the left side. Pure compute: it
-// never touches the Executor, so it is safe on a worker goroutine.
-func probeSpan(n *planner.Node, table *joinTable, span []storage.Row) []storage.Row {
-	var out []storage.Row
-	if len(table.intParts) > 0 {
-		lk := n.LeftKeys[0]
-		for _, l := range span {
-			v := l[lk]
-			if v.Null {
-				continue
-			}
-			for _, r := range table.lookupInt(v.I) {
-				out = append(out, joinRows(l, r))
-			}
-		}
-		return out
-	}
-	var kb []byte
-	for _, l := range span {
-		var ok bool
-		kb, ok = appendRowKey(kb[:0], l, n.LeftKeys)
-		if !ok {
-			continue
-		}
-		for _, r := range table.lookup(kb) {
-			out = append(out, joinRows(l, r))
-		}
-	}
-	return out
 }

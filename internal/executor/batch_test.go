@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,61 +15,68 @@ import (
 	"bao/internal/storage"
 )
 
-// TestHashJoinWorkerDeterminism runs a duplicate-heavy hash join (NULL
-// keys included, probe side large enough for several parallel rounds)
-// at many worker counts and requires rows and Counters byte-identical to
-// the tuple pipeline's output at every one.
-func TestHashJoinWorkerDeterminism(t *testing.T) {
-	build := func() (*fixture, *planner.Node) {
-		f := newFixture(4096)
-		lt := storage.NewTable(catalog.MustTable("l", catalog.Column{Name: "a", Type: catalog.Int}))
-		for i := 0; i < 20000; i++ {
-			if i%7 == 0 {
-				lt.AppendRow(storage.Row{storage.NullVal(catalog.Int)})
-			} else {
-				lt.AppendRow(storage.Row{storage.IntVal(int64(i % 500))})
-			}
+// TestHashJoinMatchesReference runs duplicate-heavy hash joins with NULL
+// keys and a deliberately wrong build-side estimate (pre-sizing is a hint,
+// never a correctness input) and requires rows, Counters, and Trace
+// byte-identical to the oracle's materializing hash join — on the
+// single-integer-key fast path, on a single string key, and on composite
+// (int, string) keys where either half may be NULL.
+func TestHashJoinMatchesReference(t *testing.T) {
+	intCol := func(i, nullEvery, domain int) storage.Value {
+		if i%nullEvery == 0 {
+			return storage.NullVal(catalog.Int)
 		}
-		f.db.AddTable(lt)
-		rt := storage.NewTable(catalog.MustTable("r", catalog.Column{Name: "b", Type: catalog.Int}))
-		for i := 0; i < 5000; i++ {
-			if i%11 == 0 {
-				rt.AppendRow(storage.Row{storage.NullVal(catalog.Int)})
-			} else {
-				rt.AppendRow(storage.Row{storage.IntVal(int64(i % 700))})
-			}
-		}
-		f.db.AddTable(rt)
-		ln, rn := scanNode("l", "a"), scanNode("r", "b")
-		jn := &planner.Node{Op: planner.OpHashJoin, Left: ln, Right: rn,
-			LeftKeys: []int{0}, RightKeys: []int{0},
-			Cols:     append(append([]planner.OutCol{}, ln.Cols...), rn.Cols...),
-			SortedBy: -1}
-		// Deliberately wrong cardinality estimate: pre-sizing is a hint,
-		// never a correctness input.
-		jn.Right.EstRows = 17
-		return f, jn
+		return storage.IntVal(int64(i % domain))
 	}
-	f0, n0 := build()
-	f0.ex.Tuple = true
-	wantRows, err := f0.ex.Run(n0)
-	if err != nil {
-		t.Fatal(err)
+	strCol := func(i, nullEvery, domain int) storage.Value {
+		if i%nullEvery == 0 {
+			return storage.NullVal(catalog.Str)
+		}
+		return storage.StrVal("k" + strconv.Itoa(i%domain))
 	}
-	want := f0.ex.C
-	for _, workers := range []int{0, 1, 2, 3, 4, 8} {
-		f, n := build()
-		f.ex.Workers = workers
-		rows, err := f.ex.Run(n)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(rows, wantRows) {
-			t.Fatalf("workers=%d: rows diverge from tuple pipeline", workers)
-		}
-		if f.ex.C != want {
-			t.Fatalf("workers=%d: counters %+v, want %+v", workers, f.ex.C, want)
-		}
+	cases := []struct {
+		name string
+		keys []int // key column positions, the same on both sides
+	}{
+		{"single_int", []int{0}},
+		{"single_string", []int{1}},
+		{"composite_int_string", []int{0, 1}},
+		{"composite_string_int", []int{1, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*fixture, *planner.Node) {
+				f := newFixture(4096)
+				side := func(name string, rows, intNull, intDom, strNull, strDom int) *planner.Node {
+					tbl := storage.NewTable(catalog.MustTable(name,
+						catalog.Column{Name: "a", Type: catalog.Int},
+						catalog.Column{Name: "s", Type: catalog.Str}))
+					for i := 0; i < rows; i++ {
+						if err := tbl.AppendRow(storage.Row{intCol(i, intNull, intDom), strCol(i, strNull, strDom)}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					f.db.AddTable(tbl)
+					return &planner.Node{Op: planner.OpSeqScan, Table: name, Alias: name,
+						Cols: []planner.OutCol{
+							{Alias: name, Name: "a", Type: catalog.Int},
+							{Alias: name, Name: "s", Type: catalog.Str}},
+						SortedBy: -1}
+				}
+				ln := side("l", 20000, 7, 500, 13, 400)
+				rn := side("r", 5000, 11, 700, 17, 600)
+				jn := &planner.Node{Op: planner.OpHashJoin, Left: ln, Right: rn,
+					LeftKeys: tc.keys, RightKeys: tc.keys,
+					Cols:     append(append([]planner.OutCol{}, ln.Cols...), rn.Cols...),
+					SortedBy: -1}
+				jn.Right.EstRows = 17
+				return f, jn
+			}
+			rows, _ := runVsReference(t, build)
+			if len(rows) == 0 {
+				t.Fatal("join produced no rows: the case checks nothing")
+			}
+		})
 	}
 }
 
@@ -146,7 +153,7 @@ func TestEmptyRangeProbesBillIdentically(t *testing.T) {
 // of silently returning 0.
 func TestSumOverStringRejected(t *testing.T) {
 	for _, fn := range []sqlparser.AggFunc{sqlparser.AggSum, sqlparser.AggAvg} {
-		for _, m := range execModes {
+		for _, ev := range evaluators {
 			f := newFixture(64)
 			tbl := storage.NewTable(catalog.MustTable("t", catalog.Column{Name: "s", Type: catalog.Str}))
 			tbl.AppendRow(storage.Row{storage.StrVal("x")})
@@ -157,10 +164,8 @@ func TestSumOverStringRejected(t *testing.T) {
 			n := &planner.Node{Op: planner.OpAggregate, Left: child,
 				Aggs: []planner.AggSpec{{Func: fn, Col: 0}},
 				Cols: make([]planner.OutCol, 1), SortedBy: -1}
-			f.ex.Tuple = m.tuple
-			f.ex.Workers = m.workers
-			if _, err := f.ex.Run(n); err == nil {
-				t.Fatalf("%s/%s over string column succeeded", fn, m.name)
+			if _, err := ev.run(f.ex, context.Background(), n); err == nil {
+				t.Fatalf("%s/%s over string column succeeded", fn, ev.name)
 			}
 		}
 	}
@@ -192,7 +197,7 @@ func TestEmptyGroupNullTypedFromInput(t *testing.T) {
 		"zero_rows": nil,
 		"all_null":  {{storage.NullVal(catalog.Str)}, {storage.NullVal(catalog.Str)}},
 	} {
-		out, _ := runAllModes(t, func() (*fixture, *planner.Node) { return build(rows) })
+		out, _ := runVsReference(t, func() (*fixture, *planner.Node) { return build(rows) })
 		if len(out) != 1 {
 			t.Fatalf("%s: %d rows", name, len(out))
 		}
@@ -233,7 +238,7 @@ func (c *errAfterCtx) Err() error {
 // happens inside the comparator; with the pre-fix single pre-sort tick
 // the sort would run to completion and the query would succeed.
 func TestSortCancellableMidLoop(t *testing.T) {
-	for _, m := range execModes {
+	for _, ev := range evaluators {
 		build := func() (*fixture, *planner.Node) {
 			f := newFixture(256)
 			f.addTable(catalog.MustTable("t", catalog.Column{Name: "a", Type: catalog.Int}),
@@ -245,39 +250,35 @@ func TestSortCancellableMidLoop(t *testing.T) {
 		}
 		// Reference run: full cost of the completed query.
 		ref, n := build()
-		ref.ex.Tuple = m.tuple
-		ref.ex.Workers = m.workers
-		if _, err := ref.ex.Run(n); err != nil {
-			t.Fatalf("%s: reference run: %v", m.name, err)
+		if _, err := ev.run(ref.ex, context.Background(), n); err != nil {
+			t.Fatalf("%s: uncancelled run: %v", ev.name, err)
 		}
 		full := ref.ex.C
 
 		f, n := build()
-		f.ex.Tuple = m.tuple
-		f.ex.Workers = m.workers
 		ctx := &errAfterCtx{after: 1}
-		rows, err := f.ex.RunCtx(ctx, n)
+		rows, err := ev.run(f.ex, ctx, n)
 		if err == nil {
-			t.Fatalf("%s: sort ran to completion despite mid-sort cancellation (%d rows)", m.name, len(rows))
+			t.Fatalf("%s: sort ran to completion despite mid-sort cancellation (%d rows)", ev.name, len(rows))
 		}
 		var de *DeadlineExceededError
 		if !errors.As(err, &de) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: error = %v, want DeadlineExceededError wrapping context.Canceled", m.name, err)
+			t.Fatalf("%s: error = %v, want DeadlineExceededError wrapping context.Canceled", ev.name, err)
 		}
 		// The scan completed (all pages charged) but the sort did not:
 		// its completion charge (2·n·log2 n) never landed.
 		if pages := de.Counters.PageHits + de.Counters.PageMisses; pages != full.PageHits+full.PageMisses {
-			t.Fatalf("%s: abort charged %d pages, want the full scan's %d", m.name, pages, full.PageHits+full.PageMisses)
+			t.Fatalf("%s: abort charged %d pages, want the full scan's %d", ev.name, pages, full.PageHits+full.PageMisses)
 		}
 		if de.Counters.CPUOps >= full.CPUOps {
-			t.Fatalf("%s: aborted sort charged full CPU (%d ≥ %d)", m.name, de.Counters.CPUOps, full.CPUOps)
+			t.Fatalf("%s: aborted sort charged full CPU (%d ≥ %d)", ev.name, de.Counters.CPUOps, full.CPUOps)
 		}
 	}
 }
 
-// TestLimitStopsEmissionNotBilling checks the batch pipeline's limit
-// matches the materializing semantics: the child runs (and bills) fully,
-// output is merely truncated.
+// TestLimitStopsEmissionNotBilling checks the streaming limit keeps the
+// materializing semantics: the child runs (and bills) fully, output is
+// merely truncated.
 func TestLimitStopsEmissionNotBilling(t *testing.T) {
 	build := func() (*fixture, *planner.Node) {
 		f := newFixture(64)
@@ -286,7 +287,7 @@ func TestLimitStopsEmissionNotBilling(t *testing.T) {
 			Cols: []planner.OutCol{{Alias: "t", Name: "a", Type: catalog.Int}}, SortedBy: -1}
 		return f, n
 	}
-	rows, c := runAllModes(t, build)
+	rows, c := runVsReference(t, build)
 	if len(rows) != 3 {
 		t.Fatalf("limit rows = %d", len(rows))
 	}
@@ -297,26 +298,15 @@ func TestLimitStopsEmissionNotBilling(t *testing.T) {
 	}
 }
 
-// TestTraceParityAcrossPipelines checks EXPLAIN ANALYZE sees the same
-// per-node cardinalities from both pipelines.
+// TestTraceParityAcrossPipelines checks EXPLAIN ANALYZE sees the oracle's
+// per-node cardinalities from the product pipeline, including below an
+// aggregate that consumes its input without materializing it.
 func TestTraceParityAcrossPipelines(t *testing.T) {
-	run := func(tuple bool) map[string]int64 {
+	runVsReference(t, func() (*fixture, *planner.Node) {
 		f, jn := joinFixtureT(planner.OpHashJoin, mod(300, 50), mod(200, 40))
 		agg := &planner.Node{Op: planner.OpAggregate, Left: jn,
 			Aggs: []planner.AggSpec{{Func: sqlparser.AggCount, Col: -1}},
 			Cols: make([]planner.OutCol, 1), SortedBy: -1}
-		f.ex.Tuple = tuple
-		f.ex.Trace = make(map[*planner.Node]int64)
-		if _, err := f.ex.Run(agg); err != nil {
-			t.Fatal(err)
-		}
-		got := map[string]int64{}
-		for n, c := range f.ex.Trace {
-			got[n.Op.String()+"/"+n.Table] += c
-		}
-		return got
-	}
-	if tup, bat := run(true), run(false); !reflect.DeepEqual(tup, bat) {
-		t.Fatalf("trace diverges:\n  tuple %v\n  batch %v", tup, bat)
-	}
+		return f, agg
+	})
 }

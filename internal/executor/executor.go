@@ -9,25 +9,17 @@
 // experiments report — see DESIGN.md §2 for why this substitution preserves
 // the paper's behaviour.
 //
-// Two evaluation pipelines share one billing substrate:
-//
-//   - The default **batch-streaming** pipeline (batch.go) pushes batches of
-//     storage.RowsPerPage tuples from scans up through the operator tree:
-//     scans apply pushed-down residual predicates page-by-page as they
-//     read, hash joins build into tables pre-sized from the planner's
-//     cardinality estimates and probe batch-at-a-time (optionally in
-//     parallel, see Executor.Workers), and aggregates, sorts, projections,
-//     and limits consume batches instead of fully materialized inputs.
-//   - The legacy **tuple-at-a-time** volcano pipeline (tuple.go) that
-//     materializes every operator's output, kept as the reference
-//     implementation: equivalence tests assert both pipelines produce
-//     byte-identical rows and Counters, and BenchmarkExecutorBatchVsTuple
-//     measures the streaming rework against it.
-//
-// All work charging lives in the shared operator bodies in this file, so
-// the two pipelines cannot drift apart: Counters, the deterministic Fault
-// page ordinals, and the amortized cancellation contract are identical
-// across pipelines and across worker counts.
+// There is one evaluation pipeline, batch-streaming and single-goroutine
+// (batch.go): scans push batches of storage.RowsPerPage tuples up through
+// the operator tree, applying pushed-down residual predicates page by page
+// as they read; hash joins stream the build side into a table pre-sized
+// from the planner's cardinality estimate and probe batch-at-a-time; and
+// aggregates, projections, and limits consume batches instead of fully
+// materialized inputs. All work charging lives in the operator bodies in
+// this file. The tuple-at-a-time volcano evaluator the pipeline replaced
+// lives on in reference_test.go as the oracle: golden, parity,
+// differential, and fuzz tests require byte-identical rows, Counters,
+// Trace cardinalities, and Fault page ordinals against it.
 package executor
 
 import (
@@ -37,7 +29,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"bao/internal/bufferpool"
 	"bao/internal/catalog"
@@ -116,11 +107,8 @@ const cancelCheckInterval = 1024
 // deterministic mid-plan failure) or, when Stall is set, blocks as if on
 // stuck I/O until the run's context is cancelled. Because the trigger is a
 // page ordinal — not wall time — the counters at the abort point are
-// byte-identical across runs, race mode, and worker counts, which is what
-// makes the timeout, error, and cancellation paths deterministically
-// testable. Page accesses always happen on the run's driving goroutine
-// (parallel hash-join workers do pure CPU work), so the ordinal is stable
-// at any Workers setting.
+// byte-identical across runs and race mode, which is what makes the
+// timeout, error, and cancellation paths deterministically testable.
 type Fault struct {
 	AfterPages int64 // trigger on the AfterPages-th page access (1-based)
 	Err        error // non-nil: fail the run with this error
@@ -148,20 +136,6 @@ type Executor struct {
 	Trace map[*planner.Node]int64
 	Ops   *obs.CounterVec
 	Fault *Fault
-
-	// Workers enables opt-in intra-query parallelism for the hash-join
-	// build and probe phases: values above one split key computation,
-	// partitioned table builds, and probe rounds across that many
-	// goroutines. Zero or one runs fully sequential. Rows, Counters, and
-	// fault ordinals are byte-identical at every setting — parallelism
-	// changes wall-clock only, never the simulated clock. Wired from
-	// core.Config.Workers by the decision loop.
-	Workers int
-	// Tuple selects the legacy tuple-at-a-time volcano pipeline instead of
-	// the default batch-streaming one. Both produce byte-identical rows
-	// and Counters; the legacy path exists as the reference implementation
-	// for equivalence tests and BenchmarkExecutorBatchVsTuple.
-	Tuple bool
 
 	ctx        context.Context // current run's context; nil outside RunCtx
 	sinceCheck int             // progress ticks since the last context check
@@ -204,11 +178,7 @@ func (e *Executor) RunCtx(ctx context.Context, plan *planner.Node) (rows []stora
 			err = in.cause
 		}
 	}()
-	if e.Tuple {
-		rows, err = e.eval(plan)
-	} else {
-		rows, err = e.collect(plan)
-	}
+	rows, err = e.collect(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +295,7 @@ func (b *scanBinding) emit(ri int) storage.Row {
 // residual predicates as each page is read and yielding passing rows. CPU
 // is billed per page (every stored row is touched once, plus one predicate
 // evaluation per filter), so partial work at an abort reflects the pages
-// actually read. Both pipelines share this body.
+// actually read.
 func (e *Executor) seqScanYield(n *planner.Node, yield func(storage.Row)) error {
 	b, err := e.bind(n)
 	if err != nil {
@@ -386,7 +356,7 @@ func indexBounds(f *planner.Filter) (lo, hi *storage.Value) {
 // nested loops bill symmetrically. An empty range ([a,a)) touches no leaf
 // pages: it bills exactly one descent, so identical no-match probes bill
 // identically regardless of where the miss lands relative to leaf-page
-// boundaries. Both pipelines share this body.
+// boundaries.
 func (e *Executor) indexScanYield(n *planner.Node, yield func(storage.Row)) error {
 	b, err := e.bind(n)
 	if err != nil {
@@ -429,26 +399,9 @@ func (e *Executor) indexScanYield(n *planner.Node, yield func(storage.Row)) erro
 	return nil
 }
 
-// rowKey builds a composite hash key from join key values; ok is false when
-// any key is NULL (NULLs never join). Legacy string-builder form used by
-// the tuple pipeline's joins; the batch pipeline uses appendRowKey, which
-// produces the same bytes without per-value formatting allocations.
-func rowKey(r storage.Row, keys []int) (string, bool) {
-	var sb strings.Builder
-	for _, k := range keys {
-		v := r[k]
-		if v.Null {
-			return "", false
-		}
-		sb.WriteString(v.String())
-		sb.WriteByte(0)
-	}
-	return sb.String(), true
-}
-
 // appendRowKey appends the composite join key for r to dst and reports
-// whether the key is joinable (false when any key value is NULL). The byte
-// encoding matches rowKey exactly.
+// whether the key is joinable (false when any key value is NULL: NULLs
+// never join). Each value is its Value.String() bytes followed by a NUL.
 func appendRowKey(dst []byte, r storage.Row, keys []int) ([]byte, bool) {
 	for _, k := range keys {
 		v := r[k]
@@ -473,14 +426,13 @@ func joinRows(l, r storage.Row) storage.Row {
 
 // hashJoinCharge bills a completed hash join: 1.5 passes over the build
 // side (hash + insert, averaged), one over the probe side, and one tuple
-// touch per output row. Kept in one place so both pipelines charge the
-// same formula.
+// touch per output row.
 func (e *Executor) hashJoinCharge(build, probe, out int64) {
 	e.C.CPUOps += build*2 + probe + out
 }
 
-// mergeJoinRows merges two sorted, materialized inputs. Shared by both
-// pipelines (a merge join needs its inputs whole either way).
+// mergeJoinRows merges two sorted, materialized inputs (a merge join needs
+// its inputs whole).
 func (e *Executor) mergeJoinRows(n *planner.Node, left, right []storage.Row) []storage.Row {
 	lk, rk := n.LeftKeys[0], n.RightKeys[0]
 	var out []storage.Row
@@ -538,23 +490,25 @@ func extraKeysMatch(l, r storage.Row, lks, rks []int) bool {
 
 // nestLoopRows runs a naive nested loop over materialized inputs. Matches
 // are computed via hashing; billing is the naive loop's |outer|×|inner|
-// comparisons plus the inner's rescan I/O. Shared by both pipelines.
+// comparisons plus the inner's rescan I/O.
 func (e *Executor) nestLoopRows(n *planner.Node, left, right []storage.Row) []storage.Row {
 	table := make(map[string][]int, len(right))
+	var kb []byte
+	var ok bool
 	for i, r := range right {
 		e.tick(1)
-		if k, ok := rowKey(r, n.RightKeys); ok {
+		if kb, ok = appendRowKey(kb[:0], r, n.RightKeys); ok {
+			k := string(kb)
 			table[k] = append(table[k], i)
 		}
 	}
 	var out []storage.Row
 	for _, l := range left {
 		e.tick(1)
-		k, ok := rowKey(l, n.LeftKeys)
-		if !ok {
+		if kb, ok = appendRowKey(kb[:0], l, n.LeftKeys); !ok {
 			continue
 		}
-		for _, ri := range table[k] {
+		for _, ri := range table[string(kb)] {
 			e.tick(1)
 			out = append(out, joinRows(l, right[ri]))
 		}
@@ -582,8 +536,7 @@ func (e *Executor) nestLoopRows(n *planner.Node, left, right []storage.Row) []st
 
 // indexNestLoopRows probes the inner relation's index once per outer row.
 // The inner is the parameterized scan n.Right; only the outer side is
-// pre-materialized. Shared by both pipelines (index probes are inherently
-// row-at-a-time).
+// pre-materialized (index probes are inherently row-at-a-time).
 func (e *Executor) indexNestLoopRows(n *planner.Node, left []storage.Row) ([]storage.Row, error) {
 	inner := n.Right
 	b, err := e.bind(inner)
@@ -651,8 +604,7 @@ func (e *Executor) indexNestLoopRows(n *planner.Node, left []storage.Row) ([]sto
 // cancellation check is threaded into the comparator, so a deadline or
 // disconnect interrupts the O(n log n) loop itself rather than waiting for
 // the sort to finish; the ticks are cancellation cadence only and do not
-// perturb the exact CPUOps charge, which stays 2·n·log2(n). Shared by
-// both pipelines.
+// perturb the exact CPUOps charge, which stays 2·n·log2(n).
 func (e *Executor) sortRows(n *planner.Node, rows []storage.Row) {
 	sort.SliceStable(rows, func(a, b int) bool {
 		e.tick(1)
@@ -695,10 +647,9 @@ type aggState struct {
 	inited []bool
 }
 
-// aggregator accumulates grouped aggregates incrementally, so the batch
-// pipeline can feed it batch by batch without materializing the input and
-// the tuple pipeline can feed it a whole materialized slice; billing is
-// identical either way. Shared by both pipelines.
+// aggregator accumulates grouped aggregates incrementally, fed batch by
+// batch without materializing the input; billing depends only on the rows
+// fed, not on how they were batched.
 type aggregator struct {
 	e      *Executor
 	n      *planner.Node
@@ -892,8 +843,7 @@ func (a *aggregator) finish() []storage.Row {
 	return out
 }
 
-// projectRows projects a slice of rows into the node's output shape.
-// Shared by both pipelines (the batch pipeline calls it per batch).
+// projectRows projects one batch of rows into the node's output shape.
 func (e *Executor) projectRows(n *planner.Node, rows []storage.Row) []storage.Row {
 	e.tick(len(rows))
 	out := make([]storage.Row, len(rows))

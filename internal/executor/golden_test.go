@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -11,50 +12,61 @@ import (
 	"bao/internal/storage"
 )
 
-// execMode is one (pipeline, worker-count) configuration. Every golden
-// and equivalence test runs each plan under all of them and requires
-// byte-identical rows and Counters: the legacy tuple pipeline is the
-// reference, and the batch pipeline must match it at any parallelism.
-type execMode struct {
-	name    string
-	tuple   bool
-	workers int
+// evaluators are the two ways a test can run a plan: the product pipeline
+// and the volcano oracle (reference_test.go). Tests that check an error or
+// cancellation contract rather than a result loop over both, so the oracle
+// is held to the same contract it is used to check.
+var evaluators = []struct {
+	name string
+	run  func(*Executor, context.Context, *planner.Node) ([]storage.Row, error)
+}{
+	{"product", (*Executor).RunCtx},
+	{"reference", (*Executor).runReference},
 }
 
-var execModes = []execMode{
-	{"tuple", true, 1},
-	{"batch-w1", false, 1},
-	{"batch-w4", false, 4},
-}
-
-// runAllModes executes a freshly built plan under every execution mode
-// (fresh fixture per mode, so buffer-pool LRU state is identical) and
-// asserts rows and counters agree across all of them, returning the
-// shared result.
-func runAllModes(t *testing.T, build func() (*fixture, *planner.Node)) ([]storage.Row, Counters) {
+// runVsReference executes a freshly built plan through the product
+// pipeline and through the oracle (fresh fixture each, so buffer-pool LRU
+// state is identical), requires byte-identical rows, Counters, and Trace
+// cardinalities, and returns the shared result.
+func runVsReference(t *testing.T, build func() (*fixture, *planner.Node)) ([]storage.Row, Counters) {
 	t.Helper()
-	var rows []storage.Row
-	var c Counters
-	for i, m := range execModes {
-		f, n := build()
-		f.ex.Tuple = m.tuple
-		f.ex.Workers = m.workers
-		got, err := f.ex.Run(n)
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		if i == 0 {
-			rows, c = got, f.ex.C
-			continue
-		}
-		if !reflect.DeepEqual(rows, got) {
-			t.Fatalf("%s rows diverge from %s: %d vs %d rows", m.name, execModes[0].name, len(got), len(rows))
-		}
-		if c != f.ex.C {
-			t.Fatalf("%s counters diverge from %s:\n  %+v\nvs\n  %+v", m.name, execModes[0].name, f.ex.C, c)
-		}
+	rf, rn := build()
+	rf.ex.Trace = make(map[*planner.Node]int64)
+	want, err := rf.ex.runReference(context.Background(), rn)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
 	}
-	return rows, c
+	f, n := build()
+	f.ex.Trace = make(map[*planner.Node]int64)
+	got, err := f.ex.Run(n)
+	if err != nil {
+		t.Fatalf("product: %v", err)
+	}
+	if !rowsEqual(got, want) {
+		t.Fatalf("rows diverge from the reference: %d vs %d rows", len(got), len(want))
+	}
+	if f.ex.C != rf.ex.C {
+		t.Fatalf("counters diverge from the reference:\n  %s\nvs\n  %s", counterLit(f.ex.C), counterLit(rf.ex.C))
+	}
+	if gt, wt := traceByPosition(n, f.ex.Trace), traceByPosition(rn, rf.ex.Trace); !reflect.DeepEqual(gt, wt) {
+		t.Fatalf("trace diverges from the reference:\n  %v\nvs\n  %v", gt, wt)
+	}
+	return got, f.ex.C
+}
+
+// traceByPosition flattens a Trace into pre-order node positions (-1 where
+// a node was not traced), so traces of two separately built copies of one
+// plan shape compare.
+func traceByPosition(n *planner.Node, trace map[*planner.Node]int64) []int64 {
+	var out []int64
+	n.Walk(func(x *planner.Node) {
+		c, ok := trace[x]
+		if !ok {
+			c = -1
+		}
+		out = append(out, c)
+	})
+	return out
 }
 
 // seq returns [0,n) as int64.
@@ -108,9 +120,9 @@ func indexScanNode(table, col string, f *planner.Filter, indexOnly bool) *planne
 // fixed plan shape. The values are the post-fix baseline (B-tree descents
 // billed at descentOpsPerLevel per level, empty index ranges charging no
 // leaf pages) and were re-pinned exactly once in the PR that introduced
-// the batch pipeline — see DESIGN.md §2. Any drift in billing, page
-// ordering, or pipeline parity shows up here as a literal diff, at every
-// worker count and under -race.
+// the batch pipeline — see DESIGN.md §2. Any drift in billing or page
+// ordering shows up here as a literal diff, and any drift from the oracle
+// fails before the literals are even compared.
 func TestGoldenCounters(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -240,7 +252,7 @@ func TestGoldenCounters(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, got := runAllModes(t, tc.build)
+			_, got := runVsReference(t, tc.build)
 			if got != tc.want {
 				t.Fatalf("golden counters drifted:\n  got  %s\n  want %s", counterLit(got), counterLit(tc.want))
 			}
@@ -256,7 +268,7 @@ func counterLit(c Counters) string {
 }
 
 // joinFixtureT is joinFixture without the testing.T (used by golden-case
-// builders, which run once per execution mode).
+// builders, which run once per evaluator).
 func joinFixtureT(op planner.Op, left, right []int64) (*fixture, *planner.Node) {
 	f := newFixture(256)
 	f.addTable(catalog.MustTable("l", catalog.Column{Name: "a", Type: catalog.Int}), intRows(left...))

@@ -1,20 +1,55 @@
 package executor
 
 import (
+	"context"
 	"fmt"
+	"strings"
 
 	"bao/internal/planner"
 	"bao/internal/storage"
 )
 
-// This file is the legacy tuple-at-a-time volcano pipeline: every
-// operator fully materializes its output as a []storage.Row. It is kept
-// behind Executor.Tuple as the reference implementation the
-// batch-streaming pipeline (batch.go) is validated against — equivalence
-// tests assert byte-identical rows and Counters, and
-// BenchmarkExecutorBatchVsTuple measures the rework's wall-clock win.
-// All billing lives in the shared operator bodies (executor.go), so the
-// two pipelines cannot drift: only materialization strategy differs.
+// This file is the oracle for the product pipeline (batch.go): the
+// tuple-at-a-time volcano evaluator the batch pipeline replaced, moved here
+// verbatim when it left the product, together with its materializing hash
+// join and string-builder join key. Every operator fully materializes its
+// output as a []storage.Row. It shares the billing operator bodies in
+// executor.go (scans, merge/nested-loop joins, sort, aggregator, project),
+// so what it checks independently is everything batch.go owns: batching,
+// the streamed pre-sized hash-join build and its integer fast path, key
+// encoding, limit truncation, Trace counting, and evaluation order. The
+// golden, parity, differential, and fuzz tests all compare against it.
+
+// runReference is RunCtx over the volcano evaluator: same context, fault,
+// and cancellation contract, eval in place of collect.
+func (e *Executor) runReference(ctx context.Context, plan *planner.Node) (rows []storage.Row, err error) {
+	e.ctx = ctx
+	e.sinceCheck = 0
+	e.runPages = 0
+	defer func() {
+		e.ctx = nil
+		r := recover()
+		if r == nil {
+			return
+		}
+		in, ok := r.(*execInterrupt)
+		if !ok {
+			panic(r)
+		}
+		rows = nil
+		if in.cancelled {
+			err = &DeadlineExceededError{Counters: e.C, Cause: in.cause}
+		} else {
+			err = in.cause
+		}
+	}()
+	rows, err = e.eval(plan)
+	if err != nil {
+		return nil, err
+	}
+	e.C.RowsOut += int64(len(rows))
+	return rows, nil
+}
 
 // eval materializes n's full output, recording per-operator evaluation
 // counts and, when tracing, actual output cardinality.
@@ -128,8 +163,8 @@ func (e *Executor) evalOp(n *planner.Node) ([]storage.Row, error) {
 }
 
 // hashJoinLegacy is the materializing hash join: an unsized index map
-// keyed by string-builder keys over fully materialized inputs. The batch
-// pipeline replaces it with a pre-sized, optionally parallel build/probe
+// keyed by string-builder keys over fully materialized inputs. The product
+// replaces it with a streamed, pre-sized build and a batch-at-a-time probe
 // (streamHashJoin); both charge hashJoinCharge.
 func (e *Executor) hashJoinLegacy(n *planner.Node, left, right []storage.Row) []storage.Row {
 	table := make(map[string][]int)
@@ -153,4 +188,20 @@ func (e *Executor) hashJoinLegacy(n *planner.Node, left, right []storage.Row) []
 	}
 	e.hashJoinCharge(int64(len(right)), int64(len(left)), int64(len(out)))
 	return out
+}
+
+// rowKey builds a composite hash key from join key values; ok is false when
+// any key is NULL (NULLs never join). String-builder form; the product's
+// appendRowKey must produce the same bytes.
+func rowKey(r storage.Row, keys []int) (string, bool) {
+	var sb strings.Builder
+	for _, k := range keys {
+		v := r[k]
+		if v.Null {
+			return "", false
+		}
+		sb.WriteString(v.String())
+		sb.WriteByte(0)
+	}
+	return sb.String(), true
 }

@@ -18,7 +18,6 @@ import (
 	"bao/internal/core"
 	"bao/internal/engine"
 	"bao/internal/executor"
-	"bao/internal/nn"
 	"bao/internal/workload"
 )
 
@@ -137,11 +136,6 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 	res := &RunResult{Cfg: cfg, Eng: eng}
-	// Native systems get the same intra-query executor parallelism Bao
-	// runs with (core.New wires it for SysBao), so wall-clock comparisons
-	// across systems are apples-to-apples; the simulated clock is
-	// worker-count invariant either way.
-	eng.SetExecWorkers(nn.Workers(cfg.BaoCfg.Workers))
 	var bao *core.Bao
 	if cfg.System == SysBao {
 		bao = core.New(eng, cfg.BaoCfg)

@@ -66,10 +66,10 @@ const maxFrameLen = 64 << 20
 //
 // Recovery = newest valid snapshot + every frame with a higher sequence
 // (remaining segments plus the tail), so replay work is bounded by what
-// accumulated since the last compaction, not by total history. A
-// monolithic legacy file is simply a tail that never rotated; opening it
-// with rotation enabled migrates it incrementally (it seals like any
-// other tail once the byte bound is crossed).
+// accumulated since the last compaction, not by total history. A file
+// written before segments existed is simply a tail that never rotated:
+// it opens as one and seals like any other tail once the byte bound is
+// crossed.
 const (
 	segInfix  = ".seg-"
 	snapInfix = ".snap-"
@@ -98,9 +98,8 @@ type LogOptions struct {
 	// Observer receives the log's metrics and events; nil drops them.
 	Observer *obs.Observer
 	// SegmentBytes rotates the active tail into a sealed segment once it
-	// reaches this size. Zero means DefaultSegmentBytes; negative
-	// disables rotation and snapshots entirely (the legacy monolithic
-	// log, kept as the recovery-benchmark baseline).
+	// reaches this size. Zero means DefaultSegmentBytes; OpenLog rejects
+	// a negative bound.
 	SegmentBytes int64
 	// WindowCap is how many recent experiences the shadow window (and so
 	// each snapshot) retains; it must be at least the optimizer's
@@ -233,6 +232,10 @@ func OpenExperienceLog(path string, o *obs.Observer) (*ExperienceLog, error) {
 // truncates any torn tail back to a frame boundary, deletes segments
 // wholly covered by the snapshot, and starts the background compactor.
 func OpenLog(path string, opt LogOptions) (*ExperienceLog, error) {
+	if opt.SegmentBytes < 0 {
+		return nil, fmt.Errorf("baoserver: experience log segment bound must be >= 0 (0 = %d bytes), got %d",
+			DefaultSegmentBytes, opt.SegmentBytes)
+	}
 	if opt.SegmentBytes == 0 {
 		opt.SegmentBytes = DefaultSegmentBytes
 	}
@@ -256,8 +259,6 @@ func OpenLog(path string, opt LogOptions) (*ExperienceLog, error) {
 	go l.compactor()
 	return l, nil
 }
-
-func (l *ExperienceLog) rotating() bool { return l.opt.SegmentBytes > 0 }
 
 func segName(path string, ord uint64) string {
 	return fmt.Sprintf("%s%s%016d", path, segInfix, ord)
@@ -628,7 +629,7 @@ func (l *ExperienceLog) append(rec logRecord) error {
 		l.o.LogRecords.Inc()
 		l.o.LogBytes.Add(float64(len(frame)))
 	}
-	if l.rotating() && l.tailBytes >= l.opt.SegmentBytes {
+	if l.tailBytes >= l.opt.SegmentBytes {
 		l.sealLocked()
 	}
 	return nil
@@ -796,7 +797,7 @@ func (l *ExperienceLog) Compact() error {
 	defer l.compactMu.Unlock()
 
 	l.mu.Lock()
-	if l.closed || !l.rotating() || len(l.sealed) == 0 || l.nextSeq-1 <= l.lastSnapSeq {
+	if l.closed || len(l.sealed) == 0 || l.nextSeq-1 <= l.lastSnapSeq {
 		l.mu.Unlock()
 		return nil
 	}

@@ -3,9 +3,14 @@ package baoserver
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -387,5 +392,145 @@ func TestServerStatusSurfacesExplog(t *testing.T) {
 	}
 	if st.ExplogSnapshotSeq != 0 || st.ExplogDropped != 0 {
 		t.Fatalf("unexpected explog status: %+v", st)
+	}
+}
+
+// writeLegacyLog writes a log file the way the pre-segment server did:
+// one file, the same length + CRC-32 framing, JSON payloads that carry no
+// sequence number. It returns the experiences and the critical set
+// written, in file order.
+func writeLegacyLog(t *testing.T, path string, n int) (exps []core.Experience, crit []core.Experience) {
+	t.Helper()
+	var file bytes.Buffer
+	frame := func(rec logRecord) {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(payload, []byte(`"seq"`)) {
+			t.Fatalf("legacy payload carries a sequence number: %s", payload)
+		}
+		var hdr [frameHeaderLen]byte
+		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+		file.Write(hdr[:])
+		file.Write(payload)
+	}
+	for i := 0; i < n; i++ {
+		e := core.Experience{Tree: logTree(float64(i)), Secs: 0.01 * float64(i+1), ArmID: i % 3, Key: "q"}
+		exps = append(exps, e)
+		frame(logRecord{Kind: recExperience, Exp: &e})
+		if i == n/2 {
+			crit = []core.Experience{{Tree: logTree(100), Secs: 0.5, ArmID: 1, Key: "crit"}}
+			frame(logRecord{Kind: recCritical, Key: "crit", Exps: crit})
+		}
+	}
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return exps, crit
+}
+
+// TestLegacyLogOpensAsTail pins the compatibility claim the segmented
+// layout rests on (and that let the separate monolithic mode go): a
+// single-file log whose frames carry no sequence numbers opens as a
+// never-rotated tail, every record replays in scan order, and from there
+// it behaves like any tail — it seals at the byte bound, compacts into a
+// snapshot, and reopens to the same window and critical registry at
+// every step.
+func TestLegacyLogOpensAsTail(t *testing.T) {
+	const n = 30
+	path := filepath.Join(t.TempDir(), "bao.explog")
+	exps, crit := writeLegacyLog(t, path, n)
+
+	l, err := OpenLog(path, LogOptions{WindowCap: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed, skipped := l.Replayed(); replayed != n+1 || skipped != 0 {
+		t.Fatalf("legacy open: replayed=%d skipped=%d, want %d/0", replayed, skipped, n+1)
+	}
+	if st := l.Stats(); st.Segments != 0 || st.SnapshotSeq != 0 || st.TailFrames != n+1 {
+		t.Fatalf("legacy open: %+v, want an unsealed, unsnapshotted tail of %d frames", st, n+1)
+	}
+	if !reflect.DeepEqual(l.shadow, exps) {
+		t.Fatal("legacy open: window is not the file's experiences in scan order")
+	}
+	wantCrit := map[string][]core.Experience{"crit": crit}
+	if !reflect.DeepEqual(l.shadowCrit, wantCrit) {
+		t.Fatalf("legacy open: critical registry = %v", l.shadowCrit)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen under a bound the legacy file already exceeds: the next
+	// append seals the whole legacy file as segment 0.
+	opts := LogOptions{SegmentBytes: 1 << 10, WindowCap: 64, ManualCompact: true}
+	if l, err = OpenLog(path, opts); err != nil {
+		t.Fatal(err)
+	}
+	appendSeg(t, l, n, 1)
+	if st := l.Stats(); st.Segments != 1 {
+		t.Fatalf("append past the bound: %d segments, want the legacy file sealed as 1", st.Segments)
+	}
+	appendSeg(t, l, n+1, 2)
+	want := append([]core.Experience(nil), l.shadow...)
+	if len(want) != n+3 {
+		t.Fatalf("window = %d experiences, want %d", len(want), n+3)
+	}
+	reopen := func(stage string, wantReplayed int) {
+		t.Helper()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if l, err = OpenLog(path, opts); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if replayed, skipped := l.Replayed(); replayed != wantReplayed || skipped != 0 {
+			t.Fatalf("%s: replayed=%d skipped=%d, want %d/0", stage, replayed, skipped, wantReplayed)
+		}
+		if !reflect.DeepEqual(l.shadow, want) || !reflect.DeepEqual(l.shadowCrit, wantCrit) {
+			t.Fatalf("%s: recovered window or critical registry differs", stage)
+		}
+	}
+	// Sealed but not compacted: the legacy segment's unnumbered frames
+	// and the numbered tail frames replay as one sequence.
+	reopen("sealed legacy segment", n+1+3)
+
+	forceSeal(t, l)
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.SnapshotSeq != n+1+3 || st.Segments != 0 {
+		t.Fatalf("compaction: %+v, want a snapshot at seq %d covering (and deleting) every segment", st, n+1+3)
+	}
+	if segs := segFiles(t, path, segInfix); len(segs) != 0 {
+		t.Fatalf("compaction left segments behind: %v", segs)
+	}
+	reopen("compacted", 0)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenLogRejectsNegativeSegmentBytes: the bound arrives from a flag,
+// and a negative one used to select a second on-disk layout. It is now an
+// error, and it must not touch the path.
+func TestOpenLogRejectsNegativeSegmentBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bao.explog")
+	l, err := OpenLog(path, LogOptions{SegmentBytes: -1})
+	if err == nil {
+		l.Close() //nolint:errcheck // failing anyway
+		t.Fatal("OpenLog accepted a negative segment bound")
+	}
+	if !strings.Contains(err.Error(), "segment bound") {
+		t.Fatalf("error %q does not name the segment bound", err)
+	}
+	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+		t.Fatalf("rejected open created the log file (stat: %v)", serr)
+	}
+	if _, err := New(newTestBao(t, nil), Config{LogPath: path, SegmentBytes: -1}); err == nil {
+		t.Fatal("server.New accepted a negative segment bound")
 	}
 }

@@ -52,8 +52,7 @@ type Config struct {
 	// sealed segment at this size; the background compactor then folds
 	// sealed segments into snapshot frames, bounding recovery replay by
 	// tail size instead of total history. Zero means DefaultSegmentBytes
-	// (4 MiB); negative disables rotation and snapshots (the legacy
-	// monolithic log).
+	// (4 MiB); a negative bound is rejected when the log is opened.
 	SegmentBytes int64
 	// ExplogFault installs a deterministic disk-fault script behind the
 	// experience log's file operations (tests and chaos drills only).
