@@ -2,11 +2,11 @@ package bao_test
 
 // BenchmarkExecutor times the executor on two plan shapes, with
 // allocations: join-heavy (a large hash join whose output streams into an
-// aggregate without being materialized, built into a pre-sized table and
-// probed with allocation-free keys) and scan-heavy (a filtered sequential
-// scan under an aggregate). These are the rows an executor performance
-// change names beforehand; equivalence to the volcano oracle is
-// internal/executor's tests' job, not this file's.
+// aggregate without being materialized, built into the chained join table
+// and probed by hashing the key values) and scan-heavy (a filtered
+// sequential scan under an aggregate). These are the rows an executor
+// performance change names beforehand; equivalence to the volcano oracle
+// is internal/executor's tests' job, not this file's.
 
 import (
 	"testing"

@@ -11,8 +11,10 @@ import (
 )
 
 // Type is a column type. The synthetic workloads use integers for keys and
-// measures and strings for categorical attributes.
-type Type int
+// measures and strings for categorical attributes. It is one byte wide so
+// storage.Value packs Kind and Null into a single word (32 bytes per value,
+// not 40 — pinned in storage_test.go).
+type Type uint8
 
 // Column types.
 const (

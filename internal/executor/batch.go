@@ -2,9 +2,8 @@ package executor
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
-	"bao/internal/catalog"
 	"bao/internal/planner"
 	"bao/internal/storage"
 )
@@ -25,12 +24,26 @@ type rowSink func([]storage.Row)
 func (e *Executor) collect(n *planner.Node) ([]storage.Row, error) {
 	var out []storage.Row
 	err := e.stream(n, func(b []storage.Row) {
-		out = append(out, b...)
+		out = append(growRows(out, len(b)), b...)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// growRows returns rows with room for n more, doubling the capacity when
+// it runs out. append's own policy grows a large slice 1.25× at a time,
+// which on a slice of row headers (pointers, so every regrowth is
+// allocated, cleared and scanned) costs about 5 N headers to collect N
+// rows; doubling costs at most 3 N.
+func growRows(rows []storage.Row, n int) []storage.Row {
+	if len(rows)+n <= cap(rows) {
+		return rows
+	}
+	grown := make([]storage.Row, len(rows), max(2*cap(rows), len(rows)+n))
+	copy(grown, rows)
+	return grown
 }
 
 // stream pushes n's output through sink batch by batch, recording the
@@ -196,128 +209,138 @@ func (e *Executor) streamOp(n *planner.Node, sink rowSink) error {
 	return fmt.Errorf("executor: unsupported operator %v", n.Op)
 }
 
-// presizeHint converts a planner cardinality estimate into a hash-table
-// size hint, clamped to something sane when the estimate is wild.
-func presizeHint(est float64) int {
-	if math.IsNaN(est) || est <= 0 {
+// joinTable is the hash-join build table, one structure for every key
+// shape: the build rows with joinable (non-NULL) keys, in input order, and
+// bucket chains held as row positions instead of a slice per key. Positions
+// are 1-based so the zero value means "none": head[bucket] is the chain's
+// first row and next[p-1] the row after p. seal fills the chains back to
+// front, so a chain visits its rows in build order — a probe yields
+// matches in exactly the order a map[K][]Row's appends did. The table is
+// sized from the rows actually built; the planner's estimate, which may be
+// wrong by any factor, sizes nothing. (int32 positions: a build side is
+// held in memory, which runs out long before 2³¹ rows.)
+type joinTable struct {
+	keys  []int // key column positions in the build rows
+	rows  []storage.Row
+	head  []int32
+	next  []int32
+	shift uint // 64 − log2(len(head)): the bucket is the hash's high bits
+}
+
+// add appends one build row, unless a key value is NULL (NULLs never join).
+func (t *joinTable) add(r storage.Row) {
+	for _, k := range t.keys {
+		if r[k].Null {
+			return
+		}
+	}
+	t.rows = append(growRows(t.rows, 1), r)
+}
+
+// seal sizes the bucket array to the built row count (load factor in
+// (½, 1]) and links the chains. No row may be added afterwards.
+func (t *joinTable) seal() {
+	log2 := bits.Len(uint(max(len(t.rows), 1) - 1)) // smallest power of two ≥ len(rows)
+	t.shift = uint(64 - log2)
+	t.head = make([]int32, 1<<log2)
+	t.next = make([]int32, len(t.rows))
+	for i := len(t.rows) - 1; i >= 0; i-- {
+		h, _ := hashKey(t.rows[i], t.keys)
+		b := h >> t.shift
+		t.next[i] = t.head[b]
+		t.head[b] = int32(i + 1)
+	}
+}
+
+// chain returns the position of the first build row in the bucket probe
+// row l hashes to on key columns lk — 0 when the bucket is empty or l has
+// a NULL key. The caller walks the chain through next and keeps the rows
+// for which keysEqual holds (a bucket mixes keys that share hash bits).
+func (t *joinTable) chain(l storage.Row, lk []int) int32 {
+	h, ok := hashKey(l, lk)
+	if !ok {
 		return 0
 	}
-	if est > 1<<20 {
-		return 1 << 20
+	return t.head[h>>t.shift]
+}
+
+// hashKey hashes r's key columns and reports whether the key is joinable
+// (false when any value is NULL). An integer contributes its value, a
+// string its bytes (FNV-1a steps); a multiplicative mix closes each column,
+// so a composite key depends on column order and the high bits seal uses
+// depend on every input bit.
+func hashKey(r storage.Row, keys []int) (uint64, bool) {
+	var h uint64
+	for _, k := range keys {
+		v := &r[k]
+		if v.Null {
+			return 0, false
+		}
+		h ^= uint64(v.I)
+		for i := 0; i < len(v.S); i++ {
+			h = (h ^ uint64(v.S[i])) * 0x100000001b3
+		}
+		h *= 0x9e3779b97f4a7c15
 	}
-	return int(est)
+	return h, true
 }
 
-// joinTable is the hash-join build table. Joins on a single integer column
-// use the ints map, skipping key formatting entirely; every other join
-// uses strs, keyed by appendRowKey's encoding. Exactly one is non-nil.
-// Row lists are in build-input order.
-type joinTable struct {
-	strs map[string][]storage.Row
-	ints map[int64][]storage.Row
-}
-
-// singleIntKey reports whether the join runs on exactly one integer
-// column on both sides, enabling the integer-keyed table.
-func singleIntKey(n *planner.Node) bool {
-	return len(n.LeftKeys) == 1 && len(n.RightKeys) == 1 &&
-		n.LeftKeys[0] < len(n.Left.Cols) && n.RightKeys[0] < len(n.Right.Cols) &&
-		n.Left.Cols[n.LeftKeys[0]].Type == catalog.Int &&
-		n.Right.Cols[n.RightKeys[0]].Type == catalog.Int
+// keysEqual reports whether l's key columns lk equal r's key columns rk,
+// value by value. Both keys are known to be non-NULL: add drops NULL-keyed
+// build rows and chain returns nothing for a NULL-keyed probe.
+func keysEqual(l, r storage.Row, lk, rk []int) bool {
+	for i, k := range lk {
+		a, b := &l[k], &r[rk[i]]
+		if a.I != b.I || a.S != b.S || a.Kind != b.Kind {
+			return false
+		}
+	}
+	return true
 }
 
 // streamHashJoin builds a hash table over the right input and probes with
 // the left. The probe side is collected *first*: left-before-right is the
 // evaluation order every operator uses, and the LRU buffer pool is
 // access-order sensitive, so PageHits/PageMisses depend on it. The build
-// side then streams straight into a table pre-sized from the planner's
-// cardinality estimate, without being materialized.
+// side then streams straight into the table, which is sealed once the
+// whole side has arrived.
 func (e *Executor) streamHashJoin(n *planner.Node, sink rowSink) error {
 	left, err := e.collect(n.Left)
 	if err != nil {
 		return err
 	}
-	table, buildRows, err := e.buildSequential(n)
+	table := joinTable{keys: n.RightKeys}
+	var buildRows int64
+	err = e.stream(n.Right, func(b []storage.Row) {
+		e.tick(len(b))
+		buildRows += int64(len(b))
+		for _, r := range b {
+			table.add(r)
+		}
+	})
 	if err != nil {
 		return err
 	}
+	table.seal()
+
+	// Probe the materialized left side batch at a time.
 	var outCount int64
-	e.probeSequential(n, &table, left, func(b []storage.Row) {
+	bt := newBatcher(func(b []storage.Row) {
 		outCount += int64(len(b))
 		sink(b)
 	})
-	e.hashJoinCharge(buildRows, int64(len(left)), outCount)
-	return nil
-}
-
-// buildSequential streams the build side directly into one pre-sized map
-// without materializing it, returning the table and the build row count.
-func (e *Executor) buildSequential(n *planner.Node) (joinTable, int64, error) {
-	hint := presizeHint(n.Right.EstRows)
-	var count int64
-	if singleIntKey(n) {
-		m := make(map[int64][]storage.Row, hint)
-		rk := n.RightKeys[0]
-		err := e.stream(n.Right, func(b []storage.Row) {
-			e.tick(len(b))
-			count += int64(len(b))
-			for _, r := range b {
-				if v := r[rk]; !v.Null {
-					m[v.I] = append(m[v.I], r)
-				}
-			}
-		})
-		return joinTable{ints: m}, count, err
-	}
-	m := make(map[string][]storage.Row, hint)
-	var kb []byte
-	err := e.stream(n.Right, func(b []storage.Row) {
-		e.tick(len(b))
-		count += int64(len(b))
-		for _, r := range b {
-			var ok bool
-			kb, ok = appendRowKey(kb[:0], r, n.RightKeys)
-			if !ok {
-				continue
-			}
-			k := string(kb)
-			m[k] = append(m[k], r)
-		}
-	})
-	return joinTable{strs: m}, count, err
-}
-
-// probeSequential probes the materialized left side batch at a time.
-func (e *Executor) probeSequential(n *planner.Node, table *joinTable, left []storage.Row, sink rowSink) {
-	bt := newBatcher(sink)
-	lk := n.LeftKeys[0]
-	var kb []byte
 	for i := 0; i < len(left); i += batchSize {
-		j := i + batchSize
-		if j > len(left) {
-			j = len(left)
-		}
+		j := min(i+batchSize, len(left))
 		e.tick(j - i)
 		for _, l := range left[i:j] {
-			var matches []storage.Row
-			if table.ints != nil {
-				v := l[lk]
-				if v.Null {
-					continue
+			for p := table.chain(l, n.LeftKeys); p != 0; p = table.next[p-1] {
+				if r := table.rows[p-1]; keysEqual(l, r, n.LeftKeys, n.RightKeys) {
+					bt.push(e.joinRows(l, r))
 				}
-				matches = table.ints[v.I]
-			} else {
-				var ok bool
-				kb, ok = appendRowKey(kb[:0], l, n.LeftKeys)
-				if !ok {
-					continue
-				}
-				matches = table.strs[string(kb)]
-			}
-			for _, r := range matches {
-				bt.push(joinRows(l, r))
 			}
 		}
 	}
 	bt.flush()
+	e.hashJoinCharge(buildRows, int64(len(left)), outCount)
+	return nil
 }

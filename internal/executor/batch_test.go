@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -16,10 +17,10 @@ import (
 )
 
 // TestHashJoinMatchesReference runs duplicate-heavy hash joins with NULL
-// keys and a deliberately wrong build-side estimate (pre-sizing is a hint,
-// never a correctness input) and requires rows, Counters, and Trace
-// byte-identical to the oracle's materializing hash join — on the
-// single-integer-key fast path, on a single string key, and on composite
+// keys and a deliberately wrong build-side estimate (the table is sized
+// from the rows built; the estimate is never an input) and requires rows,
+// Counters, and Trace byte-identical to the oracle's materializing hash
+// join — on a single integer key, on a single string key, and on composite
 // (int, string) keys where either half may be NULL.
 func TestHashJoinMatchesReference(t *testing.T) {
 	intCol := func(i, nullEvery, domain int) storage.Value {
@@ -78,20 +79,85 @@ func TestHashJoinMatchesReference(t *testing.T) {
 			}
 		})
 	}
+
+	// Where the chained table's shape changes: build sides of 0, 1, 63, 64,
+	// 65 and 2^k±1 rows (bucket-array and batch boundaries), at least three
+	// duplicates of every build key spaced so they land in different
+	// batches, NULL keys interleaved on both sides, and a single-int, a
+	// two-int composite and an int+string key. Rows compare positionally,
+	// so a probe must yield its matches in build-input order.
+	t.Run("chain_order_and_sizing", func(t *testing.T) {
+		cols := []catalog.Column{
+			{Name: "a", Type: catalog.Int},
+			{Name: "b", Type: catalog.Int},
+			{Name: "s", Type: catalog.Str},
+		}
+		for _, keys := range [][]int{{0}, {0, 1}, {1, 2}} {
+			for _, buildRows := range []int{0, 1, 63, 64, 65, 127, 129, 255, 257, 1023, 1025} {
+				// Every key value recurs at least three times, domain rows apart.
+				domain := min(40, max(1, buildRows/3))
+				build := func() (*fixture, *planner.Node) {
+					f := newFixture(4096)
+					side := func(name string, rows, nullEvery int) *planner.Node {
+						tbl := storage.NewTable(catalog.MustTable(name, cols...))
+						n := &planner.Node{Op: planner.OpSeqScan, Table: name, Alias: name, SortedBy: -1}
+						for _, c := range cols {
+							n.Cols = append(n.Cols, planner.OutCol{Alias: name, Name: c.Name, Type: c.Type})
+						}
+						for i := 0; i < rows; i++ {
+							k := i % domain
+							row := storage.Row{storage.IntVal(int64(k)), storage.IntVal(int64(k % 7)), storage.StrVal("k" + strconv.Itoa(k%5))}
+							if i%nullEvery == nullEvery-1 {
+								row[i%3] = storage.NullVal(cols[i%3].Type)
+							}
+							if err := tbl.AppendRow(row); err != nil {
+								t.Fatal(err)
+							}
+						}
+						f.db.AddTable(tbl)
+						return n
+					}
+					ln, rn := side("l", 200, 7), side("r", buildRows, 5)
+					return f, &planner.Node{Op: planner.OpHashJoin, Left: ln, Right: rn,
+						LeftKeys: keys, RightKeys: keys,
+						Cols:     append(append([]planner.OutCol{}, ln.Cols...), rn.Cols...),
+						SortedBy: -1}
+				}
+				rows, _ := runVsReference(t, build)
+				if buildRows >= 63 && len(rows) < 3*150 {
+					t.Fatalf("keys %v, build %d: only %d output rows: the case checks no duplicates", keys, buildRows, len(rows))
+				}
+			}
+		}
+	})
 }
 
-// TestHashJoinPresizeWildEstimates feeds the pre-sizing hint hostile
-// estimates; results and counters must not depend on it.
+// TestHashJoinPresizeWildEstimates feeds the join hostile build-side
+// estimates — mis-estimates are the premise of the paper. Results must not
+// depend on the estimate, and neither may memory: a map pre-sized from a
+// clamped 1e18 measured 80 MiB before the first build row arrived, so the
+// bytes a run allocates at est = 1e18 must stay within 2× of the run with
+// the exact estimate.
 func TestHashJoinPresizeWildEstimates(t *testing.T) {
-	for _, est := range []float64{math.NaN(), math.Inf(1), -5, 0, 1e18} {
+	run := func(est float64) uint64 {
 		f, jn := joinFixtureT(planner.OpHashJoin, mod(300, 50), mod(200, 40))
 		jn.Right.EstRows = est
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		rows, err := f.ex.Run(jn)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("est=%v: %v", est, err)
 		}
 		if len(rows) != 1200 {
 			t.Fatalf("est=%v: %d rows", est, len(rows))
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	exact := run(200)
+	for _, est := range []float64{math.NaN(), math.Inf(1), -5, 0, 1e18} {
+		if got := run(est); got > 2*exact {
+			t.Fatalf("est=%v: run allocated %d bytes, more than 2× the %d of an exact estimate", est, got, exact)
 		}
 	}
 }

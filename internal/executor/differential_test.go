@@ -189,10 +189,9 @@ func (g *planGen) residuals(dt diffTable) []planner.Filter {
 	return fs
 }
 
-// estRows draws a cardinality estimate, right or wrong: it only pre-sizes
-// hash tables and must never change a result. (The estimates that hit the
-// pre-size clamp, +Inf and 1e18, are TestHashJoinPresizeWildEstimates';
-// a 2^20-bucket table per generated join would dominate the run.)
+// estRows draws a cardinality estimate, right or wrong: the executor reads
+// none of them, and a result must never depend on one. (What a wild
+// estimate may cost in memory is TestHashJoinPresizeWildEstimates'.)
 func (g *planGen) estRows(bound int) float64 {
 	return []float64{float64(bound), 0, 1, 17, 50000, math.NaN(), float64(3*bound + 1000), -3}[g.p.intn(8)]
 }

@@ -12,14 +12,18 @@
 // There is one evaluation pipeline, batch-streaming and single-goroutine
 // (batch.go): scans push batches of storage.RowsPerPage tuples up through
 // the operator tree, applying pushed-down residual predicates page by page
-// as they read; hash joins stream the build side into a table pre-sized
-// from the planner's cardinality estimate and probe batch-at-a-time; and
-// aggregates, projections, and limits consume batches instead of fully
-// materialized inputs. All work charging lives in the operator bodies in
-// this file. The tuple-at-a-time volcano evaluator the pipeline replaced
-// lives on in reference_test.go as the oracle: golden, parity,
-// differential, and fuzz tests require byte-identical rows, Counters,
-// Trace cardinalities, and Fault page ordinals against it.
+// as they read; hash joins stream the build side into one chained table
+// sized from the rows actually built (never from the planner's estimate)
+// and probe batch-at-a-time; and aggregates, projections, and limits
+// consume batches instead of fully materialized inputs. Every row an
+// operator creates is carved from a per-run value chunk (newRow) instead
+// of being allocated on its own, and nothing is kept on the Executor
+// between runs, because callers retain result rows. All work charging
+// lives in the operator bodies in this file. The tuple-at-a-time volcano
+// evaluator the pipeline replaced lives on in reference_test.go as the
+// oracle: golden, parity, differential, and fuzz tests require
+// byte-identical rows, Counters, Trace cardinalities, and Fault page
+// ordinals against it.
 package executor
 
 import (
@@ -27,7 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"bao/internal/bufferpool"
@@ -140,6 +144,8 @@ type Executor struct {
 	ctx        context.Context // current run's context; nil outside RunCtx
 	sinceCheck int             // progress ticks since the last context check
 	runPages   int64           // page accesses within the current run (fault trigger)
+	chunk      []storage.Value // uncarved tail of the current run's row chunk
+	chunkSize  int             // values in the run's last chunk (growth state)
 }
 
 // New constructs an executor.
@@ -163,6 +169,9 @@ func (e *Executor) RunCtx(ctx context.Context, plan *planner.Node) (rows []stora
 	e.runPages = 0
 	defer func() {
 		e.ctx = nil
+		// Dropped on every path, an abort included: the rows carved so far
+		// belong to the caller (or to nobody), never to the next run.
+		e.chunk, e.chunkSize = nil, 0
 		r := recover()
 		if r == nil {
 			return
@@ -188,6 +197,39 @@ func (e *Executor) RunCtx(ctx context.Context, plan *planner.Node) (rows []stora
 
 // ResetCounters zeroes the accumulated counters.
 func (e *Executor) ResetCounters() { e.C = Counters{} }
+
+// Row-chunk geometry. Chunks start small, so a point query pays for 31
+// values, and roughly double (2n+1) up to maxChunkValues. The sizes are one
+// short of a power of two because the allocator prepends an 8-byte header
+// to a pointerful object of this size: 511 values × 32 B + 8 fills the
+// 16 KiB size class exactly, where 512 would round up to the 18 KiB one
+// (if the runtime drops the header, the cost is that rounding, nothing
+// else). The bound is part of the design, not a tunable: a chunk stays
+// well inside the allocator's 32 KiB small-object limit, so it comes from
+// the per-P size-class caches rather than the large-object path (heap
+// lock, a fresh span and a separate clear per chunk) that serving
+// goroutines and the trainer would contend on, and a retained result row
+// pins at most 16 KiB.
+const (
+	minChunkValues = 31
+	maxChunkValues = 511
+)
+
+// newRow returns a zeroed w-value row carved from the run's value chunk.
+// Capacity is capped at w, so an append to the row copies it instead of
+// writing into the next row's values. A chunk is never reused — result
+// rows outlive the run, and a retained row keeps its whole chunk (at most
+// 16 KiB) reachable — and a row wider than a chunk gets its own
+// allocation.
+func (e *Executor) newRow(w int) storage.Row {
+	if w > len(e.chunk) {
+		e.chunkSize = min(max(2*e.chunkSize+1, minChunkValues), maxChunkValues)
+		e.chunk = make([]storage.Value, max(e.chunkSize, w))
+	}
+	r := e.chunk[:w:w]
+	e.chunk = e.chunk[w:]
+	return r
+}
 
 // tick advances the cancellation progress counter by n units of work and,
 // once per cancelCheckInterval, polls the run's context. The common case
@@ -283,8 +325,8 @@ func (b *scanBinding) passes(n *planner.Node, ri int) bool {
 }
 
 // emit projects stored row ri into the scan's output shape.
-func (b *scanBinding) emit(ri int) storage.Row {
-	out := make(storage.Row, len(b.outPos))
+func (e *Executor) emit(b *scanBinding, ri int) storage.Row {
+	out := e.newRow(len(b.outPos))
 	for i, ci := range b.outPos {
 		out[i] = b.tab.Cols[ci].Value(ri)
 	}
@@ -312,7 +354,7 @@ func (e *Executor) seqScanYield(n *planner.Node, yield func(storage.Row)) error 
 		}
 		for ri := lo; ri < hi; ri++ {
 			if b.passes(n, ri) {
-				yield(b.emit(ri))
+				yield(e.emit(b, ri))
 			}
 		}
 		e.C.CPUOps += int64(hi-lo) * perRow
@@ -393,35 +435,18 @@ func (e *Executor) indexScanYield(n *planner.Node, yield func(storage.Row)) erro
 		if !b.passes(n, ri) {
 			continue
 		}
-		yield(b.emit(ri))
+		yield(e.emit(b, ri))
 		e.C.CPUOps += int64(1 + len(n.Filters))
 	}
 	return nil
 }
 
-// appendRowKey appends the composite join key for r to dst and reports
-// whether the key is joinable (false when any key value is NULL: NULLs
-// never join). Each value is its Value.String() bytes followed by a NUL.
-func appendRowKey(dst []byte, r storage.Row, keys []int) ([]byte, bool) {
-	for _, k := range keys {
-		v := r[k]
-		if v.Null {
-			return dst, false
-		}
-		if v.Kind == catalog.Int {
-			dst = strconv.AppendInt(dst, v.I, 10)
-		} else {
-			dst = append(dst, v.S...)
-		}
-		dst = append(dst, 0)
-	}
-	return dst, true
-}
-
-func joinRows(l, r storage.Row) storage.Row {
-	out := make(storage.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
+// joinRows concatenates a matched pair into one output row.
+func (e *Executor) joinRows(l, r storage.Row) storage.Row {
+	out := e.newRow(len(l) + len(r))
+	copy(out, l)
+	copy(out[len(l):], r)
+	return out
 }
 
 // hashJoinCharge bills a completed hash join: 1.5 passes over the build
@@ -468,7 +493,7 @@ func (e *Executor) mergeJoinRows(n *planner.Node, left, right []storage.Row) []s
 				for b := j; b < j2; b++ {
 					e.tick(1)
 					if extraKeysMatch(left[a], right[b], n.LeftKeys, n.RightKeys) {
-						out = append(out, joinRows(left[a], right[b]))
+						out = append(growRows(out, 1), e.joinRows(left[a], right[b]))
 					}
 				}
 			}
@@ -492,25 +517,20 @@ func extraKeysMatch(l, r storage.Row, lks, rks []int) bool {
 // are computed via hashing; billing is the naive loop's |outer|×|inner|
 // comparisons plus the inner's rescan I/O.
 func (e *Executor) nestLoopRows(n *planner.Node, left, right []storage.Row) []storage.Row {
-	table := make(map[string][]int, len(right))
-	var kb []byte
-	var ok bool
-	for i, r := range right {
+	table := joinTable{keys: n.RightKeys, rows: make([]storage.Row, 0, len(right))}
+	for _, r := range right {
 		e.tick(1)
-		if kb, ok = appendRowKey(kb[:0], r, n.RightKeys); ok {
-			k := string(kb)
-			table[k] = append(table[k], i)
-		}
+		table.add(r)
 	}
+	table.seal()
 	var out []storage.Row
 	for _, l := range left {
 		e.tick(1)
-		if kb, ok = appendRowKey(kb[:0], l, n.LeftKeys); !ok {
-			continue
-		}
-		for _, ri := range table[string(kb)] {
-			e.tick(1)
-			out = append(out, joinRows(l, right[ri]))
+		for p := table.chain(l, n.LeftKeys); p != 0; p = table.next[p-1] {
+			if r := table.rows[p-1]; keysEqual(l, r, n.LeftKeys, n.RightKeys) {
+				e.tick(1)
+				out = append(growRows(out, 1), e.joinRows(l, r))
+			}
 		}
 	}
 	// Cost-faithful charges: |outer|×|inner| comparisons plus the inner's
@@ -579,7 +599,7 @@ func (e *Executor) indexNestLoopRows(n *planner.Node, left []storage.Row) ([]sto
 			if !b.passes(inner, ri) {
 				continue
 			}
-			r := b.emit(ri)
+			r := e.emit(b, ri)
 			okAll := true
 			for k := range n.LeftKeys {
 				if k == probe {
@@ -591,7 +611,7 @@ func (e *Executor) indexNestLoopRows(n *planner.Node, left []storage.Row) ([]sto
 				}
 			}
 			if okAll {
-				out = append(out, joinRows(l, r))
+				out = append(growRows(out, 1), e.joinRows(l, r))
 			}
 			e.C.CPUOps += int64(1 + len(inner.Filters))
 		}
@@ -606,19 +626,19 @@ func (e *Executor) indexNestLoopRows(n *planner.Node, left []storage.Row) ([]sto
 // the sort to finish; the ticks are cancellation cadence only and do not
 // perturb the exact CPUOps charge, which stays 2·n·log2(n).
 func (e *Executor) sortRows(n *planner.Node, rows []storage.Row) {
-	sort.SliceStable(rows, func(a, b int) bool {
+	slices.SortStableFunc(rows, func(a, b storage.Row) int {
 		e.tick(1)
 		for k, col := range n.SortCols {
-			c := compareNullable(rows[a][col], rows[b][col])
+			c := compareNullable(a[col], b[col])
 			if c == 0 {
 				continue
 			}
 			if n.SortDesc[k] {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		}
-		return false
+		return 0
 	})
 	if len(rows) > 1 {
 		e.C.CPUOps += 2 * int64(len(rows)) * int64(math.Log2(float64(len(rows))))
@@ -793,7 +813,7 @@ func (a *aggregator) finish() []storage.Row {
 	}
 	// An ungrouped aggregate over zero rows still yields one row.
 	if len(n.GroupCols) == 0 && len(a.order) == 0 {
-		row := make(storage.Row, 0, na)
+		row := e.newRow(na)[:0]
 		for _, spec := range n.Aggs {
 			if spec.Func == sqlparser.AggCount {
 				row = append(row, storage.IntVal(0))
@@ -803,11 +823,10 @@ func (a *aggregator) finish() []storage.Row {
 		}
 		return []storage.Row{row}
 	}
-	var out []storage.Row
+	out := make([]storage.Row, 0, len(a.order))
 	for _, k := range a.order {
 		st := a.groups[k]
-		row := make(storage.Row, 0, len(st.group)+na)
-		row = append(row, st.group...)
+		row := append(e.newRow(len(st.group) + na)[:0], st.group...)
 		for ai, spec := range n.Aggs {
 			switch spec.Func {
 			case sqlparser.AggCount:
@@ -848,7 +867,7 @@ func (e *Executor) projectRows(n *planner.Node, rows []storage.Row) []storage.Ro
 	e.tick(len(rows))
 	out := make([]storage.Row, len(rows))
 	for i, r := range rows {
-		pr := make(storage.Row, len(n.Projection))
+		pr := e.newRow(len(n.Projection))
 		for j, p := range n.Projection {
 			pr[j] = r[p]
 		}

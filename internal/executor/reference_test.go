@@ -16,9 +16,12 @@ import (
 // output as a []storage.Row. It shares the billing operator bodies in
 // executor.go (scans, merge/nested-loop joins, sort, aggregator, project),
 // so what it checks independently is everything batch.go owns: batching,
-// the streamed pre-sized hash-join build and its integer fast path, key
-// encoding, limit truncation, Trace counting, and evaluation order. The
-// golden, parity, differential, and fuzz tests all compare against it.
+// the streamed hash-join build into the chained table (hashing, key
+// equality, match order), limit truncation, Trace counting, and evaluation
+// order. The shared bodies carve their rows from the run's value chunk on
+// either side; the oracle's hash join keeps the per-row allocation it
+// always had. The golden, parity, differential, and fuzz tests all compare
+// against it.
 
 // runReference is RunCtx over the volcano evaluator: same context, fault,
 // and cancellation contract, eval in place of collect.
@@ -164,8 +167,8 @@ func (e *Executor) evalOp(n *planner.Node) ([]storage.Row, error) {
 
 // hashJoinLegacy is the materializing hash join: an unsized index map
 // keyed by string-builder keys over fully materialized inputs. The product
-// replaces it with a streamed, pre-sized build and a batch-at-a-time probe
-// (streamHashJoin); both charge hashJoinCharge.
+// replaces it with a streamed build into one chained table and a
+// batch-at-a-time probe (streamHashJoin); both charge hashJoinCharge.
 func (e *Executor) hashJoinLegacy(n *planner.Node, left, right []storage.Row) []storage.Row {
 	table := make(map[string][]int)
 	for i, r := range right {
@@ -183,16 +186,26 @@ func (e *Executor) hashJoinLegacy(n *planner.Node, left, right []storage.Row) []
 		}
 		for _, ri := range table[k] {
 			e.tick(1)
-			out = append(out, joinRows(l, right[ri]))
+			out = append(out, joinRowsAlloc(l, right[ri]))
 		}
 	}
 	e.hashJoinCharge(int64(len(right)), int64(len(left)), int64(len(out)))
 	return out
 }
 
+// joinRowsAlloc is the oracle's own copy of the product's pre-chunk
+// joinRows: one allocation per output row, so the hash join it checks
+// shares neither the table nor the row carving with the product.
+func joinRowsAlloc(l, r storage.Row) storage.Row {
+	out := make(storage.Row, 0, len(l)+len(r))
+	out = append(out, l...)
+	return append(out, r...)
+}
+
 // rowKey builds a composite hash key from join key values; ok is false when
-// any key is NULL (NULLs never join). String-builder form; the product's
-// appendRowKey must produce the same bytes.
+// any key is NULL (NULLs never join). String-builder form; the product
+// hashes the key values and compares them instead, and must agree on
+// which rows match.
 func rowKey(r storage.Row, keys []int) (string, bool) {
 	var sb strings.Builder
 	for _, k := range keys {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bao/internal/catalog"
 )
@@ -17,6 +18,15 @@ func intTable(t *testing.T, vals []int64) *Table {
 		}
 	}
 	return tab
+}
+
+// TestValueSize pins Value at 32 bytes (Kind and Null share one word,
+// because catalog.Type is a byte). Every row the executor materializes is
+// a slice of these, so a field that regrows Value regrows every row.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
 }
 
 func TestValueCompare(t *testing.T) {
