@@ -219,7 +219,7 @@ func TestCriticalExplorationPreventsRegression(t *testing.T) {
 		}
 	}
 	b.Retrain()
-	if got := b.mispredictedCritical(); len(got) != 0 {
+	if got := mispredictedCriticalOn(b.state.Load().model, b.CriticalSets()); len(got) != 0 {
 		t.Fatalf("critical query still mispredicted after retrain: %v", got)
 	}
 }
@@ -387,7 +387,7 @@ func TestModelPersistenceAcrossInstances(t *testing.T) {
 func TestSaveModelWrongTypeFails(t *testing.T) {
 	e := buildIMDbEngine(t)
 	cfg := FastConfig()
-	cfg.NewModel = func() model.Model { return model.NewLinear() }
+	cfg.NewModel = func(int64) model.Model { return model.NewLinear() }
 	b := New(e, cfg)
 	var buf bytes.Buffer
 	if err := b.SaveModel(&buf); err == nil {
@@ -402,7 +402,7 @@ func TestArmWarmupCurriculum(t *testing.T) {
 	cfg.RetrainEvery = 10
 	b := New(e, cfg)
 	// Before any training: default arm only.
-	if got := b.selectableArms(); len(got) != 6 {
+	if got := b.state.Load().arms; len(got) != 6 {
 		t.Fatalf("warm-up family size = %d, want 6 (TopArms)", len(got))
 	}
 	for i := 0; i < 40; i++ {
@@ -410,10 +410,10 @@ func TestArmWarmupCurriculum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.trainCount < 2 {
-		t.Fatalf("trainCount = %d, want ≥ 2", b.trainCount)
+	if b.TrainCount() < 2 {
+		t.Fatalf("trainCount = %d, want ≥ 2", b.TrainCount())
 	}
-	if got := b.selectableArms(); len(got) != len(b.Cfg.Arms) {
+	if got := b.state.Load().arms; len(got) != len(b.Cfg.Arms) {
 		t.Fatalf("after warm-up selectable arms = %d, want all %d", len(got), len(b.Cfg.Arms))
 	}
 }
@@ -423,7 +423,7 @@ func TestArmWarmupDisabled(t *testing.T) {
 	cfg := FastConfig()
 	cfg.ArmWarmup = 0
 	b := New(e, cfg)
-	if got := b.selectableArms(); len(got) != len(b.Cfg.Arms) {
+	if got := b.state.Load().arms; len(got) != len(b.Cfg.Arms) {
 		t.Fatalf("warm-up disabled but only %d arms selectable", len(got))
 	}
 }

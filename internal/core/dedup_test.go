@@ -121,7 +121,7 @@ func TestSelectDedupMatchesPerArmPrediction(t *testing.T) {
 	}
 	// The arm chosen from the deduped predictions is a minimum of the
 	// per-arm reference too (TestTieBreakStable pins the tie-break order).
-	for _, i := range b.selectableArms() {
+	for _, i := range b.state.Load().arms {
 		if ref[i] < ref[sel.ArmID] && sel.Plans[i].EstCost <= 100*sel.Plans[sel.ArmID].EstCost {
 			t.Fatalf("arm %d's own prediction %g beats chosen arm %d's %g", i, ref[i], sel.ArmID, ref[sel.ArmID])
 		}
@@ -152,12 +152,12 @@ func TestTieBreakStable(t *testing.T) {
 		// No selectable arm may strictly dominate the winner on the
 		// (prediction, cost, index) order.
 		minCost := sel.Plans[sel.ArmID].EstCost
-		for _, i := range b.selectableArms() {
+		for _, i := range b.state.Load().arms {
 			if sel.Plans[i].EstCost < minCost {
 				minCost = sel.Plans[i].EstCost
 			}
 		}
-		for _, i := range b.selectableArms() {
+		for _, i := range b.state.Load().arms {
 			if sel.Plans[i].EstCost > minCost*100 {
 				continue // outside the cost-sanity band
 			}

@@ -505,11 +505,12 @@ func TestAdviseAfterPlannerPanic(t *testing.T) {
 func TestSingleNaNPredictionClamped(t *testing.T) {
 	e := buildIMDbEngine(t)
 	cfg := guardTestConfig(1, nil)
+	cfg.Validate.Enabled = false // the subject is Select's clamp: let the NaN-emitting model in
 	cfg.RetrainEvery = 1000
 	cfg.Arms = DefaultArms() // enough hint sets that plans are shared and differ
 	const nanGroup = 1
 	nan := &nanArmModel{badIdx: nanGroup}
-	cfg.NewModel = func() model.Model { return nan }
+	cfg.NewModel = func(int64) model.Model { return nan }
 	b := New(e, cfg)
 
 	sel, err := b.Select(obsTestSQL)
@@ -629,7 +630,7 @@ func TestValidationRejectsNonFiniteWeightsKeepsIncumbent(t *testing.T) {
 	cfg := guardTestConfig(1, nil)
 	cfg.RetrainEvery = 1000
 	fits := 0
-	cfg.NewModel = func() model.Model {
+	cfg.NewModel = func(int64) model.Model {
 		m := model.NewTCNN(FeatureDim, cfg.Train, cfg.Seed)
 		fits++
 		if fits == 3 { // New builds one, the first retrain the second

@@ -23,7 +23,7 @@ func loopObsBao(t *testing.T, pred float64) (*Bao, *obs.Observer) {
 	cfg.Arms = TopArms(3)
 	cfg.RetrainEvery = 1000 // retrains only when the test asks
 	cfg.ArmWarmup = 0
-	cfg.NewModel = func() model.Model { return &stubModel{pred: pred} }
+	cfg.NewModel = func(int64) model.Model { return &stubModel{pred: pred} }
 	cfg.Observer = o
 	return New(e, cfg), o
 }

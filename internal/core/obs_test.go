@@ -45,7 +45,7 @@ func TestGrossMispredictionTriggersEarlyRetrain(t *testing.T) {
 	cfg := FastConfig()
 	cfg.RetrainEvery = 1000 // keep the schedule out of the way
 	cfg.ArmWarmup = 0
-	cfg.NewModel = func() model.Model { return stub }
+	cfg.NewModel = func(int64) model.Model { return stub }
 	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 	b := New(e, cfg)
 
@@ -57,12 +57,12 @@ func TestGrossMispredictionTriggersEarlyRetrain(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b.ObserveValue(sel, 0.01)
 	}
-	if b.trainCount != 0 {
-		t.Fatalf("retrained on schedule unexpectedly (trainCount=%d)", b.trainCount)
+	if b.TrainCount() != 0 {
+		t.Fatalf("retrained on schedule unexpectedly (trainCount=%d)", b.TrainCount())
 	}
 	b.Retrain()
-	if !b.trained || b.trainCount != 1 {
-		t.Fatalf("manual retrain: trained=%v trainCount=%d", b.trained, b.trainCount)
+	if !b.Trained() || b.TrainCount() != 1 {
+		t.Fatalf("manual retrain: trained=%v trainCount=%d", b.Trained(), b.TrainCount())
 	}
 
 	// First post-retrain observation: grossly mispredicted, but
@@ -76,8 +76,8 @@ func TestGrossMispredictionTriggersEarlyRetrain(t *testing.T) {
 		t.Fatal("model not used after retrain")
 	}
 	b.Observe(sel2, executorCounters(0, 1000, 0)) // 0.2s vs 0.001s predicted
-	if b.trainCount != 1 {
-		t.Fatalf("early retrain fired with sinceTrain < 2 (trainCount=%d)", b.trainCount)
+	if b.TrainCount() != 1 {
+		t.Fatalf("early retrain fired with sinceTrain < 2 (trainCount=%d)", b.TrainCount())
 	}
 
 	// Second gross misprediction: now the early retrain must fire.
@@ -86,8 +86,8 @@ func TestGrossMispredictionTriggersEarlyRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Observe(sel3, executorCounters(0, 1000, 0))
-	if b.trainCount != 2 {
-		t.Fatalf("gross misprediction did not trigger early retrain (trainCount=%d)", b.trainCount)
+	if b.TrainCount() != 2 {
+		t.Fatalf("gross misprediction did not trigger early retrain (trainCount=%d)", b.TrainCount())
 	}
 	if b.sinceTrain != 0 {
 		t.Fatalf("sinceTrain = %d after early retrain, want 0", b.sinceTrain)
@@ -114,8 +114,8 @@ func TestGrossMispredictionTriggersEarlyRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Observe(sel5, executorCounters(0, 100, 0)) // 0.02s: >8*pred but under floor
-	if b.trainCount != 2 {
-		t.Fatalf("retrain fired below the absolute-slowness floor (trainCount=%d)", b.trainCount)
+	if b.TrainCount() != 2 {
+		t.Fatalf("retrain fired below the absolute-slowness floor (trainCount=%d)", b.TrainCount())
 	}
 }
 
@@ -127,7 +127,7 @@ func TestObserveValueNeverRetrainsEarly(t *testing.T) {
 	cfg := FastConfig()
 	cfg.RetrainEvery = 1000
 	cfg.ArmWarmup = 0
-	cfg.NewModel = func() model.Model { return stub }
+	cfg.NewModel = func(int64) model.Model { return stub }
 	cfg.Observer = obs.Disabled()
 	b := New(e, cfg)
 	sel, err := b.Select(obsTestSQL)
@@ -142,8 +142,8 @@ func TestObserveValueNeverRetrainsEarly(t *testing.T) {
 	b.ObserveValue(sel2, 10) // 10s vs 0.001s predicted
 	sel3, _ := b.Select(obsTestSQL)
 	b.ObserveValue(sel3, 10)
-	if b.trainCount != 1 {
-		t.Fatalf("ObserveValue triggered an early retrain (trainCount=%d)", b.trainCount)
+	if b.TrainCount() != 1 {
+		t.Fatalf("ObserveValue triggered an early retrain (trainCount=%d)", b.TrainCount())
 	}
 }
 
@@ -155,7 +155,7 @@ func TestAddExternalExperienceRetrainSchedule(t *testing.T) {
 	stub := &stubModel{pred: 0.001}
 	cfg := FastConfig()
 	cfg.RetrainEvery = 5
-	cfg.NewModel = func() model.Model { return stub }
+	cfg.NewModel = func(int64) model.Model { return stub }
 	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 	b := New(e, cfg)
 
@@ -168,25 +168,25 @@ func TestAddExternalExperienceRetrainSchedule(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		b.AddExternalExperience(plan, executorCounters(int64(1000+i), 10, 0))
 	}
-	if b.trainCount != 0 {
-		t.Fatalf("retrained before the 16-experience floor (trainCount=%d)", b.trainCount)
+	if b.TrainCount() != 0 {
+		t.Fatalf("retrained before the 16-experience floor (trainCount=%d)", b.TrainCount())
 	}
 	// The 16th tips it over.
 	b.AddExternalExperience(plan, executorCounters(2000, 10, 0))
-	if b.trainCount != 1 || b.sinceTrain != 0 || !b.trained {
+	if b.TrainCount() != 1 || b.sinceTrain != 0 || !b.Trained() {
 		t.Fatalf("first retrain: trainCount=%d sinceTrain=%d trained=%v",
-			b.trainCount, b.sinceTrain, b.trained)
+			b.TrainCount(), b.sinceTrain, b.Trained())
 	}
 	// Thereafter RetrainEvery paces retrains.
 	for i := 0; i < 4; i++ {
 		b.AddExternalExperience(plan, executorCounters(3000, 10, 0))
 	}
-	if b.trainCount != 1 {
-		t.Fatalf("retrained before RetrainEvery elapsed (trainCount=%d)", b.trainCount)
+	if b.TrainCount() != 1 {
+		t.Fatalf("retrained before RetrainEvery elapsed (trainCount=%d)", b.TrainCount())
 	}
 	b.AddExternalExperience(plan, executorCounters(3000, 10, 0))
-	if b.trainCount != 2 {
-		t.Fatalf("second retrain did not fire on schedule (trainCount=%d)", b.trainCount)
+	if b.TrainCount() != 2 {
+		t.Fatalf("second retrain did not fire on schedule (trainCount=%d)", b.TrainCount())
 	}
 	if stub.fits != 2 {
 		t.Fatalf("model fits = %d, want 2", stub.fits)
@@ -268,7 +268,7 @@ func TestDecisionLoopMetricsAndTraces(t *testing.T) {
 			t.Fatalf("trace missing span %q: %+v", name, newest.Spans)
 		}
 	}
-	if newest.WarmUp != b.warmupActive() {
+	if newest.WarmUp != b.state.Load().warm {
 		t.Fatalf("trace warm-up flag = %v", newest.WarmUp)
 	}
 }
@@ -283,7 +283,7 @@ func TestAddExternalExperienceEarlyRetrain(t *testing.T) {
 	cfg := FastConfig()
 	cfg.RetrainEvery = 1000 // keep the schedule out of the way
 	cfg.ArmWarmup = 0
-	cfg.NewModel = func() model.Model { return stub }
+	cfg.NewModel = func(int64) model.Model { return stub }
 	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 	b := New(e, cfg)
 
@@ -296,20 +296,20 @@ func TestAddExternalExperienceEarlyRetrain(t *testing.T) {
 		b.AddExternalExperience(plan, executorCounters(1000, 10, 0))
 	}
 	b.Retrain()
-	if b.trainCount != 1 {
-		t.Fatalf("setup retrain: trainCount=%d", b.trainCount)
+	if b.TrainCount() != 1 {
+		t.Fatalf("setup retrain: trainCount=%d", b.TrainCount())
 	}
 	// Fast external execution: predicted 1ms, observed ~2ms — no indictment.
 	b.AddExternalExperience(plan, executorCounters(1000, 10, 0))
-	if b.trainCount != 1 {
-		t.Fatalf("benign external experience retrained (trainCount=%d)", b.trainCount)
+	if b.TrainCount() != 1 {
+		t.Fatalf("benign external experience retrained (trainCount=%d)", b.TrainCount())
 	}
 	// Slow external execution: ~200ms against a 1ms prediction, past the
 	// absolute floor and >=2 since the last retrain — retrain immediately.
 	b.AddExternalExperience(plan, executorCounters(0, 1000, 0))
-	if b.trainCount != 2 || b.sinceTrain != 0 {
+	if b.TrainCount() != 2 || b.sinceTrain != 0 {
 		t.Fatalf("gross external misprediction did not early-retrain (trainCount=%d sinceTrain=%d)",
-			b.trainCount, b.sinceTrain)
+			b.TrainCount(), b.sinceTrain)
 	}
 	snap := b.Stats()
 	if got := snap.Counter("bao_early_retrains_total"); got != 1 {

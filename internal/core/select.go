@@ -1,0 +1,510 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"time"
+
+	"bao/internal/guard"
+	"bao/internal/model"
+	"bao/internal/nn"
+	"bao/internal/obs"
+	"bao/internal/planner"
+)
+
+// Select plans the query under every arm, predicts each plan's
+// performance, and picks the arm with the best prediction (greedy under
+// the currently sampled model parameters — the Thompson sampling draw
+// happens at retrain time via the bootstrap). Before the first retrain the
+// default arm (the unhinted optimizer) is used, matching the paper's
+// conservative cold start.
+func (b *Bao) Select(sql string) (*Selection, error) {
+	return b.SelectCtx(context.Background(), sql)
+}
+
+// selectReq is one selection in flight: what each stage of SelectCtx
+// leaves for the next. Stages are plain methods called in order; none
+// takes b.mu — everything a selection reads about the learned side comes
+// from the one published banditState loaded in parse.
+type selectReq struct {
+	b           *Bao
+	sel         *Selection
+	tr          *obs.Trace
+	st          *banditState
+	start, mark time.Time // of the selection; end of the last timed stage
+	breakerNote string
+
+	// Plan cache: the key, the entry hit (nil on a miss or with the cache
+	// off), the variant whose tensors were reused verbatim, the verdict.
+	fp, schemaVer, statsEp uint64
+	canon, verdict         string
+	hit                    *planCacheEntry
+	hitVariant             *cacheVariant
+
+	// Dedup: arm → group, and per group a fingerprint, a representative
+	// plan and one tree. groupFP is nil when only arm 0 was planned.
+	armGroup  []int
+	groupFP   []uint64
+	uniq      []*planner.Node
+	uniqTrees []*nn.Tree
+	// A forward pass made by THIS call (not predictions served out of the
+	// cache) — what the cache write-back publishes.
+	freshPreds  []float64
+	freshFinite int
+}
+
+// SelectCtx is Select under a context: cancellation is checked between
+// pipeline stages and, inside planning, once per relation subset of the
+// join enumeration, so an abandoned request stops planning within one
+// subset rather than finishing the enumeration for nobody. A cancelled
+// selection returns the context's error; nothing is recorded.
+func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
+	r := &selectReq{b: b, freshFinite: -1}
+	if err := r.parse(ctx, sql); err != nil {
+		return nil, err
+	}
+	var err error
+	switch {
+	case !b.breaker.Allow():
+		// The breaker clocks every decision; while it is open the learned
+		// path is not trusted.
+		err = r.planDefault(ctx, "breaker-open", "breaker open: default arm only")
+	case r.lookupCache():
+		r.reuseCached()
+	default:
+		err = r.planAll(ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// UsedModel: the model picks the arm. False before the first fit, on
+	// both default-arm degradations, and after degenerate predictions.
+	if r.sel.UsedModel {
+		r.predict()
+	}
+	r.storeCacheEntry()
+	if r.sel.UsedModel {
+		r.pickArm()
+	}
+	return r.finish(), nil
+}
+
+// stage closes one pipeline stage: its span in the decision trace and its
+// latency histogram (nil for the stages that have none) are both taken
+// from the one [from, to] pair, and to becomes the next stage's start.
+func (r *selectReq) stage(name string, h *obs.Histogram, from, to time.Time, note string) {
+	d := to.Sub(from)
+	h.Observe(d.Seconds())
+	r.tr.AddSpan(name, from, d, note)
+	r.mark = to
+}
+
+// parse analyzes the SQL and loads the published bandit state: concurrent
+// Selects share the current model, and a hot-swap arriving mid-query
+// affects only subsequent selections.
+func (r *selectReq) parse(ctx context.Context, sql string) error {
+	b := r.b
+	r.tr = b.observer.StartTrace(sql)
+	r.tr.SetRequestID(obs.RequestIDFrom(ctx))
+	r.start = time.Now() // after the trace's own anchor: span offsets are never negative
+	q, err := b.Eng.AnalyzeSQL(sql)
+	if err != nil {
+		return err
+	}
+	r.stage("parse", b.observer.ParseSeconds, r.start, time.Now(), "")
+	n := len(b.Cfg.Arms)
+	r.sel = &Selection{SQL: sql, Query: q, Trace: r.tr,
+		Plans: make([]*planner.Node, n), Candidates: make([]int, n), Trees: make([]*nn.Tree, n)}
+	r.st = b.state.Load()
+	r.sel.WarmUp, r.sel.UsedModel = r.st.warm, r.st.trained
+	return nil
+}
+
+// planDefault is the guard's degradation (breaker open, or a planner panic
+// on a non-default arm): plan and featurize the default arm alone — cheap,
+// and immune to a misbehaving hint-set planner — and skip prediction. The
+// selection leaves with UsedModel false, so the observation path records
+// the experience exactly as it would a cold-start default selection and
+// the window keeps learning while the learned path sits out.
+func (r *selectReq) planDefault(ctx context.Context, reason, note string) error {
+	b, sel, o := r.b, r.sel, r.b.observer
+	err := b.planArms(ctx, sel.Query, sel, 1)
+	if err == nil && ctx.Err() != nil {
+		err = fmt.Errorf("core: select cancelled: %w", ctx.Err())
+	}
+	if err != nil {
+		return err
+	}
+	o.BreakerDefault.Inc()
+	r.stage("plan_arms", o.PlanSeconds, r.mark, time.Now(), note)
+	sel.UniquePlans = 1
+	sel.Trees[0] = b.Feat.Vectorize(sel.Plans[0])
+	r.stage("featurize", o.FeatSeconds, r.mark, time.Now(), "default arm only")
+	sel.UsedModel = false
+	r.breakerNote = reason
+	return nil
+}
+
+// lookupCache consults the plan cache's fingerprint chain before any
+// planner runs and reports a hit. The epochs are snapshotted here — a
+// concurrent DDL/ANALYZE landing after this point at worst tags a stored
+// entry with a superseded epoch, which the next lookup drops.
+func (r *selectReq) lookupCache() bool {
+	b := r.b
+	if b.pcache == nil {
+		return false
+	}
+	stmt := r.sel.Query.Stmt
+	r.schemaVer, r.statsEp = b.Eng.CatalogVersion(), b.Eng.StatsEpoch()
+	r.fp, r.canon = queryFingerprint(stmt), stmt.String()
+	r.hit = b.pcache.get(r.fp, r.canon, r.schemaVer, r.statsEp)
+	return r.hit != nil
+}
+
+// reuseCached serves a plan-cache hit: the planned arm set and dedup
+// groups are reused outright; the tensors too unless buffer-pool residency
+// drifted since they were featurized (the one plan-independent feature
+// input).
+func (r *selectReq) reuseCached() {
+	b, sel, e := r.b, r.sel, r.hit
+	b.observer.PlanCacheHits.Inc()
+	r.verdict = "hit"
+	sel.Plans, sel.Candidates = e.plans, e.cands
+	r.armGroup, r.groupFP, r.uniq = e.armGroup, e.groupFP, e.uniq
+	sel.UniquePlans = len(r.groupFP)
+	if v := e.variant; floatsEqual(b.Feat.residencyFromPlans(r.uniq), v.resSig) {
+		r.uniqTrees, r.hitVariant = v.trees, v
+	} else {
+		r.verdict = "hit-refeaturize"
+		r.uniqTrees = make([]*nn.Tree, len(r.uniq))
+		for g, p := range r.uniq {
+			r.uniqTrees[g] = b.Feat.Vectorize(p)
+		}
+	}
+	for i, g := range r.armGroup {
+		sel.Trees[i] = r.uniqTrees[g]
+	}
+	r.stage("plancache", nil, r.mark, time.Now(), r.verdict)
+}
+
+// planAll plans every arm in one join enumeration (arms with the same plan
+// come back sharing one tree), deduplicates and featurizes. A planner
+// panic somewhere in the hint-set family (the breaker tripped) degrades to
+// the default arm planned alone; a panic there too leaves nothing to
+// degrade to and fails the query.
+func (r *selectReq) planAll(ctx context.Context) error {
+	b, sel, o := r.b, r.sel, r.b.observer
+	err := b.planArms(ctx, sel.Query, sel, len(b.Cfg.Arms))
+	if errors.Is(err, errPlannerPanic) && len(b.Cfg.Arms) > 1 {
+		return r.planDefault(ctx, "planner-panic", "planner panic: degraded to default arm")
+	}
+	if err == nil && ctx.Err() != nil {
+		err = fmt.Errorf("core: select cancelled: %w", ctx.Err())
+	}
+	if err != nil {
+		return err
+	}
+	parseDone, planDone := r.mark, time.Now()
+	// Deduplicate before featurizing: hint sets routinely collapse to the
+	// same physical plan, and identical plans featurize to identical trees
+	// and predictions, so each distinct plan is vectorized and inferred
+	// exactly once and the result fanned back out per arm.
+	r.armGroup, r.groupFP = dedupPlans(sel.Plans)
+	sel.UniquePlans = len(r.groupFP)
+	deduped := len(sel.Plans) - sel.UniquePlans
+	o.PlansDeduped.Add(float64(deduped))
+	r.uniqTrees = make([]*nn.Tree, sel.UniquePlans)
+	r.uniq = make([]*planner.Node, sel.UniquePlans)
+	for i, g := range r.armGroup {
+		if r.uniqTrees[g] == nil {
+			r.uniqTrees[g] = b.Feat.Vectorize(sel.Plans[i])
+			r.uniq[g] = sel.Plans[i]
+		}
+		sel.Trees[i] = r.uniqTrees[g]
+	}
+	featDone := time.Now()
+	if b.pcache != nil {
+		o.PlanCacheMisses.Inc()
+		r.verdict = "miss"
+	}
+	var planNote, featNote string
+	if r.tr != nil {
+		planNote = fmt.Sprintf("arms=%d distinct=%d", len(b.Cfg.Arms), sel.UniquePlans)
+		featNote = fmt.Sprintf("unique=%d deduped=%d", sel.UniquePlans, deduped)
+	}
+	r.stage("plan_arms", o.PlanSeconds, parseDone, planDone, planNote)
+	r.stage("featurize", o.FeatSeconds, planDone, featDone, featNote)
+	return nil
+}
+
+// predict fills sel.Preds: from the cache on a full hit, otherwise by one
+// forward pass over the distinct plans, fanned back out per arm.
+func (r *selectReq) predict() {
+	b, sel, o := r.b, r.sel, r.b.observer
+	inferStart := time.Now()
+	var uniqPreds []float64
+	finite := 0
+	if v := r.hitVariant; v != nil && v.preds != nil && v.predsVer == r.st.version {
+		// Full hit: these exact tensors were already predicted under this
+		// model version — skip inference entirely. Versions are bumped
+		// precisely when a model is published, so an equal version implies
+		// the same model instance and the cached predictions are
+		// byte-identical to a fresh pass.
+		uniqPreds, finite = v.preds, v.finite
+	} else {
+		if r.verdict == "hit" {
+			r.verdict = "hit-repredict" // tensors reused, model moved on
+		}
+		uniqPreds = b.predictTrees(r.st.model, r.uniqTrees)
+		// Clamp non-finite predictions: one NaN must not poison the argmin
+		// (every comparison against NaN is false), so a degenerate arm is
+		// priced at +infinity-in-practice and loses to any finite one.
+		for i, p := range uniqPreds {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				o.NonFinitePreds.Inc()
+				uniqPreds[i] = math.MaxFloat64
+			} else {
+				finite++
+			}
+		}
+		r.freshPreds, r.freshFinite = uniqPreds, finite
+	}
+	sel.Preds = make([]float64, len(r.armGroup))
+	for i, g := range r.armGroup {
+		sel.Preds[i] = uniqPreds[g]
+	}
+	r.stage("infer", o.InferSeconds, inferStart, time.Now(), "")
+	if finite == 0 {
+		// NO prediction is finite: the model has nothing usable to say —
+		// trip the breaker and serve the default arm.
+		b.breaker.Trip("degenerate-predictions")
+		o.BreakerDefault.Inc()
+		sel.Preds = nil
+		r.breakerNote = "degenerate-predictions"
+		sel.UsedModel = false
+	}
+}
+
+// predictTrees runs a forward pass over trees, coalescing with concurrent
+// selections through the micro-batcher when one is configured and the
+// model is the batchable TCNN. The batch key is the model instance, so
+// selections that snapshotted different models — e.g. across a hot-swap —
+// never share a pass.
+func (b *Bao) predictTrees(mdl model.Model, trees []*nn.Tree) []float64 {
+	if b.batcher != nil {
+		if tm, ok := mdl.(*model.TCNNModel); ok {
+			return b.batcher.Predict(tm, tm.Predict, trees)
+		}
+	}
+	return mdl.Predict(trees)
+}
+
+// storeCacheEntry publishes this selection's reusable work into the plan
+// cache: a miss stores the whole entry; a hit that had to refeaturize or
+// re-predict refreshes the entry's variant. Degenerate predictions
+// (freshFinite == 0) are never cached — the entry keeps its plans but no
+// predictions, so the next repeat re-predicts. No-op when the cache is
+// off or the arm set wasn't fully planned (groupFP nil).
+func (r *selectReq) storeCacheEntry() {
+	b := r.b
+	if b.pcache == nil || r.groupFP == nil {
+		return
+	}
+	if r.hit != nil && r.hitVariant != nil && r.freshPreds == nil {
+		return // full hit: nothing newer than what is already cached
+	}
+	v := &cacheVariant{predsVer: r.st.version}
+	if r.hitVariant != nil {
+		// Tensors were reused; only the predictions are new.
+		v.resSig, v.trees = r.hitVariant.resSig, r.hitVariant.trees
+	} else {
+		v.trees = r.uniqTrees
+		if b.Feat.CacheFrac != nil {
+			v.resSig = residencyFromTrees(r.uniqTrees)
+		}
+	}
+	if r.freshFinite > 0 {
+		v.preds, v.finite = r.freshPreds, r.freshFinite
+	}
+	if r.hit != nil {
+		b.pcache.replaceVariant(r.hit, v)
+		return
+	}
+	b.pcache.put(&planCacheEntry{
+		fp:         r.fp,
+		canon:      r.canon,
+		schemaVer:  r.schemaVer,
+		statsEpoch: r.statsEp,
+		plans:      r.sel.Plans,
+		cands:      r.sel.Candidates,
+		armGroup:   r.armGroup,
+		groupFP:    r.groupFP,
+		uniq:       r.uniq,
+		variant:    v,
+	})
+}
+
+// pickArm is the argmin over the selectable arms' predictions.
+func (r *selectReq) pickArm() {
+	sel, candidates := r.sel, r.st.arms
+	pickStart := time.Now()
+	// Cost-sanity guard: drop arms whose plan the traditional optimizer
+	// prices two orders of magnitude above the cheapest arm. Bao
+	// second-guesses the cost model's *choices*, not its arithmetic —
+	// no mis-estimate plausibly hides a 10,000× cost ratio, so such
+	// plans are pure exploration downside.
+	minCost := sel.Plans[candidates[0]].EstCost
+	for _, i := range candidates {
+		if sel.Plans[i].EstCost < minCost {
+			minCost = sel.Plans[i].EstCost
+		}
+	}
+	sane := candidates[:0:0]
+	for _, i := range candidates {
+		if sel.Plans[i].EstCost <= minCost*100 {
+			sane = append(sane, i)
+		}
+	}
+	if len(sane) > 0 {
+		candidates = sane
+	}
+	// Exact ties are the common case once dedup runs: every arm in a
+	// dedup group carries the same prediction. Break them with the
+	// traditional optimizer's cost estimate — the "leverage the wisdom
+	// built into existing optimizers" principle: the model decides when
+	// it has signal, the cost model when it has none. The band is exact
+	// equality on purpose: any wider and the cost model would override
+	// the learned signal on the trap queries Bao exists to fix. Both
+	// comparisons are strict, so on a full (pred, cost) tie the lowest
+	// arm index wins and the choice is stable run to run.
+	best := candidates[0]
+	for _, i := range candidates[1:] {
+		if sel.Preds[i] < sel.Preds[best] ||
+			(sel.Preds[i] == sel.Preds[best] && sel.Plans[i].EstCost < sel.Plans[best].EstCost) {
+			best = i
+		}
+	}
+	sel.ArmID = best
+	r.stage("select_arm", nil, pickStart, time.Now(), "")
+}
+
+// finish stamps the decision — arm counter, whole-Select latency and the
+// trace's summary fields — on every exit that serves a plan.
+func (r *selectReq) finish() *Selection {
+	b, sel, o := r.b, r.sel, r.b.observer
+	arm := b.Cfg.Arms[sel.ArmID].Name
+	o.SelectSeconds.Observe(time.Since(r.start).Seconds())
+	o.ArmSelected.With(arm).Inc()
+	if tr := r.tr; tr != nil {
+		tr.ArmID = sel.ArmID
+		tr.ArmName = arm
+		tr.UsedModel = sel.UsedModel
+		tr.WarmUp = sel.WarmUp
+		tr.WindowSize = int(b.windowLen.Load())
+		tr.UniquePlans = sel.UniquePlans
+		tr.Breaker = r.breakerNote
+		tr.Cache = r.verdict
+		if sel.Preds != nil {
+			tr.PredictedSecs = sel.Preds[sel.ArmID]
+		}
+	}
+	return sel
+}
+
+// errPlannerPanic marks a planning error that was a recovered panic: the
+// selection degrades to the default arm planned alone instead of failing.
+var errPlannerPanic = errors.New("planner panicked")
+
+// planArms plans the first n arms of the query in one join enumeration
+// (planner.PlanArms) and stores each arm's plan and the enumeration's
+// candidate count — which does not depend on the hint set — in sel. A
+// planner panic — real, or injected via Cfg.Fault.PlanPanicArm when that
+// arm is among the n — becomes a breaker trip plus an error wrapping
+// errPlannerPanic: one buggy hint-set extension must degrade queries to
+// the default plan, never crash the process (the paper's extensibility
+// story depends on new arms being safe to add). A cancelled enumeration
+// returns the context's error.
+func (b *Bao) planArms(ctx context.Context, q *planner.Query, sel *Selection, n int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			b.observer.PlannerPanics.Inc()
+			b.breaker.Trip("planner-panic")
+			err = fmt.Errorf("core: planning %d arms: %w: %v", n, errPlannerPanic, r)
+		}
+	}()
+	if f := b.Cfg.Fault; f != nil && f.PlanPanicArm > 0 && f.PlanPanicArm < n {
+		panic("guard: injected planner fault")
+	}
+	roots, cands, err := b.Eng.Opt.PlanArms(ctx, q, b.hints[:n])
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return fmt.Errorf("core: select cancelled: %w", cerr)
+		}
+		return fmt.Errorf("core: planning %d arms: %w", n, err)
+	}
+	copy(sel.Plans, roots)
+	for i := range roots {
+		sel.Candidates[i] = cands
+	}
+	return nil
+}
+
+// Advice is advisor-mode EXPLAIN enrichment (Figure 6).
+type Advice struct {
+	DefaultPredSecs float64
+	BestArm         Arm
+	BestPredSecs    float64
+	ImprovementSecs float64
+}
+
+// Advise predicts the default plan's performance and the best hint set for
+// a query without executing anything. When there are no predictions to
+// advise from — no model yet, or Select degraded to the default arm
+// (breaker open, planner panic, all-non-finite predictions) — it returns
+// the default plan with an error naming the reason.
+func (b *Bao) Advise(sql string) (*Advice, *planner.Node, error) {
+	sel, err := b.Select(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !b.Trained() {
+		return nil, sel.Plans[0], fmt.Errorf("core: advisor needs a trained model (no experience yet)")
+	}
+	if !sel.UsedModel || sel.Preds == nil {
+		// The trace, when tracing is on, has the exact degradation note;
+		// without it, every such degradation leaves the breaker open.
+		reason := "model unavailable"
+		if sel.Trace != nil && sel.Trace.Breaker != "" {
+			reason = sel.Trace.Breaker
+		} else if b.breaker.State() == guard.Open {
+			reason = "breaker-open"
+		}
+		return nil, sel.Plans[0], fmt.Errorf("core: advisor has no predictions, default plan served (%s)", reason)
+	}
+	best := 0
+	for i, p := range sel.Preds {
+		if p < sel.Preds[best] {
+			best = i
+		}
+	}
+	a := &Advice{
+		DefaultPredSecs: sel.Preds[0],
+		BestArm:         b.Cfg.Arms[best],
+		BestPredSecs:    sel.Preds[best],
+		ImprovementSecs: sel.Preds[0] - sel.Preds[best],
+	}
+	return a, sel.Plans[0], nil
+}
+
+// ExplainWithAdvice renders the Figure 6 advisor-mode EXPLAIN output.
+func (b *Bao) ExplainWithAdvice(sql string) (string, error) {
+	a, defPlan, err := b.Advise(sql)
+	if err != nil {
+		return "", err
+	}
+	head := fmt.Sprintf("Bao prediction: %.3f ms\nBao recommended hint: %s\n    (estimated %.3f ms improvement)\n",
+		a.DefaultPredSecs*1000, a.BestArm.Hints.SQL(), a.ImprovementSecs*1000)
+	return head + b.Eng.Explain(defPlan), nil
+}

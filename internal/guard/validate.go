@@ -8,7 +8,7 @@ import (
 )
 
 // ValidateConfig tunes the validation gate a candidate model must pass
-// before RetrainAsync may hot-swap it in.
+// before a retrain may swap it in.
 type ValidateConfig struct {
 	// Enabled turns the gate on. Off, candidates swap in sight-unseen
 	// (the pre-guard behavior).

@@ -219,7 +219,7 @@ func (s *Session) Figure15a() error {
 	if err != nil {
 		return err
 	}
-	run := func(name string, newModel func() model.Model) (float64, error) {
+	run := func(name string, newModel func(seed int64) model.Model) (float64, error) {
 		cfg := RunConfig{Workload: inst, VM: cloud.N1_16, Grade: engine.GradePostgreSQL, System: SysBao}
 		cfg.BaoCfg = s.BaoConfig()
 		cfg.BaoCfg.NewModel = newModel
@@ -240,12 +240,12 @@ func (s *Session) Figure15a() error {
 		return err
 	}
 	rows = append(rows, []string{"Bao (TCNN)", fmtSecs(tc.TotalSeconds())})
-	rf, err := run("RF", func() model.Model { return model.NewForest(s.Opts.Seed) })
+	rf, err := run("RF", func(seed int64) model.Model { return model.NewForest(seed) })
 	if err != nil {
 		return err
 	}
 	rows = append(rows, []string{"Bao (random forest)", fmtSecs(rf)})
-	lin, err := run("Linear", func() model.Model { return model.NewLinear() })
+	lin, err := run("Linear", func(int64) model.Model { return model.NewLinear() })
 	if err != nil {
 		return err
 	}
