@@ -205,7 +205,7 @@ type (
 	// optional durability (see internal/server).
 	BaoServer = baoserver.Server
 	// ServerConfig controls a BaoServer (admission limits, timeouts, the
-	// experience-log and model paths).
+	// experience-log path and model checkpoint directory).
 	ServerConfig = baoserver.Config
 	// ExperienceLog is the durable append-only record of observed
 	// experiences and critical-query exploration sets.
@@ -213,7 +213,7 @@ type (
 )
 
 // Serve wires a serving layer around opt (replaying the experience log
-// and loading the model when configured), binds addr (":0" picks a free
+// and restoring the newest model checkpoint when configured), binds addr (":0" picks a free
 // port), and serves in the background. The server owns opt from here on;
 // stop it with Shutdown.
 func Serve(opt *Optimizer, addr string, cfg ServerConfig) (*BaoServer, error) {
@@ -238,23 +238,22 @@ type (
 	// lazy activation and LRU residency bounded by count and bytes.
 	Shard = baoserver.Shard
 	// ShardConfig controls a Shard (name, tenant namespace root and
-	// factory, residency bounds, preload list).
+	// factory, residency bounds).
 	ShardConfig = baoserver.ShardConfig
 	// TenantOptions configures a shard's tenant registry.
 	TenantOptions = baoserver.TenantOptions
 	// Router is the fleet front door: consistent-hash tenant routing with
 	// inline failover and rebuild-by-replay reassignment.
 	Router = baorouter.Router
-	// RouterConfig controls a Router (fleet membership, vnodes, body
-	// buffer bound, health polling).
+	// RouterConfig controls a Router (fleet membership, default tenant,
+	// health polling).
 	RouterConfig = baorouter.RouterConfig
 	// RouterShard names one shard and its base URL in RouterConfig.
 	RouterShard = baorouter.ShardInfo
 )
 
 // ServeShard builds a shard from cfg, binds addr (":0" picks a free
-// port), and serves in the background, rehydrating any preload tenants
-// asynchronously; poll GET /v1/health for readiness.
+// port), and serves in the background; tenants activate on first touch.
 func ServeShard(cfg ShardConfig, addr string) (*Shard, error) {
 	s, err := baoserver.NewShard(cfg)
 	if err != nil {

@@ -16,39 +16,27 @@ import (
 	"strings"
 	"time"
 
+	"bao/cmd/internal/cli"
 	"bao/internal/harness"
-	"bao/internal/obs"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids, or 'all' (see -list)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	scale := flag.Float64("scale", 0.25, "dataset scale multiplier")
-	queries := flag.Int("queries", 1200, "workload stream length")
+	scale := cli.Scale()
+	queries := flag.Int("queries", 1200, "workload stream length (>= 1)")
 	seed := flag.Int64("seed", 42, "random seed")
-	workers := flag.Int("workers", 0, "goroutines for Bao inference/training (0 = one per CPU, 1 = sequential)")
-	planCache := flag.Bool("plan-cache", false, "cache planned arm sets and featurized tensors per query fingerprint")
-	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "plan-cache resident byte bound (0 = 64 MiB)")
-	inferBatch := flag.Int("infer-batch", 0, "coalesce concurrent predictions into shared forward passes of at most this many plan tensors (0 = off)")
-	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline; over-budget queries clamp to it as censored observations (0 = off)")
+	queryTimeout := cli.QueryTimeout()
 	listen := flag.String("listen", "", "serve /metrics and /debug/traces on this address while experiments run")
-	flag.Parse()
-
-	if *listen != "" {
-		srv, err := obs.Serve(*listen, obs.Default())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "baobench:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("observability: http://%s/metrics and /debug/traces\n", srv.Addr)
+	cli.Parse()
+	if *queries < 1 {
+		cli.Fatal(fmt.Errorf("-queries must be >= 1, got %d", *queries))
 	}
 
-	opts := harness.Options{Scale: *scale, Queries: *queries, Seed: *seed,
-		Workers:   *workers,
-		PlanCache: *planCache, PlanCacheBytes: *planCacheBytes, InferBatch: *inferBatch,
-		QueryTimeout: *queryTimeout, Out: os.Stdout}
-	s := harness.NewSession(opts)
+	cli.ServeObs(*listen)
+
+	s := harness.NewSession(harness.Options{Scale: *scale, Queries: *queries, Seed: *seed,
+		QueryTimeout: *queryTimeout, Out: os.Stdout})
 
 	experiments := map[string]func() error{
 		"table1":       s.Table1,
@@ -99,8 +87,7 @@ func main() {
 		}
 		start := time.Now()
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "baobench: %s: %v\n", id, err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("%s: %w", id, err))
 		}
 		fmt.Printf("[%s completed in %s]\n", id, time.Since(start).Round(time.Millisecond))
 	}

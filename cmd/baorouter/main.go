@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"bao"
+	"bao/cmd/internal/cli"
 	baorouter "bao/internal/router"
 	baoserver "bao/internal/server"
 	"bao/internal/workload"
@@ -47,16 +48,11 @@ func main() {
 	local := flag.Int("local", 0, "run this many in-process shards instead of external ones (demo mode)")
 	tenantDir := flag.String("tenant-dir", "", "per-tenant namespace root for -local shards (default: a temp dir)")
 	defaultTenant := flag.String("default-tenant", "", "tenant assumed when a request names none (\"\" rejects with 400)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = 64)")
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "shard readiness poll period (0 = off; failover still works inline)")
 	maxResident := flag.Int("max-resident", 8, "per-shard resident-tenant count bound")
 	maxResidentBytes := flag.Int64("max-resident-bytes", 256<<20, "per-shard resident model byte bound")
-	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "per-tenant plan-cache resident byte bound (0 = 64 MiB; -local mode)")
-	explogSegBytes := flag.Int64("explog-segment-bytes", 0, "per-tenant explog segment rotation bound in bytes (0 = 4 MiB; -local mode)")
-	flag.Parse()
-	if *explogSegBytes < 0 {
-		fatal(fmt.Errorf("-explog-segment-bytes must be >= 0 (0 = 4 MiB default), got %d", *explogSegBytes))
-	}
+	explogSegBytes := cli.ExplogSegmentBytes() // per tenant; -local mode
+	cli.Parse()
 
 	var infos []baorouter.ShardInfo
 	var localShards []*baoserver.Shard
@@ -66,7 +62,7 @@ func main() {
 		if dir == "" {
 			var err error
 			if dir, err = os.MkdirTemp("", "bao-fleet-*"); err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			fmt.Printf("baorouter: tenant namespaces in %s\n", dir)
 		}
@@ -76,7 +72,7 @@ func main() {
 				Name: name,
 				Tenants: bao.TenantOptions{
 					Dir:              dir, // shared: any shard can rebuild any tenant
-					NewBao:           microTenant(*planCacheBytes),
+					NewBao:           microTenant,
 					Server:           bao.ServerConfig{SegmentBytes: *explogSegBytes},
 					MaxResident:      *maxResident,
 					MaxResidentBytes: *maxResidentBytes,
@@ -84,7 +80,7 @@ func main() {
 				DefaultTenant: *defaultTenant,
 			}, "127.0.0.1:0")
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			localShards = append(localShards, shard)
 			infos = append(infos, baorouter.ShardInfo{Name: name, URL: "http://" + shard.Addr()})
@@ -94,22 +90,21 @@ func main() {
 		for _, part := range strings.Split(*shardsFlag, ",") {
 			name, url, ok := strings.Cut(strings.TrimSpace(part), "=")
 			if !ok || name == "" || url == "" {
-				fatal(fmt.Errorf("bad -shards entry %q (want name=url)", part))
+				cli.Fatal(fmt.Errorf("bad -shards entry %q (want name=url)", part))
 			}
 			infos = append(infos, baorouter.ShardInfo{Name: name, URL: url})
 		}
 	default:
-		fatal(fmt.Errorf("need -shards name=url,... or -local N"))
+		cli.Fatal(fmt.Errorf("need -shards name=url,... or -local N"))
 	}
 
 	rt, err := bao.ServeRouter(bao.RouterConfig{
 		Shards:         infos,
-		Vnodes:         *vnodes,
 		DefaultTenant:  *defaultTenant,
 		HealthInterval: *healthEvery,
 	}, *listen)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Printf("baorouter: routing %d shards on http://%s\n", len(infos), rt.Addr())
 	fmt.Printf("  try: curl -s -X POST http://%s/v1/query -H 'X-Bao-Tenant: acme' -d '{\"sql\": \"SELECT COUNT(*) FROM orders o, users u WHERE o.user_id = u.id\"}'\n", rt.Addr())
@@ -133,21 +128,13 @@ func main() {
 // own engine loaded with the Micro workload (tiny, millisecond setup) and
 // a fast Bao. Real deployments implement TenantOptions.NewBao against
 // their own per-tenant engines.
-func microTenant(planCacheBytes int64) func(tenant string) (*bao.Optimizer, error) {
-	return func(tenant string) (*bao.Optimizer, error) {
-		inst := workload.Micro(workload.Config{Scale: 1, Queries: 1, Seed: 42})
-		eng := bao.NewEngine(bao.GradePostgreSQL, 256)
-		if err := inst.Setup(eng); err != nil {
-			return nil, err
-		}
-		cfg := bao.FastConfig()
-		cfg.PlanCache = true
-		cfg.PlanCacheBytes = planCacheBytes
-		return bao.New(eng, cfg), nil
+func microTenant(tenant string) (*bao.Optimizer, error) {
+	inst := workload.Micro(workload.Config{Scale: 1, Queries: 1, Seed: 42})
+	eng := bao.NewEngine(bao.GradePostgreSQL, 256)
+	if err := inst.Setup(eng); err != nil {
+		return nil, err
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "baorouter:", err)
-	os.Exit(1)
+	cfg := bao.FastConfig()
+	cfg.PlanCache = true
+	return bao.New(eng, cfg), nil
 }

@@ -7,11 +7,7 @@
 // Usage:
 //
 //	baoserver [-listen 127.0.0.1:8765] [-workload IMDb|Stack|Corp] [-scale 0.25]
-//	          [-explog bao.explog] [-model bao.model] [-train 0]
-//	          [-max-inflight 64] [-timeout 30s] [-query-timeout 0]
-//	          [-workers N]
-//	          [-plan-cache=true] [-plan-cache-size 512] [-plan-cache-bytes N] [-infer-batch 64]
-//	          [-checkpoint-dir DIR] [-checkpoint-keep 5] [-guard=true]
+//	          [-explog bao.explog] [-checkpoint-dir DIR] ...   (-h lists every flag)
 //
 // Endpoints (see internal/server):
 //
@@ -24,7 +20,8 @@
 //	GET  /metrics      Prometheus metrics; GET /debug/traces decision traces
 //
 // SIGINT/SIGTERM shuts down gracefully: in-flight requests drain, the
-// trainer finishes, the log is flushed, and the model is persisted.
+// trainer finishes (every accepted retrain is already a checkpoint under
+// -checkpoint-dir), and the log is flushed.
 package main
 
 import (
@@ -37,45 +34,27 @@ import (
 	"time"
 
 	"bao"
-	"bao/internal/workload"
+	"bao/cmd/internal/cli"
 )
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8765", "address to serve the Bao API on")
-	wlName := flag.String("workload", "IMDb", "dataset to load (IMDb, Stack, Corp)")
-	scale := flag.Float64("scale", 0.25, "dataset scale")
-	train := flag.Int("train", 0, "pre-train Bao on this many workload queries before serving")
-	explog := flag.String("explog", "", "durable experience log path (replayed on startup)")
-	explogSegBytes := flag.Int64("explog-segment-bytes", 0, "explog segment rotation bound in bytes (0 = 4 MiB default)")
-	modelPath := flag.String("model", "", "value-model path (loaded on startup, saved on shutdown)")
+	wlName := cli.Dataset()
+	explog, explogSegBytes := cli.Explog()
 	maxInFlight := flag.Int("max-inflight", 64, "admitted concurrent requests before shedding with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request handling timeout")
-	queryTimeout := flag.Duration("query-timeout", 0, "per-query execution deadline; timed-out queries return 504 and record a censored experience (0 = off)")
-	workers := flag.Int("workers", 0, "goroutines for Bao inference/training (0 = one per CPU)")
+	queryTimeout := cli.QueryTimeout()
 	planCache := flag.Bool("plan-cache", true, "cache planned arm sets and featurized tensors per query fingerprint (invalidated on retrain, DDL, and ANALYZE)")
 	planCacheSize := flag.Int("plan-cache-size", 512, "plan-cache entry bound")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "plan-cache resident byte bound (0 = 64 MiB)")
 	inferBatch := flag.Int("infer-batch", 64, "coalesce concurrent predictions into shared forward passes of at most this many plan tensors (0 = off)")
-	ckptDir := flag.String("checkpoint-dir", "", "versioned model checkpoint directory (rolls back past corrupt generations on startup)")
-	ckptKeep := flag.Int("checkpoint-keep", 0, "checkpoint generations to retain (0 = default 5)")
-	guardOn := flag.Bool("guard", true, "enable the model-quality guardrails: validation-gated hot-swap and the default-plan circuit breaker")
+	ckptDir := flag.String("checkpoint-dir", "", "versioned model checkpoint directory: every accepted retrain is saved there, the newest valid generation is restored on startup")
+	guardOn := cli.Guard(true)
 	eventLog := flag.String("eventlog", "", "rotating JSONL file for the structured event journal (swaps, breaker transitions, checkpoints; /debug/events serves it in-memory regardless)")
-	flag.Parse()
-	if *explogSegBytes < 0 {
-		fatal(fmt.Errorf("-explog-segment-bytes must be >= 0 (0 = 4 MiB default), got %d", *explogSegBytes))
-	}
+	cli.Parse()
 
-	inst, err := workload.ByName(*wlName, workload.Config{Scale: *scale, Queries: maxInt(*train, 1), Seed: 42})
-	if err != nil {
-		fatal(err)
-	}
-	eng := bao.NewEngine(bao.GradePostgreSQL, 2000)
-	fmt.Printf("loading %s (scale %.2f)...\n", *wlName, *scale)
-	if err := inst.Setup(eng); err != nil {
-		fatal(err)
-	}
+	eng := cli.LoadDataset(*wlName)
 	cfg := bao.FastConfig()
-	cfg.Workers = *workers
 	cfg.PlanCache = *planCache
 	cfg.PlanCacheSize = *planCacheSize
 	cfg.PlanCacheBytes = *planCacheBytes
@@ -85,15 +64,7 @@ func main() {
 		cfg.Validate = bao.ValidateConfig{Enabled: true}
 	}
 	opt := bao.New(eng, cfg)
-	if *train > 0 {
-		fmt.Printf("pre-training Bao on %d queries...\n", *train)
-		for _, q := range inst.Queries[:*train] {
-			if _, _, err := opt.Run(q.SQL); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("done (%d retrains)\n", opt.TrainCount())
-	}
+	cli.Pretrain(opt)
 
 	srv, err := bao.Serve(opt, *listen, bao.ServerConfig{
 		MaxInFlight:    *maxInFlight,
@@ -101,13 +72,11 @@ func main() {
 		QueryTimeout:   *queryTimeout,
 		LogPath:        *explog,
 		SegmentBytes:   *explogSegBytes,
-		ModelPath:      *modelPath,
 		CheckpointDir:  *ckptDir,
-		CheckpointKeep: *ckptKeep,
 		EventLogPath:   *eventLog,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	guardState := "off"
 	if *guardOn {
@@ -120,23 +89,11 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	fmt.Println("\nbaoserver: shutting down (draining requests, flushing log, saving model)...")
+	fmt.Println("\nbaoserver: shutting down (draining requests, flushing log)...")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Println("baoserver: bye")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "baoserver:", err)
-	os.Exit(1)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

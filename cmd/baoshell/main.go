@@ -9,8 +9,7 @@
 //
 // Usage:
 //
-//	baoshell [-workload IMDb|Stack|Corp] [-scale 0.25] [-train 0] [-workers N]
-//	         [-query-timeout 0] [-guard]
+//	baoshell [-workload IMDb|Stack|Corp] [-scale 0.25] [-train 0] [-guard] ...   (-h lists every flag)
 //
 // With -guard, Bao runs behind its guardrails (validation-gated hot-swap
 // and the default-plan circuit breaker); \g prints the guard status line.
@@ -30,52 +29,23 @@ import (
 	"time"
 
 	"bao"
+	"bao/cmd/internal/cli"
 	"bao/internal/cloud"
 	"bao/internal/sqlparser"
-	"bao/internal/workload"
 )
 
 func main() {
-	wlName := flag.String("workload", "IMDb", "dataset to load (IMDb, Stack, Corp)")
-	scale := flag.Float64("scale", 0.25, "dataset scale")
-	train := flag.Int("train", 0, "pre-train Bao on this many workload queries")
-	workers := flag.Int("workers", 0, "goroutines for Bao inference/training (0 = one per CPU, 1 = sequential)")
-	planCache := flag.Bool("plan-cache", false, "cache planned arm sets and featurized tensors per query fingerprint")
-	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "plan-cache resident byte bound (0 = 64 MiB)")
-	inferBatch := flag.Int("infer-batch", 0, "coalesce concurrent predictions into shared forward passes of at most this many plan tensors (0 = off)")
-	queryTimeout := flag.Duration("query-timeout", 0, "per-query execution deadline; timed-out Bao queries record censored experiences (0 = off)")
-	guardOn := flag.Bool("guard", false, "enable Bao's guardrails: validation-gated hot-swap and the default-plan circuit breaker")
-	explog := flag.String("explog", "", "durable experience log path: replayed on startup, appended during the session")
-	explogSegBytes := flag.Int64("explog-segment-bytes", 0, "explog segment rotation bound in bytes (0 = 4 MiB default)")
+	wlName := cli.Dataset()
+	queryTimeout := cli.QueryTimeout()
+	guardOn := cli.Guard(false)
+	explog, explogSegBytes := cli.Explog()
 	listen := flag.String("listen", "", "serve /metrics and /debug/traces on this address (e.g. 127.0.0.1:9090)")
-	flag.Parse()
-	if *explogSegBytes < 0 {
-		fatal(fmt.Errorf("-explog-segment-bytes must be >= 0 (0 = 4 MiB default), got %d", *explogSegBytes))
-	}
+	cli.Parse()
 
-	if *listen != "" {
-		srv, err := bao.ServeObs(*listen)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("observability: http://%s/metrics, /debug/traces, /debug/regret, /debug/events\n", srv.Addr)
-	}
-
-	inst, err := workload.ByName(*wlName, workload.Config{Scale: *scale, Queries: maxInt(*train, 1), Seed: 42})
-	if err != nil {
-		fatal(err)
-	}
-	eng := bao.NewEngine(bao.GradePostgreSQL, 2000)
-	fmt.Printf("loading %s (scale %.2f)...\n", *wlName, *scale)
-	if err := inst.Setup(eng); err != nil {
-		fatal(err)
-	}
+	cli.ServeObs(*listen)
+	eng := cli.LoadDataset(*wlName)
 	cfg := bao.FastConfig()
-	cfg.Workers = *workers
-	cfg.PlanCache = *planCache
-	cfg.PlanCacheBytes = *planCacheBytes
-	cfg.InferBatch = *inferBatch
+	cfg.PlanCache = true
 	if *guardOn {
 		cfg.Breaker = bao.BreakerConfig{Enabled: true}
 		cfg.Validate = bao.ValidateConfig{Enabled: true}
@@ -90,7 +60,7 @@ func main() {
 			WindowCap:    opt.WindowCap(),
 		})
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer l.Close() //nolint:errcheck // session teardown
 		l.Replay(opt)
@@ -103,15 +73,7 @@ func main() {
 			l.AppendCritical(key, exps) //nolint:errcheck // degradation is counted inside
 		})
 	}
-	if *train > 0 {
-		fmt.Printf("pre-training Bao on %d queries...\n", *train)
-		for _, q := range inst.Queries[:*train] {
-			if _, _, err := opt.Run(q.SQL); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("done (%d retrains)\n", len(opt.TrainEvents))
-	}
+	cli.Pretrain(opt)
 	baoOn := false
 
 	fmt.Println(`type SQL (single line), \t for tables, \g for guard status, \events for the learning-loop journal, \q to quit`)
@@ -301,16 +263,4 @@ func printEvents(opt *bao.Optimizer) {
 		}
 		fmt.Println(line)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "baoshell:", err)
-	os.Exit(1)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

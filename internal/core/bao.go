@@ -221,6 +221,8 @@ const recentKeep = 8
 // Gross-misprediction thresholds (§3.2 "learns from its mistakes"): an
 // execution observed more than grossMispredRatio times its prediction AND
 // slower than grossMispredFloorSecs in absolute terms indicts the model.
+// The breaker's serving-regression check shares the floor, so noise on
+// sub-millisecond queries can never trip anything.
 const (
 	grossMispredRatio     = 8.0
 	grossMispredFloorSecs = 0.03
@@ -371,9 +373,6 @@ func New(eng *engine.Engine, cfg Config) *Bao {
 	}
 	if cfg.Breaker.Enabled {
 		cfg.Breaker = cfg.Breaker.WithDefaults()
-	}
-	if cfg.Validate.Enabled {
-		cfg.Validate = cfg.Validate.WithDefaults()
 	}
 	b := &Bao{
 		Cfg:        cfg,

@@ -256,7 +256,7 @@ func (b *Bao) reportBreakerOutcome(sel *Selection, secs float64) {
 	c := b.Cfg.Breaker
 	defPred := sel.Preds[0]
 	failure := sel.ArmID != 0 && isFinite(defPred) && defPred > 0 &&
-		secs > c.RegretRatio*defPred && secs > c.RegretFloorSecs
+		secs > c.RegretRatio*defPred && secs > grossMispredFloorSecs
 	b.breaker.ReportOutcome(failure)
 }
 

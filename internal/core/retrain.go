@@ -30,7 +30,7 @@ type trainingSample struct {
 //
 // Experiences with non-finite latency targets are excluded — one NaN
 // target would zero the network's gradients and poison the whole fit —
-// and, when the validation gate is enabled, every cfg.HoldoutEvery-th
+// and, when the validation gate is enabled, every guard.HoldoutStride-th
 // eligible experience is routed into the held-out validation slice
 // instead of the training pool (the newest recentKeep and censored
 // observations stay trainable: the former must never be dropped, the
@@ -52,7 +52,7 @@ func (b *Bao) trainingSampleLocked() (s trainingSample) {
 		}
 		pool = append(pool, i)
 	}
-	if v := b.Cfg.Validate; v.Enabled {
+	if b.Cfg.Validate.Enabled {
 		holdout := make(map[int]bool)
 		tail := max(len(b.exp)-recentKeep, 0)
 		nth := 0
@@ -61,7 +61,7 @@ func (b *Bao) trainingSampleLocked() (s trainingSample) {
 				continue
 			}
 			nth++
-			if nth%v.HoldoutEvery == 0 && len(holdout) < v.MaxHoldout {
+			if nth%guard.HoldoutStride == 0 && len(holdout) < guard.HoldoutCap {
 				holdout[i] = true
 				s.valTrees = append(s.valTrees, b.exp[i].Tree)
 				s.valSecs = append(s.valSecs, b.exp[i].Secs)
@@ -254,7 +254,7 @@ func (b *Bao) validateCandidate(cand model.Model, s trainingSample) guard.Verdic
 	} else if st := b.state.Load(); st.trained {
 		incumbent = st.model
 	}
-	return guard.ValidateCandidate(cand, incumbent, trees, secs, b.Cfg.Validate)
+	return guard.ValidateCandidate(cand, incumbent, trees, secs)
 }
 
 // finishRetrainLocked publishes an accepted fit and its bookkeeping.

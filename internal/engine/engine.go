@@ -18,7 +18,6 @@ import (
 	"bao/internal/bufferpool"
 	"bao/internal/catalog"
 	"bao/internal/executor"
-	"bao/internal/obs"
 	"bao/internal/planner"
 	"bao/internal/sqlparser"
 	"bao/internal/stats"
@@ -76,7 +75,6 @@ func New(grade Grade, poolPages int) *Engine {
 		e.builder = stats.PGGrade()
 	}
 	e.Exec = executor.New(e.DB, e.Pool)
-	e.Exec.Ops = obs.Default().ExecutorOps
 	e.Opt = &planner.Optimizer{Schema: e.Schema, Stats: e, Sampling: grade == GradeComSys}
 	return e
 }

@@ -46,13 +46,9 @@ func growRows(rows []storage.Row, n int) []storage.Row {
 	return grown
 }
 
-// stream pushes n's output through sink batch by batch, recording the
-// node's per-operator evaluation count and, when tracing, its actual
-// output cardinality (EXPLAIN ANALYZE).
+// stream pushes n's output through sink batch by batch, recording, when
+// tracing, the node's actual output cardinality (EXPLAIN ANALYZE).
 func (e *Executor) stream(n *planner.Node, sink rowSink) error {
-	if e.Ops != nil {
-		e.Ops.With(n.Op.String()).Inc()
-	}
 	if e.Trace == nil {
 		return e.streamOp(n, sink)
 	}

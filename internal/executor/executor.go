@@ -36,7 +36,6 @@ import (
 
 	"bao/internal/bufferpool"
 	"bao/internal/catalog"
-	"bao/internal/obs"
 	"bao/internal/planner"
 	"bao/internal/sqlparser"
 	"bao/internal/storage"
@@ -129,16 +128,13 @@ type execInterrupt struct {
 
 // Executor runs plans against a database through a buffer pool. When
 // Trace is non-nil, execution records each node's actual output
-// cardinality into it (EXPLAIN ANALYZE). Ops, when non-nil, counts
-// plan-node evaluations by operator (one atomic increment per node per
-// query, so it stays off the per-row hot path). Fault, when non-nil,
-// injects a deterministic failure or stall (see Fault).
+// cardinality into it (EXPLAIN ANALYZE). Fault, when non-nil, injects a
+// deterministic failure or stall (see Fault).
 type Executor struct {
 	DB    *storage.Database
 	Pool  *bufferpool.Pool
 	C     Counters
 	Trace map[*planner.Node]int64
-	Ops   *obs.CounterVec
 	Fault *Fault
 
 	ctx        context.Context // current run's context; nil outside RunCtx

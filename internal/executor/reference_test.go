@@ -54,12 +54,9 @@ func (e *Executor) runReference(ctx context.Context, plan *planner.Node) (rows [
 	return rows, nil
 }
 
-// eval materializes n's full output, recording per-operator evaluation
-// counts and, when tracing, actual output cardinality.
+// eval materializes n's full output, recording, when tracing, actual
+// output cardinality.
 func (e *Executor) eval(n *planner.Node) ([]storage.Row, error) {
-	if e.Ops != nil {
-		e.Ops.With(n.Op.String()).Inc()
-	}
 	rows, err := e.evalOp(n)
 	if err != nil {
 		return nil, err

@@ -60,11 +60,9 @@ type BreakerConfig struct {
 	// trip the breaker.
 	RegretFailures int
 	// RegretRatio: an observation counts as a regression when it exceeds
-	// RegretRatio times the default arm's predicted seconds...
+	// RegretRatio times the default arm's predicted seconds (and the
+	// absolute floor every misprediction check in core shares).
 	RegretRatio float64
-	// RegretFloorSecs: ...and this absolute floor, so noise on
-	// sub-millisecond queries can never trip anything.
-	RegretFloorSecs float64
 	// Cooldown is how many decisions the default arm serves after a trip
 	// before the breaker goes half-open.
 	Cooldown int
@@ -83,9 +81,6 @@ func (c BreakerConfig) WithDefaults() BreakerConfig {
 	}
 	if c.RegretRatio <= 0 {
 		c.RegretRatio = 4
-	}
-	if c.RegretFloorSecs <= 0 {
-		c.RegretFloorSecs = 0.03
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 32

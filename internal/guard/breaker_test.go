@@ -36,7 +36,7 @@ func TestBreakerNilSafe(t *testing.T) {
 func TestBreakerDefaults(t *testing.T) {
 	c := BreakerConfig{Enabled: true}.WithDefaults()
 	if c.ModelFailures != 3 || c.RegretFailures != 5 || c.RegretRatio != 4 ||
-		c.RegretFloorSecs != 0.03 || c.Cooldown != 32 || c.Probes != 3 {
+		c.Cooldown != 32 || c.Probes != 3 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 }

@@ -7,41 +7,28 @@ import (
 	"bao/internal/nn"
 )
 
-// ValidateConfig tunes the validation gate a candidate model must pass
-// before a retrain may swap it in.
+// ValidateConfig switches the validation gate a candidate model must
+// pass before a retrain may swap it in.
 type ValidateConfig struct {
 	// Enabled turns the gate on. Off, candidates swap in sight-unseen
 	// (the pre-guard behavior).
 	Enabled bool
-	// HoldoutEvery routes every Nth eligible windowed experience into the
-	// held-out validation slice instead of the training sample.
-	HoldoutEvery int
-	// MaxHoldout caps the validation slice.
-	MaxHoldout int
-	// MinSamples is the holdout size below which the regression check is
-	// skipped (too little data to judge; the finiteness check still runs).
-	MinSamples int
-	// MaxRegress rejects a candidate whose mean validation error exceeds
-	// the incumbent's by more than this factor.
-	MaxRegress float64
 }
 
-// WithDefaults fills unset fields with the defaults.
-func (c ValidateConfig) WithDefaults() ValidateConfig {
-	if c.HoldoutEvery <= 0 {
-		c.HoldoutEvery = 4
-	}
-	if c.MaxHoldout <= 0 {
-		c.MaxHoldout = 256
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.MaxRegress <= 0 {
-		c.MaxRegress = 1.5
-	}
-	return c
-}
+// The gate's fixed parameters.
+const (
+	// HoldoutStride routes every Nth eligible windowed experience into
+	// the held-out validation slice instead of the training sample;
+	// HoldoutCap caps that slice.
+	HoldoutStride = 4
+	HoldoutCap    = 256
+	// minSamples is the holdout size below which the regression check is
+	// skipped (too little data to judge; the finiteness checks still run).
+	minSamples = 8
+	// maxRegress rejects a candidate whose mean validation error exceeds
+	// the incumbent's by more than this factor.
+	maxRegress = 1.5
+)
 
 // Predictor is the slice of a value model validation needs.
 type Predictor interface {
@@ -78,15 +65,14 @@ type weightChecker interface {
 //     holdout tree is rejected, whatever its aggregate error.
 //  3. Regression: the candidate's mean absolute error (in the model's
 //     log-latency space, so one scale covers microseconds to minutes)
-//     must not exceed the incumbent's by more than cfg.MaxRegress. Skipped
+//     must not exceed the incumbent's by more than maxRegress. Skipped
 //     when there is no incumbent (first fit), the holdout is smaller than
-//     cfg.MinSamples, or the incumbent's own error is non-finite.
+//     minSamples, or the incumbent's own error is non-finite.
 //
 // Thompson sampling makes individual draws deliberately noisy — each fit
-// is a bootstrap, not a best-effort point estimate — so MaxRegress bounds
+// is a bootstrap, not a best-effort point estimate — so maxRegress bounds
 // catastrophic regressions rather than demanding monotone improvement.
-func ValidateCandidate(cand, incumbent Predictor, trees []*nn.Tree, secs []float64, cfg ValidateConfig) Verdict {
-	cfg = cfg.WithDefaults()
+func ValidateCandidate(cand, incumbent Predictor, trees []*nn.Tree, secs []float64) Verdict {
 	v := Verdict{Samples: len(trees)}
 	if wc, ok := cand.(weightChecker); ok {
 		if err := wc.WeightsFinite(); err != nil {
@@ -106,7 +92,7 @@ func ValidateCandidate(cand, incumbent Predictor, trees []*nn.Tree, secs []float
 			return v
 		}
 	}
-	if incumbent == nil || len(trees) < cfg.MinSamples || len(secs) != len(trees) {
+	if incumbent == nil || len(trees) < minSamples || len(secs) != len(trees) {
 		v.OK = true
 		v.Reason = "insufficient-holdout"
 		return v
@@ -120,9 +106,9 @@ func ValidateCandidate(cand, incumbent Predictor, trees []*nn.Tree, secs []float
 		v.Reason = "incumbent-degenerate"
 		return v
 	}
-	if v.CandidateErr > v.IncumbentErr*cfg.MaxRegress+1e-9 {
+	if v.CandidateErr > v.IncumbentErr*maxRegress+1e-9 {
 		v.Reason = fmt.Sprintf("validation regressed: candidate %.4f vs incumbent %.4f (max %.1fx)",
-			v.CandidateErr, v.IncumbentErr, cfg.MaxRegress)
+			v.CandidateErr, v.IncumbentErr, maxRegress)
 		return v
 	}
 	v.OK = true

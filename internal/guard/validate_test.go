@@ -26,7 +26,7 @@ func holdout(n int) ([]*nn.Tree, []float64) {
 }
 
 func TestValidateEmptyHoldout(t *testing.T) {
-	v := ValidateCandidate(fakePredictor{}, nil, nil, nil, ValidateConfig{Enabled: true})
+	v := ValidateCandidate(fakePredictor{}, nil, nil, nil)
 	if !v.OK || v.Reason != "no-holdout" {
 		t.Fatalf("empty holdout: %+v, want OK no-holdout", v)
 	}
@@ -39,7 +39,7 @@ func TestValidateNonFiniteRejected(t *testing.T) {
 	trees, secs := holdout(4)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		cand := fakePredictor{preds: []float64{0.1, bad, 0.1, 0.1}}
-		v := ValidateCandidate(cand, nil, trees, secs, ValidateConfig{Enabled: true})
+		v := ValidateCandidate(cand, nil, trees, secs)
 		if v.OK {
 			t.Fatalf("candidate with prediction %v accepted: %+v", bad, v)
 		}
@@ -50,10 +50,10 @@ func TestValidateNonFiniteRejected(t *testing.T) {
 }
 
 func TestValidateInsufficientHoldout(t *testing.T) {
-	trees, secs := holdout(4) // below MinSamples=8
+	trees, secs := holdout(4) // below minSamples=8
 	cand := fakePredictor{preds: []float64{9, 9, 9, 9}}
 	inc := fakePredictor{preds: []float64{0.1, 0.2, 0.3, 0.4}}
-	v := ValidateCandidate(cand, inc, trees, secs, ValidateConfig{Enabled: true})
+	v := ValidateCandidate(cand, inc, trees, secs)
 	if !v.OK || v.Reason != "insufficient-holdout" {
 		t.Fatalf("small holdout: %+v, want OK insufficient-holdout", v)
 	}
@@ -62,14 +62,14 @@ func TestValidateInsufficientHoldout(t *testing.T) {
 func TestValidateNoIncumbent(t *testing.T) {
 	trees, secs := holdout(10)
 	cand := fakePredictor{preds: make([]float64, 10)} // awful but finite
-	v := ValidateCandidate(cand, nil, trees, secs, ValidateConfig{Enabled: true})
+	v := ValidateCandidate(cand, nil, trees, secs)
 	if !v.OK || v.Reason != "insufficient-holdout" {
 		t.Fatalf("first fit: %+v, want OK (no incumbent to regress against)", v)
 	}
 }
 
 // TestValidateRegression: a candidate much worse than the incumbent on
-// the holdout is rejected; one within MaxRegress passes.
+// the holdout is rejected; one within maxRegress passes.
 func TestValidateRegression(t *testing.T) {
 	trees, secs := holdout(10)
 	inc := fakePredictor{preds: append([]float64(nil), secs...)} // perfect
@@ -77,7 +77,7 @@ func TestValidateRegression(t *testing.T) {
 	for i := range far {
 		far[i] = secs[i] * 100 // wildly over
 	}
-	v := ValidateCandidate(fakePredictor{preds: far}, inc, trees, secs, ValidateConfig{Enabled: true})
+	v := ValidateCandidate(fakePredictor{preds: far}, inc, trees, secs)
 	if v.OK {
 		t.Fatalf("regressed candidate accepted: %+v", v)
 	}
@@ -89,7 +89,7 @@ func TestValidateRegression(t *testing.T) {
 	}
 
 	// Same predictions as the incumbent must always pass.
-	v = ValidateCandidate(inc, inc, trees, secs, ValidateConfig{Enabled: true})
+	v = ValidateCandidate(inc, inc, trees, secs)
 	if !v.OK || v.Reason != "passed" {
 		t.Fatalf("equal candidate: %+v, want passed", v)
 	}
@@ -104,7 +104,7 @@ func TestValidateDegenerateIncumbent(t *testing.T) {
 		nan[i] = math.NaN()
 	}
 	cand := fakePredictor{preds: make([]float64, 10)}
-	v := ValidateCandidate(cand, fakePredictor{preds: nan}, trees, secs, ValidateConfig{Enabled: true})
+	v := ValidateCandidate(cand, fakePredictor{preds: nan}, trees, secs)
 	if !v.OK || v.Reason != "incumbent-degenerate" {
 		t.Fatalf("degenerate incumbent: %+v, want OK incumbent-degenerate", v)
 	}
@@ -119,7 +119,7 @@ func TestValidateNegativePredictionsClamped(t *testing.T) {
 		neg[i] = -5
 	}
 	inc := fakePredictor{preds: append([]float64(nil), secs...)}
-	v := ValidateCandidate(fakePredictor{preds: neg}, inc, trees, secs, ValidateConfig{Enabled: true})
+	v := ValidateCandidate(fakePredictor{preds: neg}, inc, trees, secs)
 	if v.OK {
 		t.Fatalf("all-negative candidate accepted against a perfect incumbent: %+v", v)
 	}
@@ -129,9 +129,9 @@ func TestValidateNegativePredictionsClamped(t *testing.T) {
 }
 
 func TestValidateDefaults(t *testing.T) {
-	c := ValidateConfig{Enabled: true}.WithDefaults()
-	if c.HoldoutEvery != 4 || c.MaxHoldout != 256 || c.MinSamples != 8 || c.MaxRegress != 1.5 {
-		t.Fatalf("unexpected defaults: %+v", c)
+	if HoldoutStride != 4 || HoldoutCap != 256 || minSamples != 8 || maxRegress != 1.5 {
+		t.Fatalf("gate constants moved: stride %d, cap %d, min samples %d, max regress %v",
+			HoldoutStride, HoldoutCap, minSamples, maxRegress)
 	}
 }
 

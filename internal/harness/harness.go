@@ -28,19 +28,6 @@ type Options struct {
 	Scale   float64
 	Queries int
 	Seed    int64
-	// Workers bounds the goroutines Bao uses for inference and training
-	// (core.Config.Workers). Zero means one per CPU.
-	Workers int
-	// PlanCache enables the query-fingerprint plan cache
-	// (core.Config.PlanCache); PlanCacheSize bounds its entries and
-	// PlanCacheBytes its resident bytes (zero = the core defaults).
-	PlanCache      bool
-	PlanCacheSize  int
-	PlanCacheBytes int64
-	// InferBatch, when positive, coalesces concurrent predictions into
-	// shared forward passes of at most this many trees
-	// (core.Config.InferBatch).
-	InferBatch int
 	// QueryTimeout, when positive, imposes a per-query deadline (expressed
 	// at real-deployment scale, like the serving layer's flag). Queries
 	// whose simulated execution exceeds the deadline's compressed budget
@@ -48,12 +35,6 @@ type Options struct {
 	// latency/bill contributions clamp to it.
 	QueryTimeout time.Duration
 	Out          io.Writer
-}
-
-// DefaultOptions returns the standard experiment scale (cmd/baobench's
-// defaults).
-func DefaultOptions(out io.Writer) Options {
-	return Options{Scale: 0.25, Queries: 1000, Seed: 42, Out: out}
 }
 
 func (o Options) wcfg() workload.Config {

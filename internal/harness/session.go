@@ -50,11 +50,6 @@ func (s *Session) Instance(name string) (*workload.Instance, error) {
 func (s *Session) BaoConfig() core.Config {
 	cfg := core.FastConfig()
 	cfg.Seed = s.Opts.Seed
-	cfg.Workers = s.Opts.Workers
-	cfg.PlanCache = s.Opts.PlanCache
-	cfg.PlanCacheSize = s.Opts.PlanCacheSize
-	cfg.PlanCacheBytes = s.Opts.PlanCacheBytes
-	cfg.InferBatch = s.Opts.InferBatch
 	return cfg
 }
 

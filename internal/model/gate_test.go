@@ -51,8 +51,7 @@ func TestValidateRejectsNaNWeightBelowHead(t *testing.T) {
 	m := model.NewTCNN(14, tc, 5)
 	m.Fit(trees[:40], secs[:40])
 	hold, holdSecs := trees[40:], secs[40:]
-	cfg := guard.ValidateConfig{Enabled: true}
-	if v := guard.ValidateCandidate(m, nil, hold, holdSecs, cfg); !v.OK {
+	if v := guard.ValidateCandidate(m, nil, hold, holdSecs); !v.OK {
 		t.Fatalf("clean candidate rejected: %+v", v)
 	}
 	byName := map[string]*nn.Param{}
@@ -73,7 +72,7 @@ func TestValidateRejectsNaNWeightBelowHead(t *testing.T) {
 				}
 			}
 			for _, h := range [][]*nn.Tree{hold, nil} {
-				v := guard.ValidateCandidate(m, nil, h, holdSecs[:len(h)], cfg)
+				v := guard.ValidateCandidate(m, nil, h, holdSecs[:len(h)])
 				if v.OK || !strings.Contains(v.Reason, "non-finite weights") || !strings.Contains(v.Reason, name) {
 					t.Fatalf("%s[0]=%v, holdout %d: verdict %+v, want rejection for non-finite weights", name, bad, len(h), v)
 				}
@@ -81,7 +80,7 @@ func TestValidateRejectsNaNWeightBelowHead(t *testing.T) {
 			p.W[0] = saved
 		}
 	}
-	if v := guard.ValidateCandidate(m, nil, hold, holdSecs, cfg); !v.OK {
+	if v := guard.ValidateCandidate(m, nil, hold, holdSecs); !v.OK {
 		t.Fatalf("restored candidate rejected: %+v", v)
 	}
 }

@@ -140,15 +140,14 @@ type Observer struct {
 	RouterFailovers   *Counter    // bao_router_failovers_total
 
 	// Execution work counters (from executor.Counters) and buffer pool.
-	ExecCPUOps     *Counter    // bao_exec_cpu_ops_total
-	ExecPageHits   *Counter    // bao_exec_page_hits_total
-	ExecPageMisses *Counter    // bao_exec_page_misses_total
-	ExecRandReads  *Counter    // bao_exec_rand_reads_total
-	ExecRowsOut    *Counter    // bao_exec_rows_out_total
-	ExecutorOps    *CounterVec // bao_executor_node_evals_total{op}
-	PoolHits       *Gauge      // bao_bufferpool_hits
-	PoolMisses     *Gauge      // bao_bufferpool_misses
-	PoolHitRate    *Gauge      // bao_bufferpool_hit_rate
+	ExecCPUOps     *Counter // bao_exec_cpu_ops_total
+	ExecPageHits   *Counter // bao_exec_page_hits_total
+	ExecPageMisses *Counter // bao_exec_page_misses_total
+	ExecRandReads  *Counter // bao_exec_rand_reads_total
+	ExecRowsOut    *Counter // bao_exec_rows_out_total
+	PoolHits       *Gauge   // bao_bufferpool_hits
+	PoolMisses     *Gauge   // bao_bufferpool_misses
+	PoolHitRate    *Gauge   // bao_bufferpool_hit_rate
 
 	ring    atomic.Pointer[TraceRing]
 	journal atomic.Pointer[EventJournal]
@@ -263,7 +262,6 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		ExecPageMisses: reg.Counter("bao_exec_page_misses_total", "Physical page reads charged by the executor."),
 		ExecRandReads:  reg.Counter("bao_exec_rand_reads_total", "Random physical reads charged by the executor."),
 		ExecRowsOut:    reg.Counter("bao_exec_rows_out_total", "Rows produced by executed plan roots."),
-		ExecutorOps:    reg.CounterVec("bao_executor_node_evals_total", "Plan-node evaluations by operator.", "op"),
 		PoolHits:       reg.Gauge("bao_bufferpool_hits", "Cumulative buffer-pool hits (engine lifetime)."),
 		PoolMisses:     reg.Gauge("bao_bufferpool_misses", "Cumulative buffer-pool misses (engine lifetime)."),
 		PoolHitRate:    reg.Gauge("bao_bufferpool_hit_rate", "Buffer-pool hit fraction over the engine lifetime."),

@@ -16,11 +16,11 @@ import (
 	"sync"
 )
 
-// defaultVnodes is how many virtual points each shard claims on the
+// vnodes is how many virtual points each shard claims on the
 // ring. More vnodes flatten the tenant distribution; 64 keeps the ring
 // small while bounding per-shard imbalance to a few percent at fleet
 // sizes this repo targets.
-const defaultVnodes = 64
+const vnodes = 64
 
 // ringPoint is one virtual node: a hash position owned by a shard.
 type ringPoint struct {
@@ -34,18 +34,13 @@ type ringPoint struct {
 // resident and their plan caches warm. Safe for concurrent use.
 type Ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	points []ringPoint     // sorted by hash
 	member map[string]bool // shard -> in-ring
 }
 
-// NewRing builds a ring with vnodes virtual points per shard
-// (0 = defaultVnodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
-	return &Ring{vnodes: vnodes, member: map[string]bool{}}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{member: map[string]bool{}}
 }
 
 func hash64(s string) uint64 {
@@ -71,7 +66,7 @@ func (r *Ring) Add(shard string) {
 		return
 	}
 	r.member[shard] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		r.points = append(r.points, ringPoint{hash64(fmt.Sprintf("%s#%d", shard, i)), shard})
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })

@@ -9,7 +9,7 @@ import (
 // a pure function of membership, every tenant has an owner while the
 // ring is non-empty, and an empty ring owns nothing.
 func TestRingOwnerDeterministic(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if got := r.Owner("anyone"); got != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", got)
 	}
@@ -33,7 +33,7 @@ func TestRingOwnerDeterministic(t *testing.T) {
 // every tenant owned by a survivor keeps its shard (so its resident
 // model and plan cache stay warm).
 func TestRingRemoveMovesOnlyOrphans(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	shards := []string{"s0", "s1", "s2", "s3"}
 	for _, s := range shards {
 		r.Add(s)
@@ -74,7 +74,7 @@ func TestRingRemoveMovesOnlyOrphans(t *testing.T) {
 // TestRingBalance sanity-checks the vnode count: no shard owns a wildly
 // disproportionate share of tenants.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 4; i++ {
 		r.Add(fmt.Sprintf("s%d", i))
 	}

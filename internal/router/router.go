@@ -25,15 +25,10 @@ type ShardInfo struct {
 type RouterConfig struct {
 	// Shards is the initial fleet membership. Required, non-empty.
 	Shards []ShardInfo
-	// Vnodes per shard on the consistent-hash ring (0 = 64).
-	Vnodes int
 	// DefaultTenant is assumed when a request names no tenant ("" =
 	// reject with 400). Lets single-tenant clients talk to a fleet
 	// unmodified.
 	DefaultTenant string
-	// MaxBodyBytes bounds how much request body the router buffers for
-	// failover replay (0 = 1 MiB). Larger bodies are rejected with 413.
-	MaxBodyBytes int64
 	// Client issues shard requests (nil = a client with a 30s timeout).
 	Client *http.Client
 	// HealthInterval is the readiness-poll period for marking dead
@@ -45,13 +40,17 @@ type RouterConfig struct {
 	Observer *obs.Observer
 }
 
+// maxBodyBytes bounds how much request body the router buffers for
+// failover replay. Larger bodies are rejected with 413.
+const maxBodyBytes = 1 << 20
+
 // shardState tracks one shard's reachability and administrative state.
 type shardState struct {
 	info ShardInfo
 	down bool
 	// draining marks an operator decision (Drain) that outlives health
-	// probes: the shard may answer 200 — its readiness is preload-based
-	// and stays true after a drain — but it is being decommissioned, so
+	// probes: the shard may answer 200 — its readiness stays true after
+	// a drain — but it is being decommissioned, so
 	// the health poller must not re-admit it. Only an explicit MarkUp
 	// clears it.
 	draining bool
@@ -83,9 +82,6 @@ func New(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("baorouter: at least one shard is required")
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	if cfg.Client == nil {
 		// The default transport keeps only 2 idle connections per host,
 		// which makes every concurrent burst re-dial the shard; a proxy
@@ -105,7 +101,7 @@ func New(cfg RouterConfig) (*Router, error) {
 	r := &Router{
 		cfg:        cfg,
 		o:          cfg.Observer,
-		ring:       NewRing(cfg.Vnodes),
+		ring:       NewRing(),
 		client:     cfg.Client,
 		shards:     map[string]*shardState{},
 		stopHealth: make(chan struct{}),
@@ -299,12 +295,12 @@ const statusClientClosedRequest = 499
 // the new owner.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if int64(len(body)) > rt.cfg.MaxBodyBytes {
+	if len(body) > maxBodyBytes {
 		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -471,9 +467,8 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, owner string
 // or unready shards down and recovered ones back up. Failover does not
 // depend on it — transport errors demote a shard inline — so this is
 // the re-admission path for shards that come back. Draining shards are
-// skipped entirely: a drained shard keeps answering 200 (its readiness
-// is preload-based), but the drain is an operator decision that only an
-// operator MarkUp reverses.
+// skipped entirely: a drained shard keeps answering 200, but the drain
+// is an operator decision that only an operator MarkUp reverses.
 func (rt *Router) healthLoop() {
 	t := time.NewTicker(rt.cfg.HealthInterval)
 	defer t.Stop()

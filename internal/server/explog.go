@@ -80,9 +80,9 @@ const (
 // is zero.
 const DefaultSegmentBytes int64 = 4 << 20
 
-// defaultSnapshotKeep retains this many snapshot generations so recovery
+// snapshotKeep retains this many snapshot generations so recovery
 // can fall back past a corrupt newest snapshot.
-const defaultSnapshotKeep = 2
+const snapshotKeep = 2
 
 // defaultShadowWindow caps the log's shadow experience window when the
 // caller does not supply the optimizer's window size.
@@ -106,10 +106,6 @@ type LogOptions struct {
 	// configured window size or recovery would under-fill the window.
 	// Zero means defaultShadowWindow.
 	WindowCap int
-	// SnapshotKeep is how many snapshot generations to retain (the
-	// newest is the recovery anchor; older ones are corruption
-	// fallbacks). Zero means 2.
-	SnapshotKeep int
 	// ModelGen, when set, is sampled at snapshot time and recorded in
 	// the snapshot frame so operators can correlate a recovered window
 	// with the checkpoint generation that was live when it was cut.
@@ -241,9 +237,6 @@ func OpenLog(path string, opt LogOptions) (*ExperienceLog, error) {
 	}
 	if opt.WindowCap <= 0 {
 		opt.WindowCap = defaultShadowWindow
-	}
-	if opt.SnapshotKeep <= 0 {
-		opt.SnapshotKeep = defaultSnapshotKeep
 	}
 	l := &ExperienceLog{
 		path:        path,
@@ -891,13 +884,13 @@ func (l *ExperienceLog) snapshotFailed(err error) error {
 // first, never removing the current anchor. Best effort.
 func (l *ExperienceLog) pruneSnapshots() {
 	_, snaps, err := listLogFiles(l.path)
-	if err != nil || len(snaps) <= l.opt.SnapshotKeep {
+	if err != nil || len(snaps) <= snapshotKeep {
 		return
 	}
 	l.mu.Lock()
 	anchor := l.lastSnapSeq
 	l.mu.Unlock()
-	for _, sn := range snaps[:len(snaps)-l.opt.SnapshotKeep] {
+	for _, sn := range snaps[:len(snaps)-snapshotKeep] {
 		if sn.ord == anchor {
 			continue
 		}

@@ -10,7 +10,7 @@ type healthResponse struct {
 	Live  bool `json:"live"`
 	Ready bool `json:"ready"`
 	// Detail distinguishes why a live process is not ready (e.g. replay
-	// or preload still running) for humans reading the probe by hand.
+	// still running) for humans reading the probe by hand.
 	Detail string `json:"detail,omitempty"`
 	// Durability reports the experience log's write path: "ok" while
 	// appends persist, "degraded" while the log is read-only after an
@@ -25,15 +25,13 @@ type healthResponse struct {
 // healthHandler serves the liveness/readiness probe:
 //
 //	GET /v1/health             readiness: 200 once ready (explog replay +
-//	                           checkpoint rollback — and, on a shard,
-//	                           tenant preload — complete), 503 before
+//	                           checkpoint rollback complete), 503 before
 //	GET /v1/health?probe=live  liveness: 200 whenever the process answers
 //
-// The router's health checker polls the readiness flavor, so a shard
-// still rehydrating tenants takes no traffic; orchestrators use the
-// liveness flavor to decide restart-vs-wait. The endpoint bypasses
-// admission control: a saturated shard must still answer its probes, or
-// overload would read as death.
+// The router's health checker polls the readiness flavor; orchestrators
+// use the liveness flavor to decide restart-vs-wait. The endpoint
+// bypasses admission control: a saturated shard must still answer its
+// probes, or overload would read as death.
 func healthHandler(probe func() healthResponse) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,11 +37,6 @@ type Config struct {
 	// queries that blow past the time limit. Zero disables the per-query
 	// deadline (RequestTimeout still bounds the whole request).
 	QueryTimeout time.Duration
-	// PendingLimit bounds selections awaiting their /v1/observe callback;
-	// the oldest pending selection is dropped when the limit is hit
-	// (clients that never report back must not leak memory). Zero means
-	// 1024.
-	PendingLimit int
 	// LogPath, when set, opens a durable experience log there: every
 	// admitted experience and critical exploration set is appended, and
 	// on startup intact records are replayed into the optimizer.
@@ -57,32 +50,33 @@ type Config struct {
 	// ExplogFault installs a deterministic disk-fault script behind the
 	// experience log's file operations (tests and chaos drills only).
 	ExplogFault *DiskFault
-	// ModelPath, when set, loads the value model from there on startup
-	// (if the file exists) and saves the current model there on shutdown.
-	ModelPath string
 	// CheckpointDir, when set, persists every accepted model as a
 	// versioned, CRC-checksummed checkpoint generation there (temp file +
 	// fsync + atomic rename) and on startup restores the newest valid
-	// generation, rolling back past corrupt or unloadable ones. A restored
-	// generation takes precedence over ModelPath.
+	// generation, rolling back past corrupt or unloadable ones;
+	// checkpointKeep generations are retained.
 	CheckpointDir string
-	// CheckpointKeep is how many checkpoint generations to retain. Zero
-	// means 5.
-	CheckpointKeep int
 	// TrainDelay artificially stretches each background retrain (test
 	// hook for asserting the fast path is independent of training).
 	TrainDelay time.Duration
 	// EventLogPath, when set, streams the structured event journal
 	// (model swaps, breaker transitions, checkpoint saves/rollbacks,
 	// censored/abandoned outcomes) to a rotating JSONL file there. The
-	// in-memory journal behind /debug/events is on regardless.
+	// in-memory journal behind /debug/events is on regardless. The file
+	// rotates past eventLogMaxBytes, keeping eventLogKeep rotated files.
 	EventLogPath string
-	// EventLogMaxBytes rotates the event log past this size (zero means
-	// 4 MiB); EventLogKeep is how many rotated files to retain (zero
-	// means 3).
-	EventLogMaxBytes int64
-	EventLogKeep     int
 }
+
+const (
+	// pendingLimit bounds selections awaiting their /v1/observe callback;
+	// the oldest is dropped past it (clients that never report back must
+	// not leak memory).
+	pendingLimit = 1024
+	// checkpointKeep is how many model checkpoint generations are kept.
+	checkpointKeep   = 5
+	eventLogMaxBytes = 4 << 20
+	eventLogKeep     = 3
+)
 
 // Server is the concurrent Bao serving layer: an HTTP/JSON API over one
 // core.Bao. Selections (the model fast path) run concurrently and
@@ -126,23 +120,17 @@ type Server struct {
 	ln      net.Listener
 }
 
-// New wires a server around b: replays the experience log (when
-// configured), loads a persisted model (when configured and present),
-// registers the durability and retrain hooks, and starts the background
-// trainer. The server owns b from here on — callers must not drive b
-// concurrently outside the server's API.
+// New wires a server around b: replays the experience log and restores
+// the newest valid model checkpoint (when configured), registers the
+// durability and retrain hooks, and starts the background trainer. The
+// server owns b from here on — callers must not drive b concurrently
+// outside the server's API.
 func New(b *core.Bao, cfg Config) (*Server, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.PendingLimit <= 0 {
-		cfg.PendingLimit = 1024
-	}
-	if cfg.CheckpointKeep <= 0 {
-		cfg.CheckpointKeep = 5
 	}
 	s := &Server{
 		bao:         b,
@@ -159,7 +147,7 @@ func New(b *core.Bao, cfg Config) (*Server, error) {
 	s.o.EnableTracing(256)
 	s.o.EnableEvents(512)
 	if cfg.EventLogPath != "" {
-		if err := s.o.Journal().LogTo(cfg.EventLogPath, cfg.EventLogMaxBytes, cfg.EventLogKeep); err != nil {
+		if err := s.o.Journal().LogTo(cfg.EventLogPath, eventLogMaxBytes, eventLogKeep); err != nil {
 			return nil, err
 		}
 		s.eventSink = true
@@ -184,18 +172,8 @@ func New(b *core.Bao, cfg Config) (*Server, error) {
 			l.AppendCritical(key, exps) //nolint:errcheck // degradation is counted and journaled inside
 		})
 	}
-	if cfg.ModelPath != "" {
-		if f, err := os.Open(cfg.ModelPath); err == nil {
-			lerr := b.LoadModel(f)
-			f.Close()
-			if lerr != nil {
-				s.closeLog()
-				return nil, fmt.Errorf("baoserver: load model %s: %w", cfg.ModelPath, lerr)
-			}
-		}
-	}
 	if cfg.CheckpointDir != "" {
-		st, err := guard.OpenCheckpointStore(cfg.CheckpointDir, cfg.CheckpointKeep)
+		st, err := guard.OpenCheckpointStore(cfg.CheckpointDir, checkpointKeep)
 		if err != nil {
 			s.closeLog()
 			return nil, fmt.Errorf("baoserver: %w", err)
@@ -344,10 +322,10 @@ func (s *Server) Addr() string {
 
 // Shutdown gracefully stops the server: the listener closes and in-flight
 // requests drain (bounded by ctx), the trainer finishes its current fit
-// and exits, the experience log is flushed to stable storage, and the
-// model is persisted when a path is configured. The wrapped optimizer
-// reverts to inline (library) retraining semantics. Idempotent; only the
-// first call does the work.
+// and exits (checkpointing the model it swapped in), and the experience
+// log is flushed to stable storage. The wrapped optimizer reverts to
+// inline (library) retraining semantics. Idempotent; only the first call
+// does the work.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var firstErr error
 	s.shutOnce.Do(func() { firstErr = s.shutdown(ctx) })
@@ -372,11 +350,6 @@ func (s *Server) shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		if firstErr == nil {
 			firstErr = ctx.Err()
-		}
-	}
-	if s.cfg.ModelPath != "" && s.bao.Trained() {
-		if err := s.saveModelFile(); err != nil && firstErr == nil {
-			firstErr = err
 		}
 	}
 	if err := s.closeLog(); err != nil && firstErr == nil {
@@ -422,8 +395,7 @@ func (s *Server) Generation() uint64 { return s.gen.Load() }
 // Kill abruptly stops the server without flushing — the chaos-test crash
 // path. The listener (when one exists) closes without draining, hooks
 // detach, the trainer drains its queue and exits, and the experience log
-// handle closes. Unlike Shutdown it never persists the model to
-// ModelPath: whatever the last accepted checkpoint captured is all a
+// handle closes. Whatever the last accepted checkpoint captured is all a
 // rebuild gets, which is exactly the guarantee the fleet chaos tests pin.
 // Waiting for the trainer matters for fencing: once Kill returns, nothing
 // on this server writes to its durable namespace again, so a new owner
@@ -450,35 +422,6 @@ func (s *Server) closeLog() error {
 		return nil
 	}
 	return s.log.Close()
-}
-
-// saveModelFile persists the model to ModelPath atomically: serialize to
-// a temp file in the destination directory, fsync, then rename over the
-// target. A crash at any point leaves either the old complete file or the
-// new complete file — never a truncated one for the next startup's
-// LoadModel to choke on.
-func (s *Server) saveModelFile() error {
-	dir := filepath.Dir(s.cfg.ModelPath)
-	f, err := os.CreateTemp(dir, ".model-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	err = s.bao.SaveModel(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, s.cfg.ModelPath)
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck // best effort
-		return err
-	}
-	return nil
 }
 
 // admitted wraps a handler with admission control: a bounded in-flight
@@ -576,7 +519,7 @@ func (s *Server) park(sel *core.Selection) uint64 {
 	id := s.nextID
 	s.pending[id] = sel
 	s.order = append(s.order, id)
-	for len(s.order) > 0 && len(s.pending) > s.cfg.PendingLimit {
+	for len(s.order) > 0 && len(s.pending) > pendingLimit {
 		oldest := s.order[0]
 		s.order = s.order[1:]
 		delete(s.pending, oldest)

@@ -405,12 +405,13 @@ func TestModelEndpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelPersistAcrossRestart: with ModelPath configured, shutdown
-// saves the trained model and a fresh server on the same path starts
-// trained.
+// TestModelPersistAcrossRestart: with CheckpointDir configured, every
+// accepted retrain is a checkpoint, so after a graceful shutdown a fresh
+// server on the same directory starts trained, on the generation the
+// first one last reported.
 func TestModelPersistAcrossRestart(t *testing.T) {
-	modelPath := filepath.Join(t.TempDir(), "bao.model")
-	s1 := newTestServer(t, Config{ModelPath: modelPath}, nil)
+	dir := filepath.Join(t.TempDir(), "checkpoints")
+	s1 := newTestServer(t, Config{CheckpointDir: dir}, nil)
 	base := "http://" + s1.Addr()
 	for i := 0; i < 16; i++ {
 		if code := postJSON(t, base+"/v1/query", selectRequest{SQL: testSQL}, nil); code != http.StatusOK {
@@ -420,12 +421,28 @@ func TestModelPersistAcrossRestart(t *testing.T) {
 	waitTrainCount(t, s1.Bao(), 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	// Shutdown waits for the trainer, so the checkpoint of the last
+	// accepted retrain is on disk when it returns.
 	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	s2 := newTestServer(t, Config{ModelPath: modelPath}, nil)
+	gen := s1.Generation()
+	if gen == 0 {
+		t.Fatal("no checkpoint generation was saved before shutdown")
+	}
+	s2 := newTestServer(t, Config{CheckpointDir: dir}, nil)
 	if !s2.Bao().Trained() {
-		t.Fatal("restarted server did not load the persisted model")
+		t.Fatal("restarted server did not restore the checkpointed model")
+	}
+	if v := s2.Bao().ModelVersion(); v < 1 {
+		t.Fatalf("restarted ModelVersion = %d, want >= 1 (the restore is a publication)", v)
+	}
+	var st statusResponse
+	if code := getJSON(t, "http://"+s2.Addr()+"/v1/status", &st); code != http.StatusOK {
+		t.Fatalf("status: %d", code)
+	}
+	if st.ModelGeneration != gen {
+		t.Fatalf("restarted model_generation = %d, want the pre-shutdown %d", st.ModelGeneration, gen)
 	}
 }
 
@@ -450,23 +467,27 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestPendingEviction bounds the parked-selection table: the oldest
-// selection is dropped once PendingLimit is exceeded, and its late
+// selection is dropped once pendingLimit is exceeded, and its late
 // observe gets 404 rather than corrupting state.
 func TestPendingEviction(t *testing.T) {
-	s := newTestServer(t, Config{PendingLimit: 2}, nil)
+	s := newTestServer(t, Config{}, nil)
 	base := "http://" + s.Addr()
-	ids := make([]uint64, 3)
-	for i := range ids {
-		var sr selectResponse
-		if code := postJSON(t, base+"/v1/select", selectRequest{SQL: testSQL}, &sr); code != http.StatusOK {
-			t.Fatalf("select %d: status %d", i, code)
-		}
-		ids[i] = sr.SelectionID
+	sel, err := s.Bao().Select(testSQL)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := postJSON(t, base+"/v1/observe", observeRequest{SelectionID: ids[0], Secs: 0.01}, nil); code != http.StatusNotFound {
+	first := s.park(sel)
+	last := first
+	for i := 0; i < pendingLimit; i++ {
+		last = s.park(sel)
+	}
+	if got := len(s.pending); got != pendingLimit {
+		t.Fatalf("pending table holds %d selections, want the bound %d", got, pendingLimit)
+	}
+	if code := postJSON(t, base+"/v1/observe", observeRequest{SelectionID: first, Secs: 0.01}, nil); code != http.StatusNotFound {
 		t.Fatalf("evicted selection observe: status %d, want 404", code)
 	}
-	if code := postJSON(t, base+"/v1/observe", observeRequest{SelectionID: ids[2], Secs: 0.01}, nil); code != http.StatusOK {
+	if code := postJSON(t, base+"/v1/observe", observeRequest{SelectionID: last, Secs: 0.01}, nil); code != http.StatusOK {
 		t.Fatalf("live selection observe: status %d, want 200", code)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 
 	"bao/internal/obs"
 )
@@ -23,11 +22,6 @@ type ShardConfig struct {
 	// DefaultTenant is assumed when a request names no tenant ("" =
 	// reject tenant-less requests with 400).
 	DefaultTenant string
-	// Preload names tenants activated before the shard reports ready —
-	// the rehydration list a router hands a shard that is taking over a
-	// dead peer's tenants. The shard is live immediately but not ready
-	// until every preload finished.
-	Preload []string
 	// Observer receives fleet metrics and is shared by every tenant
 	// server on this shard (nil = obs.Default()).
 	Observer *obs.Observer
@@ -43,9 +37,6 @@ type Shard struct {
 	cfg ShardConfig
 	o   *obs.Observer
 	reg *TenantRegistry
-
-	ready       atomic.Bool
-	preloadDone chan struct{}
 
 	httpSrv  *http.Server
 	ln       net.Listener
@@ -65,12 +56,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Shard{cfg: cfg, o: cfg.Observer, reg: reg, preloadDone: make(chan struct{})}
-	if len(cfg.Preload) == 0 {
-		s.ready.Store(true)
-		close(s.preloadDone)
-	}
-	return s, nil
+	return &Shard{cfg: cfg, o: cfg.Observer, reg: reg}, nil
 }
 
 // Registry exposes the tenant registry for tests and benchmarks.
@@ -81,7 +67,7 @@ func (s *Shard) Name() string { return s.cfg.Name }
 
 // Handler returns the shard's HTTP surface:
 //
-//	/v1/health    liveness/readiness (ready once preload rehydration done)
+//	/v1/health    liveness/readiness (ready once listening)
 //	/v1/tenants   GET resident-tenant listing
 //	/v1/drain     POST flush-evict every tenant (pre-shutdown handoff)
 //	/v1/evict     POST {"tenant": ...} flush-evict one tenant
@@ -135,48 +121,18 @@ func (s *Shard) dispatch(w http.ResponseWriter, r *http.Request) {
 	e.handler.ServeHTTP(w, r)
 }
 
-// probe builds the shard's health body. Durability aggregates over the
+// probe builds the shard's health body: ready as soon as it answers,
+// since tenants activate on first touch. Durability aggregates over the
 // resident tenants: "degraded" when any resident tenant's experience log
 // has gone read-only, "ok" otherwise. A degraded tenant never fails the
 // probe — the shard still serves selections for it.
 func (s *Shard) probe() healthResponse {
 	resp := healthResponse{Ready: true, Durability: "ok"}
-	if !s.ready.Load() {
-		resp.Ready = false
-		resp.Detail = fmt.Sprintf("rehydrating %d preload tenants", len(s.cfg.Preload))
-	}
 	if n := s.reg.Degraded(); n > 0 {
 		resp.Durability = "degraded"
-		if resp.Detail == "" {
-			resp.Detail = fmt.Sprintf("%d tenant experience logs read-only", n)
-		}
+		resp.Detail = fmt.Sprintf("%d tenant experience logs read-only", n)
 	}
 	return resp
-}
-
-// preload activates the configured tenants (replaying their explogs and
-// restoring their checkpoints), then flips the shard ready. Failures are
-// logged as not-ready detail only through metrics; a tenant that fails
-// preload will fail identically on first request, which surfaces the
-// error to a caller who can act on it.
-func (s *Shard) preload() {
-	for _, t := range s.cfg.Preload {
-		if e, err := s.reg.Acquire(context.Background(), t); err == nil {
-			s.reg.Release(e)
-		}
-	}
-	s.ready.Store(true)
-	close(s.preloadDone)
-}
-
-// WaitReady blocks until preload rehydration finished or ctx expires.
-func (s *Shard) WaitReady(ctx context.Context) error {
-	select {
-	case <-s.preloadDone:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 func (s *Shard) handleTenants(w http.ResponseWriter, r *http.Request) {
@@ -229,9 +185,8 @@ func (s *Shard) handleEvict(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "{\"evicted\":%v}\n", evicted)
 }
 
-// Start listens on addr and serves in the background, kicking off
-// preload rehydration. Returns once the listener is bound (use Addr),
-// not once the shard is ready — readiness is what /v1/health is for.
+// Start listens on addr and serves in the background. Returns once the
+// listener is bound (use Addr).
 func (s *Shard) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -240,9 +195,6 @@ func (s *Shard) Start(addr string) error {
 	s.ln = ln
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	go s.httpSrv.Serve(ln) //nolint:errcheck // Serve always returns on close
-	if len(s.cfg.Preload) > 0 {
-		go s.preload()
-	}
 	return nil
 }
 

@@ -31,8 +31,7 @@ type TenantOptions struct {
 	NewBao func(tenant string) (*core.Bao, error)
 	// Server is the per-tenant serving config template. LogPath,
 	// CheckpointDir, and EventLogPath are overridden per tenant; the
-	// admission, timeout, and checkpoint-keep knobs apply to every
-	// tenant.
+	// admission and timeout knobs apply to every tenant.
 	Server Config
 	// MaxResident bounds how many tenants hold their model in memory at
 	// once (0 = 8). MaxResidentBytes additionally bounds the approximate
@@ -42,12 +41,6 @@ type TenantOptions struct {
 	// evicted, so the bounds can be exceeded transiently under load.
 	MaxResident      int
 	MaxResidentBytes int64
-	// BaseBytes is the per-tenant accounting floor covering the engine
-	// and window memory a tenant holds beyond its serialized model
-	// (0 = 1 MiB).
-	BaseBytes int64
-	// EvictTimeout bounds one eviction's flush (0 = 30s).
-	EvictTimeout time.Duration
 	// LockTimeout bounds how long an activation waits for the tenant's
 	// namespace fence — the exclusive per-namespace file lock that
 	// guarantees one live writer per explog even when ownership moves
@@ -56,6 +49,14 @@ type TenantOptions struct {
 	// still writing.
 	LockTimeout time.Duration
 }
+
+const (
+	// tenantBaseBytes is the per-tenant accounting floor covering the
+	// engine and window memory a tenant holds beyond its serialized model.
+	tenantBaseBytes = 1 << 20
+	// evictTimeout bounds one eviction's flush.
+	evictTimeout = 30 * time.Second
+)
 
 // tenantNameRe is the path-safe tenant grammar: no separators, no dot
 // prefixes, bounded length — a tenant name becomes a directory name.
@@ -134,12 +135,6 @@ func NewTenantRegistry(opts TenantOptions, o *obs.Observer) (*TenantRegistry, er
 	}
 	if opts.MaxResidentBytes <= 0 {
 		opts.MaxResidentBytes = 256 << 20
-	}
-	if opts.BaseBytes <= 0 {
-		opts.BaseBytes = 1 << 20
-	}
-	if opts.EvictTimeout <= 0 {
-		opts.EvictTimeout = 30 * time.Second
 	}
 	if opts.LockTimeout <= 0 {
 		opts.LockTimeout = 5 * time.Second
@@ -257,7 +252,7 @@ func (r *TenantRegistry) activate(e *tenantEntry) {
 	}
 	e.srv = srv
 	e.handler = srv.Handler()
-	e.bytes = r.opts.BaseBytes + modelBytes(srv.bao)
+	e.bytes = tenantBaseBytes + modelBytes(srv.bao)
 	e.active = true
 	r.bytes += e.bytes
 	r.o.TenantActivations.Inc()
@@ -331,7 +326,7 @@ func (r *TenantRegistry) enforce() {
 // entry leaves the registry, its namespace fence drops, and waiters on
 // gone may re-activate.
 func (r *TenantRegistry) evict(e *tenantEntry) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.opts.EvictTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), evictTimeout)
 	e.srv.Shutdown(ctx) //nolint:errcheck // flush is best effort under the timeout
 	cancel()
 	r.mu.Lock()

@@ -218,69 +218,10 @@ func mustAcquire(t *testing.T, reg *TenantRegistry, name string) *tenantEntry {
 	return e
 }
 
-// TestShardHealthReadinessDuringPreload holds a preload tenant's
-// activation hostage and asserts the shard is live-but-not-ready until
-// the rehydration completes — the distinction the router's health
-// checker depends on to keep traffic off a shard still replaying logs.
-func TestShardHealthReadinessDuringPreload(t *testing.T) {
-	o := obs.NewObserver(obs.NewRegistry(), nil)
-	gate := make(chan struct{})
-	inner := microFactory(o, 1)
-	var once sync.Once
-	factory := func(tenant string) (*core.Bao, error) {
-		once.Do(func() { <-gate }) // first activation blocks until released
-		return inner(tenant)
-	}
-	shard, err := NewShard(ShardConfig{
-		Name:     "s0",
-		Tenants:  TenantOptions{Dir: t.TempDir(), NewBao: factory},
-		Preload:  []string{"warm"},
-		Observer: o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shard.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shard.Shutdown(ctx) //nolint:errcheck // racing the gate on failure paths
-	})
-	base := "http://" + shard.Addr()
-
-	var h healthResponse
-	if code := getJSON(t, base+"/v1/health?probe=live", &h); code != http.StatusOK || !h.Live {
-		t.Fatalf("liveness probe: code %d, %+v", code, h)
-	}
-	if code := getJSON(t, base+"/v1/health", nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("readiness during preload: code %d, want 503", code)
-	}
-	close(gate)
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := shard.WaitReady(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if code := getJSON(t, base+"/v1/health", &h); code != http.StatusOK || !h.Ready {
-		t.Fatalf("readiness after preload: code %d, %+v", code, h)
-	}
-	// The preloaded tenant serves without re-activation, and responses
-	// name the shard.
-	resp, err := http.Get(base + "/v1/tenants")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close() //nolint:errcheck // test read side
-	if got := resp.Header.Get("X-Bao-Shard"); got != "s0" {
-		t.Fatalf("X-Bao-Shard = %q, want s0", got)
-	}
-}
-
 // TestServerHealthEndpoint covers the single-tenant server's probe: a
-// server that finished New (replay + rollback done) is ready, and the
-// liveness flavor agrees.
+// server that finished New (replay + rollback done) is ready, the
+// liveness flavor agrees, and a server that is not ready yet is live
+// with a 503 readiness.
 func TestServerHealthEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{}, nil)
 	base := "http://" + s.Addr()
@@ -293,5 +234,16 @@ func TestServerHealthEndpoint(t *testing.T) {
 	}
 	if code := getJSON(t, base+"/v1/health?probe=live", &h); code != http.StatusOK || !h.Live {
 		t.Fatalf("liveness: code %d, %+v", code, h)
+	}
+	// Live but not ready (startup durability work still running) is what
+	// keeps the router's health checker from sending traffic: readiness
+	// answers 503, liveness still 200.
+	s.ready.Store(false)
+	defer s.ready.Store(true)
+	if code := getJSON(t, base+"/v1/health", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("readiness while not ready: code %d, want 503", code)
+	}
+	if code := getJSON(t, base+"/v1/health?probe=live", &h); code != http.StatusOK || !h.Live {
+		t.Fatalf("liveness while not ready: code %d, %+v", code, h)
 	}
 }
