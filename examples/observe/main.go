@@ -65,9 +65,15 @@ func main() {
 			sel.Sum/float64(sel.Count)*1000, sel.Count)
 	}
 	fmt.Printf("buffer pool hit rate: %.1f%%\n", s.Gauge("bao_bufferpool_hit_rate")*100)
-	if cal := s.Histograms["bao_prediction_ratio"]; cal.Count > 0 {
+	// The calibration histogram is labelled by arm; the total is the sum.
+	var calSum float64
+	var calCount int64
+	for _, h := range s.LabeledHist["bao_prediction_ratio"] {
+		calSum, calCount = calSum+h.Sum, calCount+h.Count
+	}
+	if calCount > 0 {
 		fmt.Printf("prediction calibration: mean observed/predicted %.2f over %d predictions, %.0f gross mispredictions\n",
-			cal.Sum/float64(cal.Count), cal.Count, s.Counter("bao_gross_mispredictions_total"))
+			calSum/float64(calCount), calCount, s.Counter("bao_gross_mispredictions_total"))
 	}
 	fmt.Println("\narm selections:")
 	for arm, n := range s.Labeled["bao_arm_selected_total"] {

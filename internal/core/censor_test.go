@@ -73,9 +73,6 @@ func TestObserveTimeoutRecordsCensoredExperience(t *testing.T) {
 	if n := snap.Counter("bao_query_timeouts_total"); n != 1 {
 		t.Fatalf("bao_query_timeouts_total = %v, want 1", n)
 	}
-	if n := snap.Counter("bao_censored_experiences_total"); n != 1 {
-		t.Fatalf("bao_censored_experiences_total = %v, want 1", n)
-	}
 }
 
 func TestAbandonRecordsNothing(t *testing.T) {

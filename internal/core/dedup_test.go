@@ -66,9 +66,9 @@ func TestDedupPlansGroups(t *testing.T) {
 	s1 := &planner.Node{Op: planner.OpSeqScan, Table: "title", EstRows: 5, EstCost: 5}
 	s2 := &planner.Node{Op: planner.OpSeqScan, Table: "title", EstRows: 5, EstCost: 5}
 	s3 := &planner.Node{Op: planner.OpIndexScan, Table: "title", EstRows: 5, EstCost: 2}
-	groupOf, groupFP := dedupPlans([]*planner.Node{s1, s2, s3, s1})
-	if len(groupFP) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groupFP))
+	groupOf, groups := dedupPlans([]*planner.Node{s1, s2, s3, s1})
+	if groups != 2 {
+		t.Fatalf("groups = %d, want 2", groups)
 	}
 	want := []int{0, 0, 1, 0}
 	for i, g := range groupOf {
@@ -76,14 +76,10 @@ func TestDedupPlansGroups(t *testing.T) {
 			t.Fatalf("armGroup = %v, want %v", groupOf, want)
 		}
 	}
-	// The returned fingerprints identify each group: they must match the
-	// plan fingerprint of the group's representative and differ between
-	// groups.
-	if groupFP[0] != planFingerprint(s1) || groupFP[1] != planFingerprint(s3) {
-		t.Fatalf("group fingerprints %v do not match representatives", groupFP)
-	}
-	if groupFP[0] == groupFP[1] {
-		t.Fatal("distinct groups share a fingerprint")
+	// Grouping is by fingerprint: equal within a group, different between
+	// the groups' representatives.
+	if planFingerprint(s1) != planFingerprint(s2) || planFingerprint(s1) == planFingerprint(s3) {
+		t.Fatal("groups do not follow the plan fingerprints")
 	}
 }
 
@@ -195,8 +191,9 @@ func TestDedupSharedRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	armGroup, groupFP := dedupPlans(plans)
+	armGroup, groups := dedupPlans(plans)
 	roots := map[*planner.Node]int{}
+	groupFP := make([]uint64, groups) // of each group's first arm
 	next := 0
 	for i, p := range plans {
 		if g, seen := roots[p]; seen && g != armGroup[i] {
@@ -205,6 +202,7 @@ func TestDedupSharedRoots(t *testing.T) {
 		roots[p] = armGroup[i]
 		switch {
 		case armGroup[i] == next:
+			groupFP[next] = planFingerprint(p)
 			next++
 		case armGroup[i] > next:
 			t.Fatalf("armGroup %v: group %d appears before group %d", armGroup, armGroup[i], next)

@@ -528,9 +528,9 @@ func TestSingleNaNPredictionClamped(t *testing.T) {
 	if !sel2.UsedModel {
 		t.Fatal("model not used")
 	}
-	armGroup, groupFP := dedupPlans(sel2.Plans)
-	if len(groupFP) <= nanGroup {
-		t.Fatalf("%d distinct plans: no group %d for the model to poison", len(groupFP), nanGroup)
+	armGroup, groups := dedupPlans(sel2.Plans)
+	if groups <= nanGroup {
+		t.Fatalf("%d distinct plans: no group %d for the model to poison", groups, nanGroup)
 	}
 	clamped := 0
 	for i, g := range armGroup {

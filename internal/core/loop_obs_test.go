@@ -5,6 +5,8 @@ package core
 // the linked retrain trace.
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 
 	"bao/internal/model"
@@ -103,11 +105,12 @@ func TestCalibrationTelemetryAndCensoredEvents(t *testing.T) {
 	b.ObserveValue(sel2, 0.02) // ratio 2 against the 0.01 prediction
 
 	arm := b.Cfg.Arms[sel2.ArmID].Name
-	if got := o.CalibByArm.With(arm).Count(); got != 1 {
+	if got := o.Calibration.With(arm).Count(); got != 1 {
 		t.Fatalf("by-arm calibration count = %d, want 1", got)
 	}
-	if got := o.CalibByPhase.With("steady").Count(); got != 1 {
-		t.Fatalf("steady-phase calibration count = %d, want 1", got)
+	// The warm-up phase rides on the trace and the regret entry.
+	if tr, e := o.Traces()[0], o.RegretSnapshot().Window[0]; tr.WarmUp || e.WarmUp {
+		t.Fatalf("steady-state decision booked as warm-up: trace %v, regret entry %v", tr.WarmUp, e.WarmUp)
 	}
 	if drift := o.CalibrationDrift(); drift <= 0 {
 		t.Fatalf("drift = %v, want >0 (observed 2x the prediction)", drift)
@@ -215,5 +218,55 @@ func TestRequestIDFlowsSelectToTrace(t *testing.T) {
 	}
 	if ex := o.ExecSeconds.Exemplar(); ex == nil || ex.RequestID != "req-ctx" {
 		t.Fatalf("exec exemplar = %+v", ex)
+	}
+}
+
+// TestNonFiniteObservationBooksNothing: a NaN observation is admitted
+// into the window (and counted by bao_nonfinite_targets_total) but feeds
+// no running sum, so the learning-loop accounting reads finite again as
+// soon as finite observations follow — long after the entry would have
+// left the regret window, a booked NaN would still read NaN (NaN − NaN is
+// NaN).
+func TestNonFiniteObservationBooksNothing(t *testing.T) {
+	b, o := loopObsBao(t, 0.01)
+	sel, err := b.Select(obsTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		b.ObserveValue(sel, 0.01)
+	}
+	b.Retrain()
+	sel, err = b.Select(obsTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sel.UsedModel {
+		t.Fatal("model not used after retrain")
+	}
+	b.ObserveValue(sel, math.NaN())
+	if got := b.Stats().Counter("bao_nonfinite_targets_total"); got != 1 {
+		t.Fatalf("bao_nonfinite_targets_total = %v, want 1", got)
+	}
+	for i := 0; i < 600; i++ {
+		b.ObserveValue(sel, 0.02)
+	}
+	s := o.RegretSnapshot()
+	arm := b.Cfg.Arms[sel.ArmID].Name
+	for name, v := range map[string]float64{
+		"cum_vs_default_secs":           s.CumVsDefaultSecs,
+		"window_vs_default_secs":        s.WindowVsDefaultSecs,
+		"cum_vs_best_secs":              s.CumVsBestSecs,
+		"bao_execution_seconds_sum":     o.ExecSeconds.Sum(),
+		"bao_prediction_ratio_sum":      o.Calibration.With(arm).Sum(),
+		"bao_arm_regret_seconds_total":  o.ArmRegret.With(arm).Value(),
+		"bao_regret_vs_default_seconds": o.RegretVsDefault.Value(),
+	} {
+		if !isFinite(v) {
+			t.Errorf("%s = %v after one NaN observation and 600 finite ones", name, v)
+		}
+	}
+	if _, err := json.Marshal(o.Traces()); err != nil {
+		t.Errorf("/debug/traces cannot encode: %v", err)
 	}
 }

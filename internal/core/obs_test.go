@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"bao/internal/guard"
 	"bao/internal/model"
 	"bao/internal/nn"
 	"bao/internal/obs"
@@ -226,10 +228,14 @@ func TestDecisionLoopMetricsAndTraces(t *testing.T) {
 	if selected != n {
 		t.Fatalf("arm selections = %v, want %d", selected, n)
 	}
-	for _, h := range []string{"bao_selection_seconds", "bao_planning_seconds",
-		"bao_featurize_seconds", "bao_execution_seconds", "bao_parse_seconds"} {
+	for _, h := range []string{"bao_selection_seconds", "bao_execution_seconds"} {
 		if got := snap.Histograms[h].Count; got != n {
 			t.Fatalf("%s count = %d, want %d", h, got, n)
+		}
+	}
+	for _, stage := range []string{"parse", "plan_arms", "featurize"} {
+		if got := snap.LabeledHist["bao_select_stage_seconds"][stage].Count; got != n {
+			t.Fatalf("bao_select_stage_seconds{stage=%q} count = %d, want %d", stage, got, n)
 		}
 	}
 	if hr := snap.Gauge("bao_bufferpool_hit_rate"); hr < 0 || hr > 1 {
@@ -321,5 +327,78 @@ func TestAddExternalExperienceEarlyRetrain(t *testing.T) {
 	// The window gauge is maintained exactly once per admission.
 	if got := snap.Gauge("bao_experience_window"); got != 18 {
 		t.Fatalf("bao_experience_window = %v, want 18", got)
+	}
+}
+
+// TestSelectStagesTileTheSelection drives a select through a plan-cache
+// miss, a hit, the open breaker and a planner panic. In each, every
+// stage that ran is observed exactly once in bao_select_stage_seconds and
+// no other stage is, and the trace spans from parse to the last stage
+// follow one another with no gap (±1 µs of rounding).
+func TestSelectStagesTileTheSelection(t *testing.T) {
+	newBao := func(fault *guard.Fault) (*Bao, *obs.Observer) {
+		cfg := guardTestConfig(1, fault)
+		cfg.PlanCache = true
+		cfg.NewModel = func(int64) model.Model { return &stubModel{pred: 0.01} }
+		cfg.Observer.EnableTracing(8)
+		return New(buildIMDbEngine(t), cfg), cfg.Observer
+	}
+	b, o := newBao(nil)
+	sel, err := b.Select(obsTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		b.ObserveValue(sel, 0.01)
+	}
+	b.Retrain()
+	panicky, po := newBao(&guard.Fault{PlanPanicArm: 1})
+	const other = "SELECT COUNT(*) FROM title t WHERE t.kind_id = 3"
+
+	for _, c := range []struct {
+		name   string
+		b      *Bao
+		o      *obs.Observer
+		before func()
+		want   []string
+	}{
+		{"miss", b, o, nil, []string{"parse", "plan_arms", "featurize", "infer", "select_arm"}},
+		{"hit", b, o, nil, []string{"parse", "plancache", "infer", "select_arm"}},
+		{"breaker-open", b, o, func() { b.Breaker().Trip("test") }, []string{"parse", "plan_arms", "featurize"}},
+		{"planner-panic", panicky, po, nil, []string{"parse", "plan_arms", "featurize"}},
+	} {
+		if c.before != nil {
+			c.before()
+		}
+		before := c.o.Snapshot().LabeledHist["bao_select_stage_seconds"]
+		sel, err := c.b.Select(other)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		after := c.o.Snapshot().LabeledHist["bao_select_stage_seconds"]
+		for _, stage := range []string{"parse", "plancache", "plan_arms", "featurize", "infer", "select_arm"} {
+			want := int64(0)
+			if slices.Contains(c.want, stage) {
+				want = 1
+			}
+			if got := after[stage].Count - before[stage].Count; got != want {
+				t.Errorf("%s: stage %q observed %d times, want %d", c.name, stage, got, want)
+			}
+		}
+		spans := sel.Trace.Spans
+		var names []string
+		for i, sp := range spans {
+			names = append(names, sp.Name)
+			if i == 0 {
+				continue
+			}
+			prev := spans[i-1]
+			if gap := sp.StartUS - (prev.StartUS + prev.DurUS); gap < -1 || gap > 1 {
+				t.Errorf("%s: span %q starts %d µs after %q ends, want 0 ± 1", c.name, sp.Name, gap, prev.Name)
+			}
+		}
+		if !slices.Equal(names, c.want) {
+			t.Errorf("%s: spans %v, want %v", c.name, names, c.want)
+		}
 	}
 }

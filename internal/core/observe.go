@@ -125,8 +125,10 @@ func (b *Bao) regretEntry(sel *Selection, secs float64, censored bool) obs.Regre
 // executions that failed outright — an abandoned request must leave the
 // learning state exactly as it found it. The decision trace, if any, is
 // finished and published flagged with the reason so dropped work stays
-// visible in /debug/traces.
+// visible in /debug/traces. Every call counts in
+// bao_server_abandoned_total, with or without a selection.
 func (b *Bao) Abandon(sel *Selection, reason string) {
+	b.observer.ServeAbandoned.Inc()
 	if sel == nil {
 		return
 	}
@@ -169,39 +171,42 @@ func (b *Bao) RestoreExperiences(exps []Experience) {
 // allowEarly and the prediction was grossly wrong). It finishes and
 // publishes sel.Trace. A censored observation is a lower bound — the
 // execution was cancelled at its deadline and secs is the budget — so it
-// is counted and journalled as such and yields no calibration sample.
+// is counted and journalled as such and yields no calibration sample. A
+// non-finite observation is admitted (and counted, by
+// bao_nonfinite_targets_total) but books no metric, regret or trace
+// value: one NaN in a running sum stays there for good.
 func (b *Bao) observe(sel *Selection, secs float64, allowEarly, censored bool) {
 	obsStart := time.Now()
 	o := b.observer
 	o.Queries.Inc()
 	cause := sel.Trace.Cause()
-	o.ExecSeconds.ObserveEx(secs, cause.TraceID, cause.RequestID)
 	armName := b.Cfg.Arms[sel.ArmID].Name
-	o.ArmObserved.With(armName).Add(secs)
 	var pred, ratio float64
 	if sel.UsedModel && sel.Preds != nil {
 		pred = sel.Preds[sel.ArmID]
 	}
-	if pred > 0 {
-		// Regret accrues either way — a censored run lost at least
-		// (budget - pred) — but observed/predicted on a lower bound would
-		// systematically understate the calibration ratio.
-		if regret := secs - pred; regret > 0 {
-			o.ArmRegret.With(armName).Add(regret)
+	finite := isFinite(secs)
+	if finite {
+		o.ExecSeconds.ObserveEx(secs, cause.TraceID, cause.RequestID)
+		if pred > 0 {
+			// Regret accrues either way — a censored run lost at least
+			// (budget - pred) — but observed/predicted on a lower bound
+			// would systematically understate the calibration ratio.
+			if regret := secs - pred; regret > 0 {
+				o.ArmRegret.With(armName).Add(regret)
+			}
+			if !censored {
+				ratio = secs / pred
+				o.ObserveCalibration(armName, ratio)
+			}
 		}
-		if !censored {
-			ratio = secs / pred
-			o.Calibration.Observe(ratio)
-			o.ObserveCalibration(armName, sel.WarmUp, ratio)
-		}
+		// The ledger books a censored observation at its budget: a lower
+		// bound on the regret actually suffered, flagged so readers know
+		// it understates.
+		o.RecordRegret(b.regretEntry(sel, secs, censored))
 	}
-	// The ledger books a censored observation at its budget: a lower bound
-	// on the regret actually suffered, flagged so readers know it
-	// understates.
-	o.RecordRegret(b.regretEntry(sel, secs, censored))
 	if censored {
 		o.QueryTimeouts.Inc()
-		o.CensoredExperiences.Inc()
 		o.Emit(obs.Event{
 			Kind:      obs.EventCensored,
 			Detail:    "execution cancelled at deadline",
@@ -229,7 +234,9 @@ func (b *Bao) observe(sel *Selection, secs float64, allowEarly, censored bool) {
 		Censored: censored,
 	}, pred, allowEarly, true, sel.Trace)
 	if tr := sel.Trace; tr != nil {
-		tr.ObservedSecs = secs
+		if finite {
+			tr.ObservedSecs = secs
+		}
 		tr.Ratio = ratio
 		if censored {
 			tr.DeadlineSecs = secs

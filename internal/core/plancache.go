@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/list"
-	"hash/fnv"
 	"math/bits"
 	"sync"
 
@@ -13,93 +12,79 @@ import (
 )
 
 // queryFingerprint hashes the analyzed statement into a stable shape key:
-// the same FNV-1a construction dedup.go uses one level down for physical
-// plans, lifted to the query AST. Structure — tables, join graph, filter
-// columns and operators, output shape — hashes exactly; literals are
-// bucketed by magnitude so the repeated parameterized queries a real
-// workload sends ("... WHERE votes > 1500" vs "> 1800") land in the same
-// cache chain. Bucketing only widens the chain a lookup scans: a hit
-// additionally requires canonical-SQL equality (see planCache.get), so
-// two literal variants of one shape are distinct entries that merely
-// share a slot.
+// the fnv64 writer dedup.go hashes physical plans with, lifted to the
+// query AST. Structure — tables, join graph, filter columns and
+// operators, output shape — hashes exactly; literals are bucketed by
+// magnitude so the repeated parameterized queries a real workload sends
+// ("... WHERE votes > 1500" vs "> 1800") land in the same cache chain.
+// Bucketing only widens the chain a lookup scans: a hit additionally
+// requires canonical-SQL equality (see planCache.get), so two literal
+// variants of one shape are distinct entries that merely share a slot.
 func queryFingerprint(stmt *sqlparser.SelectStmt) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	str := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	tag := func(b byte) { h.Write([]byte{b}) }
+	h := newFNV64()
 	col := func(c sqlparser.ColRef) {
-		str(c.Table)
-		str(c.Column)
+		h.str(c.Table)
+		h.str(c.Column)
+	}
+	flag := func(b bool) {
+		if b {
+			h.tag(1)
+		} else {
+			h.tag(0)
+		}
 	}
 	for _, t := range stmt.From {
-		tag(1)
-		str(t.Name)
-		str(t.Alias)
+		h.tag(1)
+		h.str(t.Name)
+		h.str(t.Alias)
 	}
 	for _, s := range stmt.Select {
-		tag(2)
-		u64(uint64(s.Agg))
-		if s.Star {
-			tag(1)
-		} else {
-			tag(0)
-		}
+		h.tag(2)
+		h.u64(uint64(s.Agg))
+		flag(s.Star)
 		col(s.Col)
 	}
 	for _, p := range stmt.Where {
 		switch p := p.(type) {
 		case sqlparser.JoinPred:
-			tag(3)
+			h.tag(3)
 			col(p.Left)
 			col(p.Right)
 		case sqlparser.FilterPred:
-			tag(4)
+			h.tag(4)
 			col(p.Col)
-			u64(uint64(p.Op))
-			u64(literalBucket(p.Val))
+			h.u64(uint64(p.Op))
+			h.u64(literalBucket(p.Val))
 		case sqlparser.BetweenPred:
-			tag(5)
+			h.tag(5)
 			col(p.Col)
-			u64(literalBucket(p.Lo))
-			u64(literalBucket(p.Hi))
+			h.u64(literalBucket(p.Lo))
+			h.u64(literalBucket(p.Hi))
 		case sqlparser.InPred:
-			tag(6)
+			h.tag(6)
 			col(p.Col)
-			u64(uint64(len(p.Vals)))
+			h.u64(uint64(len(p.Vals)))
 			for _, v := range p.Vals {
-				u64(literalBucket(v))
+				h.u64(literalBucket(v))
 			}
 		default:
-			tag(7)
+			h.tag(7)
 		}
 	}
 	for _, g := range stmt.GroupBy {
-		tag(8)
+		h.tag(8)
 		col(g)
 	}
 	for _, o := range stmt.OrderBy {
-		tag(9)
+		h.tag(9)
 		col(o.Col)
-		if o.Desc {
-			tag(1)
-		} else {
-			tag(0)
-		}
+		flag(o.Desc)
 	}
 	if stmt.Limit > 0 {
-		tag(10)
-		u64(uint64(bits.Len64(uint64(stmt.Limit))))
+		h.tag(10)
+		h.u64(uint64(bits.Len64(uint64(stmt.Limit))))
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // literalBucket collapses a literal to its type and order of magnitude
@@ -156,7 +141,6 @@ type planCacheEntry struct {
 	plans    []*planner.Node
 	cands    []int
 	armGroup []int
-	groupFP  []uint64
 	uniq     []*planner.Node // representative plan per dedup group
 
 	variant *cacheVariant
@@ -340,7 +324,7 @@ func (c *planCache) publishLocked() {
 func entryBytes(e *planCacheEntry) int64 {
 	const overhead = 512
 	b := int64(overhead)
-	b += int64(len(e.plans))*16 + int64(len(e.cands)+len(e.armGroup))*8 + int64(len(e.groupFP))*8
+	b += int64(len(e.plans))*16 + int64(len(e.cands)+len(e.armGroup)+len(e.uniq))*8
 	v := e.variant
 	if v == nil {
 		return b

@@ -269,7 +269,7 @@ func (b *Bao) finishRetrainLocked(m model.Model, samples int, fit fitResult) {
 		SimGPUSeconds: cloud.GPUTrainSeconds(samples, max(fit.epochs, 1)),
 	})
 	o := b.observer
-	o.Retrains.Inc()
+	o.HotSwaps.Inc()
 	o.RetrainSeconds.Add(fit.wall)
 	o.TrainEpochs.Add(float64(fit.epochs))
 	o.TrainSamples.Set(float64(samples))

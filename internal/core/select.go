@@ -43,10 +43,9 @@ type selectReq struct {
 	hit                    *planCacheEntry
 	hitVariant             *cacheVariant
 
-	// Dedup: arm → group, and per group a fingerprint, a representative
-	// plan and one tree. groupFP is nil when only arm 0 was planned.
+	// Dedup: arm → group, and per group a representative plan and one
+	// tree. armGroup is nil when only arm 0 was planned.
 	armGroup  []int
-	groupFP   []uint64
 	uniq      []*planner.Node
 	uniqTrees []*nn.Tree
 	// A forward pass made by THIS call (not predictions served out of the
@@ -55,11 +54,17 @@ type selectReq struct {
 	freshFinite int
 }
 
-// SelectCtx is Select under a context: cancellation is checked between
-// pipeline stages and, inside planning, once per relation subset of the
+// SelectCtx is Select under a context: cancellation is checked once the
+// arms are planned and, inside planning, once per relation subset of the
 // join enumeration, so an abandoned request stops planning within one
 // subset rather than finishing the enumeration for nobody. A cancelled
 // selection returns the context's error; nothing is recorded.
+//
+// The degradations live here too. While the breaker is open the learned
+// path is not trusted (the breaker clocks every decision). A planner
+// panic somewhere in the hint-set family trips the breaker and degrades
+// to the default arm planned alone; a panic there too leaves nothing to
+// degrade to and fails the query.
 func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 	r := &selectReq{b: b, freshFinite: -1}
 	if err := r.parse(ctx, sql); err != nil {
@@ -68,13 +73,17 @@ func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 	var err error
 	switch {
 	case !b.breaker.Allow():
-		// The breaker clocks every decision; while it is open the learned
-		// path is not trusted.
 		err = r.planDefault(ctx, "breaker-open", "breaker open: default arm only")
 	case r.lookupCache():
 		r.reuseCached()
 	default:
 		err = r.planAll(ctx)
+		if errors.Is(err, errPlannerPanic) && len(b.Cfg.Arms) > 1 {
+			err = r.planDefault(ctx, "planner-panic", "planner panic: degraded to default arm")
+		}
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, fmt.Errorf("core: select cancelled: %w", cerr)
 	}
 	if err != nil {
 		return nil, err
@@ -91,13 +100,14 @@ func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 	return r.finish(), nil
 }
 
-// stage closes one pipeline stage: its span in the decision trace and its
-// latency histogram (nil for the stages that have none) are both taken
-// from the one [from, to] pair, and to becomes the next stage's start.
-func (r *selectReq) stage(name string, h *obs.Histogram, from, to time.Time, note string) {
-	d := to.Sub(from)
-	h.Observe(d.Seconds())
-	r.tr.AddSpan(name, from, d, note)
+// stage closes one pipeline stage: it runs from the end of the previous
+// one (r.mark) to to, so the stages tile the selection. Its span in the
+// decision trace and its bao_select_stage_seconds sample are both taken
+// from that one interval, and to becomes the next stage's start.
+func (r *selectReq) stage(name string, to time.Time, note string) {
+	d := to.Sub(r.mark)
+	r.b.observer.SelectStage.With(name).Observe(d.Seconds())
+	r.tr.AddSpan(name, r.mark, d, note)
 	r.mark = to
 }
 
@@ -109,11 +119,12 @@ func (r *selectReq) parse(ctx context.Context, sql string) error {
 	r.tr = b.observer.StartTrace(sql)
 	r.tr.SetRequestID(obs.RequestIDFrom(ctx))
 	r.start = time.Now() // after the trace's own anchor: span offsets are never negative
+	r.mark = r.start
 	q, err := b.Eng.AnalyzeSQL(sql)
 	if err != nil {
 		return err
 	}
-	r.stage("parse", b.observer.ParseSeconds, r.start, time.Now(), "")
+	r.stage("parse", time.Now(), "")
 	n := len(b.Cfg.Arms)
 	r.sel = &Selection{SQL: sql, Query: q, Trace: r.tr,
 		Plans: make([]*planner.Node, n), Candidates: make([]int, n), Trees: make([]*nn.Tree, n)}
@@ -129,19 +140,14 @@ func (r *selectReq) parse(ctx context.Context, sql string) error {
 // the experience exactly as it would a cold-start default selection and
 // the window keeps learning while the learned path sits out.
 func (r *selectReq) planDefault(ctx context.Context, reason, note string) error {
-	b, sel, o := r.b, r.sel, r.b.observer
-	err := b.planArms(ctx, sel.Query, sel, 1)
-	if err == nil && ctx.Err() != nil {
-		err = fmt.Errorf("core: select cancelled: %w", ctx.Err())
-	}
-	if err != nil {
+	b, sel := r.b, r.sel
+	if err := b.planArms(ctx, sel.Query, sel, 1); err != nil {
 		return err
 	}
-	o.BreakerDefault.Inc()
-	r.stage("plan_arms", o.PlanSeconds, r.mark, time.Now(), note)
+	r.stage("plan_arms", time.Now(), note)
 	sel.UniquePlans = 1
 	sel.Trees[0] = b.Feat.Vectorize(sel.Plans[0])
-	r.stage("featurize", o.FeatSeconds, r.mark, time.Now(), "default arm only")
+	r.stage("featurize", time.Now(), "default arm only")
 	sel.UsedModel = false
 	r.breakerNote = reason
 	return nil
@@ -172,8 +178,8 @@ func (r *selectReq) reuseCached() {
 	b.observer.PlanCacheHits.Inc()
 	r.verdict = "hit"
 	sel.Plans, sel.Candidates = e.plans, e.cands
-	r.armGroup, r.groupFP, r.uniq = e.armGroup, e.groupFP, e.uniq
-	sel.UniquePlans = len(r.groupFP)
+	r.armGroup, r.uniq = e.armGroup, e.uniq
+	sel.UniquePlans = len(r.uniq)
 	if v := e.variant; floatsEqual(b.Feat.residencyFromPlans(r.uniq), v.resSig) {
 		r.uniqTrees, r.hitVariant = v.trees, v
 	} else {
@@ -186,33 +192,22 @@ func (r *selectReq) reuseCached() {
 	for i, g := range r.armGroup {
 		sel.Trees[i] = r.uniqTrees[g]
 	}
-	r.stage("plancache", nil, r.mark, time.Now(), r.verdict)
+	r.stage("plancache", time.Now(), r.verdict)
 }
 
 // planAll plans every arm in one join enumeration (arms with the same plan
-// come back sharing one tree), deduplicates and featurizes. A planner
-// panic somewhere in the hint-set family (the breaker tripped) degrades to
-// the default arm planned alone; a panic there too leaves nothing to
-// degrade to and fails the query.
+// come back sharing one tree), deduplicates and featurizes.
 func (r *selectReq) planAll(ctx context.Context) error {
 	b, sel, o := r.b, r.sel, r.b.observer
-	err := b.planArms(ctx, sel.Query, sel, len(b.Cfg.Arms))
-	if errors.Is(err, errPlannerPanic) && len(b.Cfg.Arms) > 1 {
-		return r.planDefault(ctx, "planner-panic", "planner panic: degraded to default arm")
-	}
-	if err == nil && ctx.Err() != nil {
-		err = fmt.Errorf("core: select cancelled: %w", ctx.Err())
-	}
-	if err != nil {
+	if err := b.planArms(ctx, sel.Query, sel, len(b.Cfg.Arms)); err != nil {
 		return err
 	}
-	parseDone, planDone := r.mark, time.Now()
+	planDone := time.Now()
 	// Deduplicate before featurizing: hint sets routinely collapse to the
 	// same physical plan, and identical plans featurize to identical trees
 	// and predictions, so each distinct plan is vectorized and inferred
 	// exactly once and the result fanned back out per arm.
-	r.armGroup, r.groupFP = dedupPlans(sel.Plans)
-	sel.UniquePlans = len(r.groupFP)
+	r.armGroup, sel.UniquePlans = dedupPlans(sel.Plans)
 	deduped := len(sel.Plans) - sel.UniquePlans
 	o.PlansDeduped.Add(float64(deduped))
 	r.uniqTrees = make([]*nn.Tree, sel.UniquePlans)
@@ -234,8 +229,8 @@ func (r *selectReq) planAll(ctx context.Context) error {
 		planNote = fmt.Sprintf("arms=%d distinct=%d", len(b.Cfg.Arms), sel.UniquePlans)
 		featNote = fmt.Sprintf("unique=%d deduped=%d", sel.UniquePlans, deduped)
 	}
-	r.stage("plan_arms", o.PlanSeconds, parseDone, planDone, planNote)
-	r.stage("featurize", o.FeatSeconds, planDone, featDone, featNote)
+	r.stage("plan_arms", planDone, planNote)
+	r.stage("featurize", featDone, featNote)
 	return nil
 }
 
@@ -243,7 +238,6 @@ func (r *selectReq) planAll(ctx context.Context) error {
 // forward pass over the distinct plans, fanned back out per arm.
 func (r *selectReq) predict() {
 	b, sel, o := r.b, r.sel, r.b.observer
-	inferStart := time.Now()
 	var uniqPreds []float64
 	finite := 0
 	if v := r.hitVariant; v != nil && v.preds != nil && v.predsVer == r.st.version {
@@ -275,12 +269,11 @@ func (r *selectReq) predict() {
 	for i, g := range r.armGroup {
 		sel.Preds[i] = uniqPreds[g]
 	}
-	r.stage("infer", o.InferSeconds, inferStart, time.Now(), "")
+	r.stage("infer", time.Now(), "")
 	if finite == 0 {
 		// NO prediction is finite: the model has nothing usable to say —
 		// trip the breaker and serve the default arm.
 		b.breaker.Trip("degenerate-predictions")
-		o.BreakerDefault.Inc()
 		sel.Preds = nil
 		r.breakerNote = "degenerate-predictions"
 		sel.UsedModel = false
@@ -306,10 +299,10 @@ func (b *Bao) predictTrees(mdl model.Model, trees []*nn.Tree) []float64 {
 // re-predict refreshes the entry's variant. Degenerate predictions
 // (freshFinite == 0) are never cached — the entry keeps its plans but no
 // predictions, so the next repeat re-predicts. No-op when the cache is
-// off or the arm set wasn't fully planned (groupFP nil).
+// off or the arm set wasn't fully planned (armGroup nil).
 func (r *selectReq) storeCacheEntry() {
 	b := r.b
-	if b.pcache == nil || r.groupFP == nil {
+	if b.pcache == nil || r.armGroup == nil {
 		return
 	}
 	if r.hit != nil && r.hitVariant != nil && r.freshPreds == nil {
@@ -340,16 +333,15 @@ func (r *selectReq) storeCacheEntry() {
 		plans:      r.sel.Plans,
 		cands:      r.sel.Candidates,
 		armGroup:   r.armGroup,
-		groupFP:    r.groupFP,
 		uniq:       r.uniq,
 		variant:    v,
 	})
 }
 
-// pickArm is the argmin over the selectable arms' predictions.
+// pickArm is the argmin over the selectable arms' predictions. Its stage,
+// select_arm, also carries the plan-cache write-back that precedes it.
 func (r *selectReq) pickArm() {
 	sel, candidates := r.sel, r.st.arms
-	pickStart := time.Now()
 	// Cost-sanity guard: drop arms whose plan the traditional optimizer
 	// prices two orders of magnitude above the cheapest arm. Bao
 	// second-guesses the cost model's *choices*, not its arithmetic —
@@ -387,16 +379,20 @@ func (r *selectReq) pickArm() {
 		}
 	}
 	sel.ArmID = best
-	r.stage("select_arm", nil, pickStart, time.Now(), "")
+	r.stage("select_arm", time.Now(), "")
 }
 
-// finish stamps the decision — arm counter, whole-Select latency and the
-// trace's summary fields — on every exit that serves a plan.
+// finish stamps the decision — arm counter, degradation counter,
+// whole-Select latency and the trace's summary fields — on every exit that
+// serves a plan.
 func (r *selectReq) finish() *Selection {
 	b, sel, o := r.b, r.sel, r.b.observer
 	arm := b.Cfg.Arms[sel.ArmID].Name
 	o.SelectSeconds.Observe(time.Since(r.start).Seconds())
 	o.ArmSelected.With(arm).Inc()
+	if r.breakerNote != "" {
+		o.BreakerDefault.Inc()
+	}
 	if tr := r.tr; tr != nil {
 		tr.ArmID = sel.ArmID
 		tr.ArmName = arm
@@ -424,8 +420,7 @@ var errPlannerPanic = errors.New("planner panicked")
 // arm is among the n — becomes a breaker trip plus an error wrapping
 // errPlannerPanic: one buggy hint-set extension must degrade queries to
 // the default plan, never crash the process (the paper's extensibility
-// story depends on new arms being safe to add). A cancelled enumeration
-// returns the context's error.
+// story depends on new arms being safe to add).
 func (b *Bao) planArms(ctx context.Context, q *planner.Query, sel *Selection, n int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -439,9 +434,6 @@ func (b *Bao) planArms(ctx context.Context, q *planner.Query, sel *Selection, n 
 	}
 	roots, cands, err := b.Eng.Opt.PlanArms(ctx, q, b.hints[:n])
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("core: select cancelled: %w", cerr)
-		}
 		return fmt.Errorf("core: planning %d arms: %w", n, err)
 	}
 	copy(sel.Plans, roots)

@@ -10,22 +10,24 @@ import (
 
 // Event kinds emitted by the learning loop. Detail carries the
 // human-readable specifics (rejection reason, breaker transition, error).
+// Every kind is counted by the metric named beside it, moved at the same
+// site as the emit; the journal adds the linkage, not the count.
 const (
-	EventSwapAccepted    = "swap-accepted"
-	EventSwapRejected    = "swap-rejected"
-	EventTrainerPanic    = "trainer-panic"
-	EventBreaker         = "breaker-transition"
-	EventCheckpoint      = "checkpoint-saved"
-	EventCheckpointError = "checkpoint-save-error"
-	EventRollback        = "checkpoint-rollback"
-	EventCensored        = "censored"
-	EventAbandoned       = "abandoned"
+	EventSwapAccepted    = "swap-accepted"         // bao_retrains_total
+	EventSwapRejected    = "swap-rejected"         // bao_retrain_rejected_total
+	EventTrainerPanic    = "trainer-panic"         // bao_trainer_panics_total
+	EventBreaker         = "breaker-transition"    // bao_breaker_state
+	EventCheckpoint      = "checkpoint-saved"      // bao_checkpoints_saved_total
+	EventCheckpointError = "checkpoint-save-error" // bao_checkpoint_save_errors_total
+	EventRollback        = "checkpoint-rollback"   // bao_checkpoint_rollbacks_total
+	EventCensored        = "censored"              // bao_query_timeouts_total
+	EventAbandoned       = "abandoned"             // bao_server_abandoned_total
 	// Segmented experience-log durability: read-only degradation and
 	// recovery, plus snapshot-anchored compaction outcomes.
-	EventExplogDegraded      = "explog-degraded"
-	EventExplogRestored      = "explog-restored"
-	EventExplogSnapshot      = "explog-snapshot"
-	EventExplogSnapshotError = "explog-snapshot-error"
+	EventExplogDegraded      = "explog-degraded"       // bao_explog_degraded
+	EventExplogRestored      = "explog-restored"       // bao_explog_degraded
+	EventExplogSnapshot      = "explog-snapshot"       // bao_explog_snapshots_total
+	EventExplogSnapshotError = "explog-snapshot-error" // bao_explog_snapshot_errors_total
 )
 
 // Event is one structured lifecycle record: model swaps, breaker
@@ -51,11 +53,9 @@ type Event struct {
 // except the breaker's transition callback (safe: the journal calls
 // nothing back).
 type EventJournal struct {
-	mu   sync.Mutex
-	seq  uint64
-	ring []Event
-	next int
-	full bool
+	mu     sync.Mutex
+	seq    uint64
+	recent ring[Event]
 
 	f        *os.File
 	path     string
@@ -66,12 +66,7 @@ type EventJournal struct {
 
 // NewEventJournal creates an in-memory journal retaining the last n
 // events (n < 1 clamped to 1).
-func NewEventJournal(n int) *EventJournal {
-	if n < 1 {
-		n = 1
-	}
-	return &EventJournal{ring: make([]Event, n)}
-}
+func NewEventJournal(n int) *EventJournal { return &EventJournal{recent: newRing[Event](n)} }
 
 // LogTo additionally streams events to a JSONL file at path, rotating to
 // path.1 … path.<keep> when the live file exceeds maxBytes (maxBytes <= 0
@@ -119,12 +114,7 @@ func (j *EventJournal) Append(ev Event) Event {
 	if ev.At.IsZero() {
 		ev.At = time.Now()
 	}
-	j.ring[j.next] = ev
-	j.next++
-	if j.next == len(j.ring) {
-		j.next = 0
-		j.full = true
-	}
+	j.recent.push(ev)
 	if j.f != nil {
 		line, err := json.Marshal(ev)
 		if err == nil {
@@ -164,19 +154,7 @@ func (j *EventJournal) Events() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := j.next
-	if j.full {
-		n = len(j.ring)
-	}
-	out := make([]Event, 0, n)
-	for i := 1; i <= n; i++ {
-		idx := j.next - i
-		if idx < 0 {
-			idx += len(j.ring)
-		}
-		out = append(out, j.ring[idx])
-	}
-	return out
+	return j.recent.newestFirst()
 }
 
 // Close detaches and closes the file sink (the in-memory ring keeps

@@ -27,9 +27,10 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add accumulates v. Negative deltas are ignored (counters only go up).
+// Add accumulates v. Negative and NaN deltas are ignored: counters only
+// go up, and one NaN would stick in the total for good.
 func (c *Counter) Add(v float64) {
-	if c == nil || v < 0 {
+	if c == nil || !(v >= 0) {
 		return
 	}
 	addFloat(&c.bits, v)
@@ -202,8 +203,8 @@ func (v *CounterVec) Values() map[string]float64 {
 }
 
 // HistogramVec is a family of histograms partitioned by one label, all
-// sharing the same bucket bounds (e.g. prediction-calibration ratios
-// split by arm or by warm-up phase).
+// sharing the same bucket bounds (selection latency by stage,
+// prediction-calibration ratios by arm).
 type HistogramVec struct {
 	name   string
 	help   string

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -16,7 +17,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	c := r.Counter("c_total", "help")
 	c.Inc()
 	c.Add(2.5)
-	c.Add(-1) // ignored: counters only go up
+	c.Add(-1)         // ignored: counters only go up
+	c.Add(math.NaN()) // ignored: it would stick in the total
 	if got := c.Value(); got != 3.5 {
 		t.Fatalf("counter = %v, want 3.5", got)
 	}

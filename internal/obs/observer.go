@@ -20,7 +20,6 @@ type Observer struct {
 	// Decision-loop counters and gauges.
 	Queries     *Counter    // bao_queries_total
 	ArmSelected *CounterVec // bao_arm_selected_total{arm}
-	ArmObserved *CounterVec // bao_arm_observed_seconds_total{arm}
 	ArmRegret   *CounterVec // bao_arm_regret_seconds_total{arm}
 	External    *Counter    // bao_external_experiences_total
 	Window      *Gauge      // bao_experience_window
@@ -37,53 +36,44 @@ type Observer struct {
 	PlanCacheBytes     *Gauge     // bao_plancache_bytes
 	InferBatchSize     *Histogram // bao_infer_batch_size
 
-	// Stage latency histograms (seconds).
-	ParseSeconds  *Histogram // bao_parse_seconds
-	PlanSeconds   *Histogram // bao_planning_seconds (all arms, wall)
-	FeatSeconds   *Histogram // bao_featurize_seconds (summed across arms)
-	InferSeconds  *Histogram // bao_inference_seconds
-	SelectSeconds *Histogram // bao_selection_seconds (whole Select, wall)
-	ExecSeconds   *Histogram // bao_execution_seconds (observed metric)
+	// Selection latency: per stage of SelectCtx (parse, plancache,
+	// plan_arms, featurize, infer, select_arm — the stages tile the
+	// selection) and whole; the observed metric per executed query.
+	SelectStage   *HistogramVec // bao_select_stage_seconds{stage}
+	SelectSeconds *Histogram    // bao_selection_seconds (whole Select, wall)
+	ExecSeconds   *Histogram    // bao_execution_seconds (observed metric)
 
 	// Prediction calibration and the mistake-driven retrain loop.
-	Calibration   *Histogram // bao_prediction_ratio (observed/predicted)
-	GrossMispred  *Counter   // bao_gross_mispredictions_total
-	EarlyRetrains *Counter   // bao_early_retrains_total
+	Calibration   *HistogramVec // bao_prediction_ratio{arm} (observed/predicted)
+	CalibDrift    *Gauge        // bao_calibration_drift_log_ratio
+	GrossMispred  *Counter      // bao_gross_mispredictions_total
+	EarlyRetrains *Counter      // bao_early_retrains_total
 
-	// Learning-loop accounting: regret against the default arm and the
-	// best arm (cumulative and over a sliding window), calibration ratio
-	// histograms split by arm and by warm-up phase, the windowed drift
-	// statistic (median log observed/predicted) the breaker and a
-	// HERO-style confidence gate can read, and the structured event
-	// journal's per-kind counter.
-	RegretDecisions *Counter      // bao_regret_decisions_total
-	RegretVsDefault *Gauge        // bao_regret_vs_default_seconds
-	RegretVsBest    *Gauge        // bao_regret_vs_best_seconds
-	RegretWinDef    *Gauge        // bao_regret_window_vs_default_seconds
-	RegretWinBest   *Gauge        // bao_regret_window_vs_best_seconds
-	CalibByArm      *HistogramVec // bao_prediction_ratio_by_arm{arm}
-	CalibByPhase    *HistogramVec // bao_prediction_ratio_by_phase{phase}
-	CalibDrift      *Gauge        // bao_calibration_drift_log_ratio
-	EventsTotal     *CounterVec   // bao_events_total{kind}
+	// Regret against the default arm, cumulative and over the ledger's
+	// sliding window: the "never much worse than the default" signal.
+	// Regret against the best arm lives in /debug/regret only, beside the
+	// true_baseline flag that says whether "best" was measured or is the
+	// model's own prediction.
+	RegretVsDefault *Gauge // bao_regret_vs_default_seconds
+	RegretWinDef    *Gauge // bao_regret_window_vs_default_seconds
 
-	// Deadline-aware execution: queries cancelled at their deadline and
-	// the censored (lower-bound) experiences recorded for them.
-	QueryTimeouts       *Counter // bao_query_timeouts_total
-	CensoredExperiences *Counter // bao_censored_experiences_total
+	// Queries cancelled at their deadline (each recorded as a censored,
+	// lower-bound experience).
+	QueryTimeouts *Counter // bao_query_timeouts_total
 
-	// Training.
-	Retrains       *Counter // bao_retrains_total
+	// Training. HotSwaps counts accepted fits, each one a model swapped in
+	// (under the server, by the async trainer).
+	HotSwaps       *Counter // bao_retrains_total
 	RetrainSeconds *Counter // bao_retrain_wall_seconds_total
 	TrainEpochs    *Counter // bao_train_epochs_total
 	TrainLoss      *Gauge   // bao_train_loss
 	TrainSamples   *Gauge   // bao_train_samples
 
 	// Serving layer (internal/server): admission control, the async
-	// trainer, model hot-swaps, and the durable experience log.
+	// trainer, and the durable experience log.
 	ServeInFlight    *Gauge     // bao_server_inflight
 	ServeThrottled   *Counter   // bao_server_throttled_total
 	ServeSeconds     *Histogram // bao_server_request_seconds
-	HotSwaps         *Counter   // bao_server_model_swaps_total
 	TrainerLag       *Gauge     // bao_server_trainer_lag_seconds
 	RetrainCoalesced *Counter   // bao_server_retrains_coalesced_total
 	LogRecords       *Counter   // bao_server_explog_records_total
@@ -165,7 +155,6 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 
 		Queries:      reg.Counter("bao_queries_total", "Queries run through Bao's select-execute-observe loop."),
 		ArmSelected:  reg.CounterVec("bao_arm_selected_total", "Per-arm selection counts.", "arm"),
-		ArmObserved:  reg.CounterVec("bao_arm_observed_seconds_total", "Per-arm accumulated observed metric seconds.", "arm"),
 		ArmRegret:    reg.CounterVec("bao_arm_regret_seconds_total", "Per-arm accumulated positive (observed - predicted) seconds; the model's realized optimism.", "arm"),
 		External:     reg.Counter("bao_external_experiences_total", "Off-policy experiences added (advisor mode, DBA plans)."),
 		Window:       reg.Gauge("bao_experience_window", "Experiences currently in the sliding window."),
@@ -178,31 +167,21 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		PlanCacheBytes:     reg.Gauge("bao_plancache_bytes", "Approximate resident bytes of cached plan tensors and predictions."),
 		InferBatchSize:     reg.Histogram("bao_infer_batch_size", "Trees per TCNN forward pass issued by the cross-request inference batcher.", CountBuckets()),
 
-		ParseSeconds:  reg.Histogram("bao_parse_seconds", "Parse+analyze wall time per query.", lat),
-		PlanSeconds:   reg.Histogram("bao_planning_seconds", "Wall time planning all arms for one query.", lat),
-		FeatSeconds:   reg.Histogram("bao_featurize_seconds", "Plan-tree featurization time per query, summed across arms.", lat),
-		InferSeconds:  reg.Histogram("bao_inference_seconds", "TCNN inference wall time per query (all arms).", lat),
+		SelectStage:   reg.HistogramVec("bao_select_stage_seconds", "Wall time per stage of one selection; the stages tile it.", "stage", lat),
 		SelectSeconds: reg.Histogram("bao_selection_seconds", "End-to-end Select (optimization overhead) wall time per query.", lat),
 		ExecSeconds:   reg.Histogram("bao_execution_seconds", "Observed metric value (simulated seconds) per executed query.", lat),
 
-		Calibration:   reg.Histogram("bao_prediction_ratio", "Observed/predicted ratio for the chosen arm (calibration; >8 triggers early retrain).", RatioBuckets()),
+		Calibration:   reg.HistogramVec("bao_prediction_ratio", "Observed/predicted ratio by chosen arm (calibration; >8 triggers early retrain).", "arm", RatioBuckets()),
+		CalibDrift:    reg.Gauge("bao_calibration_drift_log_ratio", "Median log(observed/predicted) over the last calibrated decisions; 0 = calibrated, >0 = model optimistic."),
 		GrossMispred:  reg.Counter("bao_gross_mispredictions_total", "Executions observed >8x over prediction and slow in absolute terms."),
 		EarlyRetrains: reg.Counter("bao_early_retrains_total", "Retrains triggered by gross misprediction rather than schedule."),
 
-		RegretDecisions: reg.Counter("bao_regret_decisions_total", "Decisions admitted into the regret ledger."),
 		RegretVsDefault: reg.Gauge("bao_regret_vs_default_seconds", "Cumulative signed regret of Bao's choices vs the default arm (negative = Bao is winning)."),
-		RegretVsBest:    reg.Gauge("bao_regret_vs_best_seconds", "Cumulative signed regret vs the best arm per decision (true per-arm latencies in the harness, predicted-best when serving)."),
 		RegretWinDef:    reg.Gauge("bao_regret_window_vs_default_seconds", "Signed regret vs the default arm over the ledger's sliding window."),
-		RegretWinBest:   reg.Gauge("bao_regret_window_vs_best_seconds", "Signed regret vs the best arm over the ledger's sliding window."),
-		CalibByArm:      reg.HistogramVec("bao_prediction_ratio_by_arm", "Observed/predicted ratio split by chosen arm.", "arm", RatioBuckets()),
-		CalibByPhase:    reg.HistogramVec("bao_prediction_ratio_by_phase", "Observed/predicted ratio split by warm-up phase (warmup vs steady).", "phase", RatioBuckets()),
-		CalibDrift:      reg.Gauge("bao_calibration_drift_log_ratio", "Median log(observed/predicted) over the last calibrated decisions; 0 = calibrated, >0 = model optimistic."),
-		EventsTotal:     reg.CounterVec("bao_events_total", "Structured lifecycle events emitted, by kind.", "kind"),
 
-		QueryTimeouts:       reg.Counter("bao_query_timeouts_total", "Queries cancelled because execution exceeded the per-query deadline."),
-		CensoredExperiences: reg.Counter("bao_censored_experiences_total", "Censored (lower-bound) experiences recorded for timed-out executions."),
+		QueryTimeouts: reg.Counter("bao_query_timeouts_total", "Queries cancelled at the per-query deadline, each recorded as a censored (lower-bound) experience."),
 
-		Retrains:       reg.Counter("bao_retrains_total", "Model retrains (Thompson sampling draws)."),
+		HotSwaps:       reg.Counter("bao_retrains_total", "Accepted model fits (Thompson sampling draws) swapped in."),
 		RetrainSeconds: reg.Counter("bao_retrain_wall_seconds_total", "Accumulated retrain wall time."),
 		TrainEpochs:    reg.Counter("bao_train_epochs_total", "Accumulated training epochs across retrains."),
 		TrainLoss:      reg.Gauge("bao_train_loss", "Final training loss of the most recent model fit."),
@@ -211,14 +190,13 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		ServeInFlight:    reg.Gauge("bao_server_inflight", "Requests currently admitted into the serving layer."),
 		ServeThrottled:   reg.Counter("bao_server_throttled_total", "Requests rejected with 429 by admission control."),
 		ServeSeconds:     reg.Histogram("bao_server_request_seconds", "Server request wall time (admitted requests).", lat),
-		HotSwaps:         reg.Counter("bao_server_model_swaps_total", "Models hot-swapped in by the async trainer."),
 		TrainerLag:       reg.Gauge("bao_server_trainer_lag_seconds", "Signal-to-swap latency of the most recent async retrain."),
 		RetrainCoalesced: reg.Counter("bao_server_retrains_coalesced_total", "Retrain signals coalesced into an already-pending one."),
 		LogRecords:       reg.Counter("bao_server_explog_records_total", "Records appended to the experience log."),
 		LogBytes:         reg.Counter("bao_server_explog_bytes_total", "Bytes appended to the experience log."),
 		LogReplayed:      reg.Counter("bao_server_explog_replayed_total", "Records replayed from the experience log at startup."),
 		LogSkipped:       reg.Counter("bao_server_explog_skipped_total", "Corrupt or truncated experience-log records skipped during replay."),
-		ServeAbandoned:   reg.Counter("bao_server_abandoned_total", "Requests abandoned mid-flight (timed out at the HTTP layer or client disconnected) that recorded no experience."),
+		ServeAbandoned:   reg.Counter("bao_server_abandoned_total", "Selections and requests abandoned before an outcome was recorded (client gone, HTTP timeout, or failed execution); nothing entered the window."),
 
 		LogSeals:        reg.Counter("bao_explog_seals_total", "Active-tail rotations into sealed experience-log segments."),
 		LogSegments:     reg.Gauge("bao_explog_segments", "Sealed experience-log segments on disk awaiting compaction."),
@@ -265,6 +243,11 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		PoolHits:       reg.Gauge("bao_bufferpool_hits", "Cumulative buffer-pool hits (engine lifetime)."),
 		PoolMisses:     reg.Gauge("bao_bufferpool_misses", "Cumulative buffer-pool misses (engine lifetime)."),
 		PoolHitRate:    reg.Gauge("bao_bufferpool_hit_rate", "Buffer-pool hit fraction over the engine lifetime."),
+	}
+	// Every stage's series exists from the start, at zero: a scrape shows
+	// the stage before it first runs, and no selection pays to create it.
+	for _, s := range []string{"parse", "plancache", "plan_arms", "featurize", "infer", "select_arm"} {
+		o.SelectStage.With(s)
 	}
 	o.ledger = NewRegretLedger(256)
 	o.drift = newDriftWindow(128)
@@ -352,12 +335,9 @@ func (o *Observer) RecordRegret(e RegretEntry) {
 	if o == nil || o.ledger == nil {
 		return
 	}
-	t := o.ledger.Record(e)
-	o.RegretDecisions.Inc()
-	o.RegretVsDefault.Set(t.cumDef)
-	o.RegretVsBest.Set(t.cumBest)
-	o.RegretWinDef.Set(t.winDef)
-	o.RegretWinBest.Set(t.winBest)
+	cum, win := o.ledger.Record(e)
+	o.RegretVsDefault.Set(cum)
+	o.RegretWinDef.Set(win)
 }
 
 // RegretSnapshot copies the regret ledger (empty snapshot when the
@@ -369,19 +349,14 @@ func (o *Observer) RegretSnapshot() RegretSnapshot {
 	return o.ledger.Snapshot()
 }
 
-// ObserveCalibration records one observed/predicted ratio into the
-// legacy aggregate histogram's labeled companions and updates the
-// windowed drift gauge. Call only with ratio > 0 (a prediction existed).
-func (o *Observer) ObserveCalibration(arm string, warm bool, ratio float64) {
+// ObserveCalibration records one observed/predicted ratio for the chosen
+// arm and updates the windowed drift gauge. Call only with ratio > 0 (a
+// prediction existed).
+func (o *Observer) ObserveCalibration(arm string, ratio float64) {
 	if o == nil || ratio <= 0 {
 		return
 	}
-	o.CalibByArm.With(arm).Observe(ratio)
-	phase := "steady"
-	if warm {
-		phase = "warmup"
-	}
-	o.CalibByPhase.With(phase).Observe(ratio)
+	o.Calibration.With(arm).Observe(ratio)
 	if o.drift != nil {
 		o.CalibDrift.Set(o.drift.add(math.Log(ratio)))
 	}
@@ -417,13 +392,13 @@ func (o *Observer) Journal() *EventJournal {
 	return o.journal.Load()
 }
 
-// Emit appends one lifecycle event to the journal (when attached) and
-// counts it by kind. Nil-safe and cheap when events are off.
+// Emit appends one lifecycle event to the journal when one is attached.
+// Each kind's count is the metric its emitter moves beside it (see the
+// Event* constants). Nil-safe and cheap when events are off.
 func (o *Observer) Emit(ev Event) {
 	if o == nil {
 		return
 	}
-	o.EventsTotal.With(ev.Kind).Inc()
 	if j := o.journal.Load(); j != nil {
 		j.Append(ev)
 	}

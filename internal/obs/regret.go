@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sort"
 	"sync"
 )
@@ -65,9 +64,7 @@ type RegretSnapshot struct {
 // disabled observer pays nothing.
 type RegretLedger struct {
 	mu        sync.Mutex
-	win       []RegretEntry
-	next      int
-	full      bool
+	win       ring[RegretEntry]
 	decisions uint64
 	trueBase  uint64
 	cumDef    float64
@@ -80,40 +77,22 @@ type RegretLedger struct {
 // NewRegretLedger creates a ledger windowing the last n decisions
 // (n < 1 is clamped to 1).
 func NewRegretLedger(n int) *RegretLedger {
-	if n < 1 {
-		n = 1
-	}
-	return &RegretLedger{
-		win:    make([]RegretEntry, n),
-		perArm: map[string]*ArmRegretStats{},
-	}
-}
-
-// regretTotals is what Record hands back so the observer can refresh its
-// gauges without a second lock acquisition.
-type regretTotals struct {
-	cumDef, cumBest, winDef, winBest float64
-	decisions                        uint64
+	return &RegretLedger{win: newRing[RegretEntry](n), perArm: map[string]*ArmRegretStats{}}
 }
 
 // Record admits one decision, evicting the oldest window entry when full,
-// and returns the updated totals.
-func (l *RegretLedger) Record(e RegretEntry) regretTotals {
+// and returns the updated regret against the default arm, cumulative and
+// over the window — what the observer's gauges show, handed back so they
+// refresh without a second lock acquisition.
+func (l *RegretLedger) Record(e RegretEntry) (cumVsDefault, winVsDefault float64) {
 	if l == nil {
-		return regretTotals{}
+		return 0, 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.full {
-		old := l.win[l.next]
+	if old, evicted := l.win.push(e); evicted {
 		l.winDef -= old.VsDefault()
 		l.winBest -= old.VsBest()
-	}
-	l.win[l.next] = e
-	l.next++
-	if l.next == len(l.win) {
-		l.next = 0
-		l.full = true
 	}
 	l.decisions++
 	if e.TrueBaseline {
@@ -135,11 +114,7 @@ func (l *RegretLedger) Record(e RegretEntry) regretTotals {
 	a.ObservedSecs += e.ObservedSecs
 	a.VsDefaultSecs += e.VsDefault()
 	a.VsBestSecs += e.VsBest()
-	return regretTotals{
-		cumDef: l.cumDef, cumBest: l.cumBest,
-		winDef: l.winDef, winBest: l.winBest,
-		decisions: l.decisions,
-	}
+	return l.cumDef, l.winDef
 }
 
 // Snapshot copies the ledger's state; window entries come out newest
@@ -157,18 +132,8 @@ func (l *RegretLedger) Snapshot() RegretSnapshot {
 	s.CumVsBestSecs = l.cumBest
 	s.WindowVsDefaultSecs = l.winDef
 	s.WindowVsBestSecs = l.winBest
-	n := l.next
-	if l.full {
-		n = len(l.win)
-	}
-	s.WindowLen = n
-	for i := 1; i <= n; i++ {
-		idx := l.next - i
-		if idx < 0 {
-			idx += len(l.win)
-		}
-		s.Window = append(s.Window, l.win[idx])
-	}
+	s.Window = l.win.newestFirst()
+	s.WindowLen = len(s.Window)
 	for _, a := range l.perArm {
 		s.PerArm = append(s.PerArm, *a)
 	}
@@ -177,23 +142,17 @@ func (l *RegretLedger) Snapshot() RegretSnapshot {
 }
 
 // driftWindow tracks the median log(observed/predicted) over the last N
-// calibrated decisions — the windowed drift statistic the breaker and a
-// HERO-style confidence gate can read as "how far off is the model right
-// now": 0 means calibrated, positive means systematically optimistic
-// (observed slower than predicted), negative pessimistic.
+// calibrated decisions — "how far off is the model right now", which a
+// HERO-style confidence gate can read (nothing does yet; the breaker
+// scores outcomes itself): 0 means calibrated, positive means
+// systematically optimistic (observed slower than predicted), negative
+// pessimistic.
 type driftWindow struct {
-	mu   sync.Mutex
-	buf  []float64
-	next int
-	full bool
+	mu sync.Mutex
+	r  ring[float64]
 }
 
-func newDriftWindow(n int) *driftWindow {
-	if n < 1 {
-		n = 1
-	}
-	return &driftWindow{buf: make([]float64, n)}
-}
+func newDriftWindow(n int) *driftWindow { return &driftWindow{r: newRing[float64](n)} }
 
 // add records one log-ratio and returns the median over the current
 // window contents.
@@ -202,41 +161,13 @@ func (d *driftWindow) add(logRatio float64) float64 {
 		return 0
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.buf[d.next] = logRatio
-	d.next++
-	if d.next == len(d.buf) {
-		d.next = 0
-		d.full = true
-	}
-	n := d.next
-	if d.full {
-		n = len(d.buf)
-	}
-	tmp := make([]float64, n)
-	if d.full {
-		copy(tmp, d.buf)
-	} else {
-		copy(tmp, d.buf[:n])
-	}
+	d.r.push(logRatio)
+	tmp := d.r.newestFirst()
+	d.mu.Unlock()
 	sort.Float64s(tmp)
+	n := len(tmp)
 	if n%2 == 1 {
 		return tmp[n/2]
 	}
 	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// finiteMin returns the smallest finite value in xs, falling back to
-// fallback when none is finite.
-func finiteMin(xs []float64, fallback float64) float64 {
-	best := math.Inf(1)
-	for _, x := range xs {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) && x < best {
-			best = x
-		}
-	}
-	if math.IsInf(best, 1) {
-		return fallback
-	}
-	return best
 }

@@ -115,20 +115,13 @@ func (t *Trace) AddSpan(name string, start time.Time, dur time.Duration, note st
 
 // TraceRing keeps the last N finished traces.
 type TraceRing struct {
-	mu   sync.Mutex
-	buf  []*Trace
-	next int
-	full bool
+	mu sync.Mutex
+	r  ring[*Trace]
 }
 
 // NewTraceRing creates a ring holding up to n traces (n < 1 is clamped
 // to 1).
-func NewTraceRing(n int) *TraceRing {
-	if n < 1 {
-		n = 1
-	}
-	return &TraceRing{buf: make([]*Trace, n)}
-}
+func NewTraceRing(n int) *TraceRing { return &TraceRing{r: newRing[*Trace](n)} }
 
 // Add stores a finished trace, evicting the oldest when full.
 func (r *TraceRing) Add(t *Trace) {
@@ -136,12 +129,7 @@ func (r *TraceRing) Add(t *Trace) {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = t
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
+	r.r.push(t)
 	r.mu.Unlock()
 }
 
@@ -152,17 +140,5 @@ func (r *TraceRing) Traces() []*Trace {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]*Trace, 0, n)
-	for i := 1; i <= n; i++ {
-		idx := r.next - i
-		if idx < 0 {
-			idx += len(r.buf)
-		}
-		out = append(out, r.buf[idx])
-	}
-	return out
+	return r.r.newestFirst()
 }

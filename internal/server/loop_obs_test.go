@@ -9,11 +9,13 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
 	"bao/internal/core"
+	"bao/internal/guard"
 	"bao/internal/obs"
 )
 
@@ -180,12 +182,14 @@ func TestEventLogFileSink(t *testing.T) {
 // metricName extracts `bao_*` metric names from prose/markdown.
 var metricName = regexp.MustCompile(`bao_[a-z0-9_]+`)
 
-// TestMetricsContract is the CI contract between DESIGN.md §8 and the
-// live /metrics endpoint: boot a real server, drive a short workload,
-// scrape, and require every metric the design document names to be
-// present in the exposition (registered metrics emit # TYPE lines even
-// at zero). A metric renamed or dropped without updating the docs —
-// or documented but never registered — fails here.
+// TestMetricsContract is the contract between DESIGN.md §8 and the live
+// /metrics endpoint, run both ways: boot a real server, drive a short
+// workload through /v1/query, scrape, and require every metric the design
+// document names to be present in the exposition (registered metrics emit
+// # TYPE lines even at zero) and every bao_* metric in the exposition to
+// be named in §8. A metric renamed or dropped without updating the docs,
+// documented but never registered, or registered but never documented
+// fails here. `go test -race ./...` runs it like any other test.
 func TestMetricsContract(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -197,12 +201,12 @@ func TestMetricsContract(t *testing.T) {
 	if start < 0 || end < 0 || end <= start {
 		t.Fatal("DESIGN.md §8/§9 markers not found")
 	}
-	names := map[string]bool{}
+	documented := map[string]bool{}
 	for _, m := range metricName.FindAllString(text[start:end], -1) {
-		names[m] = true
+		documented[m] = true
 	}
-	if len(names) < 30 {
-		t.Fatalf("only %d metric names extracted from §8 — did the section move?", len(names))
+	if len(documented) < 30 {
+		t.Fatalf("only %d metric names extracted from §8 — did the section move?", len(documented))
 	}
 
 	s := newTestServer(t, Config{}, nil)
@@ -221,16 +225,191 @@ func TestMetricsContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics := string(body)
-	var missing []string
-	for name := range names {
-		// Trailing space pins the full name (bao_prediction_ratio must not
-		// match via bao_prediction_ratio_by_arm's TYPE line).
-		if !strings.Contains(metrics, "# TYPE "+name+" ") {
+	live := map[string]bool{}
+	for _, m := range typeLine.FindAllStringSubmatch(string(body), -1) {
+		live[m[1]] = true
+	}
+	var missing, undocumented []string
+	for name := range documented {
+		if !live[name] {
 			missing = append(missing, name)
 		}
 	}
-	if len(missing) > 0 {
-		t.Fatalf("metrics documented in DESIGN.md §8 but absent from /metrics: %v", missing)
+	for name := range live {
+		if !documented[name] {
+			undocumented = append(undocumented, name)
+		}
 	}
+	if len(missing) > 0 {
+		t.Errorf("metrics documented in DESIGN.md §8 but absent from /metrics: %v", missing)
+	}
+	if len(undocumented) > 0 {
+		t.Errorf("metrics on /metrics but not named in DESIGN.md §8: %v", undocumented)
+	}
+}
+
+// typeLine captures the metric name of each # TYPE line in an exposition.
+var typeLine = regexp.MustCompile(`(?m)^# TYPE (bao_[a-z0-9_]+) `)
+
+// TestEveryEventKindHasAMetric drives each lifecycle event kind once and
+// checks that the counter or gauge named beside the kind (obs.Event*
+// constants, DESIGN.md §8) moved with it — by exactly the number of
+// events journalled, for a counter. The journal links events to
+// requests; counting them is the metrics' job.
+func TestEveryEventKindHasAMetric(t *testing.T) {
+	// trained returns an optimizer on o with a few experiences in its
+	// window, trained once when train is set.
+	trained := func(t *testing.T, o *obs.Observer, train bool, mutate func(*core.Config)) *core.Bao {
+		b := newTestBao(t, func(c *core.Config) {
+			c.Observer = o
+			if mutate != nil {
+				mutate(c)
+			}
+		})
+		seedWindow(t, b)
+		if train {
+			b.Retrain()
+		}
+		return b
+	}
+	server := func(t *testing.T, o *obs.Observer, dir string) *Server {
+		s := newTestServer(t, Config{CheckpointDir: dir}, func(c *core.Config) { c.Observer = o })
+		seedWindow(t, s.Bao())
+		s.Bao().Retrain()
+		return s
+	}
+	openLog := func(t *testing.T, o *obs.Observer, fault *DiskFault, n int) *ExperienceLog {
+		l, err := OpenLog(filepath.Join(t.TempDir(), "bao.explog"), LogOptions{
+			Observer: o, Fault: fault, SegmentBytes: 1 << 20, WindowCap: 64, ManualCompact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		appendSeg(t, l, 0, n)
+		return l
+	}
+	for _, c := range []struct {
+		kind, metric string
+		// setup brings the system to just before the event; fire emits it.
+		setup func(t *testing.T, o *obs.Observer) (fire func())
+	}{
+		{obs.EventSwapAccepted, "bao_retrains_total", func(t *testing.T, o *obs.Observer) func() {
+			return trained(t, o, false, nil).Retrain
+		}},
+		{obs.EventSwapRejected, "bao_retrain_rejected_total", func(t *testing.T, o *obs.Observer) func() {
+			return trained(t, o, false, func(c *core.Config) {
+				c.Validate.Enabled = true
+				c.Fault = &guard.Fault{NaNOnFit: 1}
+			}).Retrain
+		}},
+		{obs.EventTrainerPanic, "bao_trainer_panics_total", func(t *testing.T, o *obs.Observer) func() {
+			return trained(t, o, false, func(c *core.Config) { c.Fault = &guard.Fault{PanicOnFit: 1} }).Retrain
+		}},
+		{obs.EventBreaker, "bao_breaker_state", func(t *testing.T, o *obs.Observer) func() {
+			b := trained(t, o, false, func(c *core.Config) { c.Breaker = guard.BreakerConfig{Enabled: true} })
+			return func() { b.Breaker().Trip("test") }
+		}},
+		{obs.EventCensored, "bao_query_timeouts_total", func(t *testing.T, o *obs.Observer) func() {
+			b := trained(t, o, false, nil)
+			return func() { b.ObserveTimeout(selectOnce(t, b), 0.25) }
+		}},
+		{obs.EventAbandoned, "bao_server_abandoned_total", func(t *testing.T, o *obs.Observer) func() {
+			b := trained(t, o, false, nil)
+			return func() { b.Abandon(selectOnce(t, b), "client went away") }
+		}},
+		{obs.EventCheckpoint, "bao_checkpoints_saved_total", func(t *testing.T, o *obs.Observer) func() {
+			s := server(t, o, t.TempDir())
+			return func() { s.saveCheckpoint(obs.Cause{}) }
+		}},
+		{obs.EventCheckpointError, "bao_checkpoint_save_errors_total", func(t *testing.T, o *obs.Observer) func() {
+			dir := t.TempDir()
+			s := server(t, o, dir)
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			return func() { s.saveCheckpoint(obs.Cause{}) }
+		}},
+		{obs.EventRollback, "bao_checkpoint_rollbacks_total", func(t *testing.T, o *obs.Observer) func() {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, checkpointFileName(1)), []byte("not a checkpoint"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return func() { newTestServer(t, Config{CheckpointDir: dir}, func(c *core.Config) { c.Observer = o }) }
+		}},
+		{obs.EventExplogDegraded, "bao_explog_degraded", func(t *testing.T, o *obs.Observer) func() {
+			l := openLog(t, o, &DiskFault{FailFsync: 1}, 2)
+			return func() { l.Sync() }
+		}},
+		{obs.EventExplogRestored, "bao_explog_degraded", func(t *testing.T, o *obs.Observer) func() {
+			l := openLog(t, o, &DiskFault{FailFsync: 1}, 2)
+			l.Sync()
+			return func() { appendSeg(t, l, 2, 1) }
+		}},
+		{obs.EventExplogSnapshot, "bao_explog_snapshots_total", func(t *testing.T, o *obs.Observer) func() {
+			l := openLog(t, o, nil, 20)
+			forceSeal(t, l)
+			return func() { l.Compact() }
+		}},
+		{obs.EventExplogSnapshotError, "bao_explog_snapshot_errors_total", func(t *testing.T, o *obs.Observer) func() {
+			l := openLog(t, o, &DiskFault{FailSnapshotWrite: 1}, 20)
+			forceSeal(t, l)
+			return func() { l.Compact() }
+		}},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			o := obs.NewObserver(obs.NewRegistry(), nil)
+			o.EnableEvents(256)
+			fire := c.setup(t, o)
+			read := func() float64 {
+				s := o.Snapshot()
+				if v, ok := s.Counters[c.metric]; ok {
+					return v
+				}
+				if v, ok := s.Gauges[c.metric]; ok {
+					return v
+				}
+				t.Fatalf("%s is neither a counter nor a gauge", c.metric)
+				return 0
+			}
+			count := func() (n int) {
+				for _, ev := range o.Events() {
+					if ev.Kind == c.kind {
+						n++
+					}
+				}
+				return n
+			}
+			v0, n0 := read(), count()
+			fire()
+			v1, n := read(), count()-n0
+			if n < 1 {
+				t.Fatalf("no %s event emitted", c.kind)
+			}
+			if v1 == v0 {
+				t.Fatalf("%s did not move with the %s event (%v)", c.metric, c.kind, v0)
+			}
+			if _, counter := o.Snapshot().Counters[c.metric]; counter && v1-v0 != float64(n) {
+				t.Fatalf("%s moved by %v for %d %s events", c.metric, v1-v0, n, c.kind)
+			}
+		})
+	}
+}
+
+// seedWindow puts three observed experiences into b's window: enough to
+// train on, too few for the retrain schedule to fire on its own.
+func seedWindow(t *testing.T, b *core.Bao) {
+	t.Helper()
+	sel := selectOnce(t, b)
+	for i := 0; i < 3; i++ {
+		b.ObserveValue(sel, 0.01)
+	}
+}
+
+func selectOnce(t *testing.T, b *core.Bao) *core.Selection {
+	t.Helper()
+	sel, err := b.Select(testSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
 }

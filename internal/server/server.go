@@ -461,16 +461,6 @@ type selectResponse struct {
 	UniquePlans   int     `json:"unique_plans"`
 }
 
-// abandon drops a request whose client is gone — the TimeoutHandler
-// already answered 503, or the connection closed. The abandoned work
-// leaves no trace in the learning state: no experience, no explog append,
-// no pending entry; only the abandonment counter and the (flagged)
-// decision trace record that it happened.
-func (s *Server) abandon(sel *core.Selection, reason string) {
-	s.o.ServeAbandoned.Inc()
-	s.bao.Abandon(sel, reason)
-}
-
 // handleSelect is the model fast path: plan every arm, predict, choose.
 // The selection is parked awaiting the client's /v1/observe with the
 // observed runtime; this is the paper's advisor integration, where the
@@ -483,7 +473,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	sel, err := s.bao.SelectCtx(r.Context(), req.SQL)
 	if err != nil {
 		if r.Context().Err() != nil {
-			s.abandon(nil, "select abandoned: "+r.Context().Err().Error())
+			s.bao.Abandon(nil, "select abandoned: "+r.Context().Err().Error())
 			return
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -493,7 +483,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// hold a pending slot for a /v1/observe callback that can never come
 	// and leak until eviction.
 	if cerr := r.Context().Err(); cerr != nil {
-		s.abandon(sel, "selection dropped before park: "+cerr.Error())
+		s.bao.Abandon(sel, "selection dropped before park: "+cerr.Error())
 		return
 	}
 	id := s.park(sel)
@@ -558,7 +548,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// the experience: the client never saw a response, so it will (and
 	// must be able to) retry against the same selection_id.
 	if cerr := r.Context().Err(); cerr != nil {
-		s.abandon(nil, "observe abandoned: "+cerr.Error())
+		s.bao.Abandon(nil, "observe abandoned: "+cerr.Error())
 		return
 	}
 	sel := s.take(req.SelectionID)
@@ -609,7 +599,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sel, err := s.bao.SelectCtx(r.Context(), req.SQL)
 	if err != nil {
 		if r.Context().Err() != nil {
-			s.abandon(nil, "select abandoned: "+r.Context().Err().Error())
+			s.bao.Abandon(nil, "select abandoned: "+r.Context().Err().Error())
 			return
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -617,7 +607,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Don't burn the execution lane for a client that is already gone.
 	if cerr := r.Context().Err(); cerr != nil {
-		s.abandon(sel, "abandoned before execute: "+cerr.Error())
+		s.bao.Abandon(sel, "abandoned before execute: "+cerr.Error())
 		return
 	}
 	execCtx := r.Context()
@@ -641,7 +631,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Order matters: if the *request* context died, the client is gone
 		// regardless of which deadline tripped first — drop all signal.
 		if cerr := r.Context().Err(); cerr != nil {
-			s.abandon(sel, "execution abandoned: "+cerr.Error())
+			s.bao.Abandon(sel, "execution abandoned: "+cerr.Error())
 			return
 		}
 		var de *executor.DeadlineExceededError
@@ -675,7 +665,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the meantime must still not grow the window (its 503 already told it
 	// nothing happened).
 	if cerr := r.Context().Err(); cerr != nil {
-		s.abandon(sel, "observation dropped: "+cerr.Error())
+		s.bao.Abandon(sel, "observation dropped: "+cerr.Error())
 		return
 	}
 	s.bao.Observe(sel, res.Counters)
@@ -695,7 +685,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	// before replacing anything, so a disconnect mid-upload fails the read
 	// and never installs a half-parsed model.
 	if cerr := r.Context().Err(); cerr != nil {
-		s.abandon(nil, "model request abandoned: "+cerr.Error())
+		s.bao.Abandon(nil, "model request abandoned: "+cerr.Error())
 		return
 	}
 	switch r.Method {
@@ -737,7 +727,7 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 	}
 	// Abandoned before any state change: don't even mark the query.
 	if cerr := r.Context().Err(); cerr != nil {
-		s.abandon(nil, "critical abandoned: "+cerr.Error())
+		s.bao.Abandon(nil, "critical abandoned: "+cerr.Error())
 		return
 	}
 	s.bao.MarkCritical(req.SQL)
@@ -748,7 +738,7 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			// Exploration for the in-progress query stored nothing; the mark
 			// persists, so the next exploration pass covers it.
-			s.abandon(nil, "exploration abandoned: "+r.Context().Err().Error())
+			s.bao.Abandon(nil, "exploration abandoned: "+r.Context().Err().Error())
 			return
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)

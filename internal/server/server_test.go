@@ -159,7 +159,7 @@ func TestQueryLoopTrainsAndSwaps(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"bao_server_model_swaps_total 1", "bao_queries_total 17", "bao_server_request_seconds_count"} {
+	for _, want := range []string{"bao_retrains_total 1", "bao_queries_total 17", "bao_server_request_seconds_count"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %q", want)
 		}

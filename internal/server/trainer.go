@@ -61,7 +61,6 @@ func (s *Server) trainOnce(sig retrainSignal) {
 		time.Sleep(s.cfg.TrainDelay)
 	}
 	if s.bao.RetrainAsyncFor(sig.cause) {
-		s.o.HotSwaps.Inc()
 		s.o.TrainerLag.Set(time.Since(sig.at).Seconds())
 		s.saveCheckpoint(sig.cause)
 	}
