@@ -1,14 +1,17 @@
 package bao_test
 
-// BenchmarkExecutor times the executor on two plan shapes, with
+// BenchmarkExecutor times the executor on four plan shapes, with
 // allocations: join-heavy (a large hash join whose output streams into an
-// aggregate without being materialized, built into the chained join table
-// and probed by hashing the key values) and scan-heavy (a filtered
-// sequential scan under an aggregate). These are the rows an executor
-// performance change names beforehand; equivalence to the volcano oracle
-// is internal/executor's tests' job, not this file's.
+// aggregate), scan-heavy (a filtered sequential scan under an aggregate),
+// sort-heavy (ORDER BY … LIMIT over a filtered scan) and inl-heavy (an
+// index nested loop over a filtered outer, under an aggregate). Together
+// they run every operator the executor streams or materializes, so an
+// executor performance change has a before/after row for each. These are
+// the rows such a change names beforehand; equivalence to the volcano
+// oracle is internal/executor's tests' job, not this file's.
 
 import (
+	"strings"
 	"testing"
 
 	"bao/internal/catalog"
@@ -17,7 +20,8 @@ import (
 	"bao/internal/storage"
 )
 
-// benchExecutorEngine builds l(a) joined by r(b) plus a wide scan table.
+// benchExecutorEngine builds l(a) joined by r(b), with an index on r.b,
+// plus a wide scan table.
 func benchExecutorEngine(b *testing.B) *engine.Engine {
 	b.Helper()
 	e := engine.New(engine.GradePostgreSQL, 4096)
@@ -41,6 +45,9 @@ func benchExecutorEngine(b *testing.B) *engine.Engine {
 			b.Fatal(err)
 		}
 	}
+	if err := e.CreateIndex(catalog.Index{Name: "ix_r_b", Table: "r", Column: "b"}); err != nil {
+		b.Fatal(err)
+	}
 	e.Analyze()
 	return e
 }
@@ -55,6 +62,10 @@ func BenchmarkExecutor(b *testing.B) {
 		// Join output is 2× the probe side; the aggregate consumes it.
 		{"join_heavy", "SELECT COUNT(*), MAX(l.a) FROM l, r WHERE l.a = r.b", planner.Hints{HashJoin: true, SeqScan: true}},
 		{"scan_heavy", "SELECT COUNT(*), MAX(s.v) FROM s WHERE s.v BETWEEN 1000 AND 80000", planner.Hints{SeqScan: true}},
+		// 76,000 rows pass the filter and are sorted; ten come back.
+		{"sort_heavy", "SELECT s.v FROM s WHERE s.v BETWEEN 1000 AND 19999 ORDER BY s.v DESC LIMIT 10", planner.Hints{SeqScan: true}},
+		// 12,000 outer rows, one index probe each, two matches per probe.
+		{"inl_heavy", "SELECT COUNT(*), MAX(r.b) FROM l, r WHERE l.a = r.b AND l.a < 3000", planner.Hints{NestLoop: true, SeqScan: true, IndexScan: true}},
 	} {
 		plan, err := e.PlanSQL(shape.sql, shape.hints)
 		if err != nil {
@@ -64,6 +75,9 @@ func BenchmarkExecutor(b *testing.B) {
 		// first execution takes the cold misses).
 		if _, err := e.Execute(plan); err != nil {
 			b.Fatal(err)
+		}
+		if shape.name == "inl_heavy" && !strings.Contains(plan.Explain(), "Index Scan") {
+			b.Fatalf("inl_heavy is not an index nested loop:\n%s", plan.Explain())
 		}
 		b.Run(shape.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"bao/internal/catalog"
@@ -27,14 +28,17 @@ func countAndMax(child *planner.Node, col int) *planner.Node {
 		Cols: make([]planner.OutCol, 2), SortedBy: -1}
 }
 
-// TestExecutorAllocs holds the executor to allocation ceilings on
-// scaled-down copies (one tenth) of BenchmarkExecutor's two shapes and on
-// a three-way hash/hash plan shaped like the IMDb streams' joins. Rows are
-// carved from chunks and the join table is three slices, so a run's
-// allocations grow with chunks and regrowths, not with rows; each ceiling
-// is about 1.5× what the chunked executor measures, and a change that goes
-// back to allocating per row (12,000–48,000 rows flow through each plan)
-// overshoots it many times over.
+// TestExecutorAllocs holds the executor to allocation and byte ceilings on
+// scaled-down copies (one tenth) of BenchmarkExecutor's join and scan
+// shapes and on a three-way hash/hash plan shaped like the IMDb streams'
+// joins. Operators pass pointer-free row-id tuples and only the root and
+// the aggregate build values, so a run's allocations grow with collected
+// id slices and chunks, not with rows, and its bytes are the id slices,
+// the join table and the buffer pool's churn. Each ceiling is about 1.5×
+// what the tuple pipeline measures. Counts alone no longer tell a
+// row-carving executor from a tuple one (carving from chunks made both
+// small), so bytes are pinned too: the row-carving pipeline this one
+// replaced allocated 3.4 MB, 1.0 MB and 6.9 MB per run on these plans.
 func TestExecutorAllocs(t *testing.T) {
 	f := newFixture(4096)
 	f.addTable(catalog.MustTable("l", catalog.Column{Name: "a", Type: catalog.Int}), intRows(mod(12000, 3000)...))
@@ -61,13 +65,13 @@ func TestExecutorAllocs(t *testing.T) {
 
 	scan := scanNode("s", "v", rangeFilter("v", 100, 8000))
 	for _, tc := range []struct {
-		name    string
-		plan    *planner.Node
-		ceiling float64
+		name          string
+		plan          *planner.Node
+		allocs, bytes float64
 	}{
-		{"join_heavy", countAndMax(hashJoinOn(scanNode("l", "a"), scanNode("r", "b"), 0, 0), 0), 280},
-		{"scan_heavy", countAndMax(scan, 0), 130},
-		{"imdb_hash_hash", countAndMax(hashJoinOn(hashJoinOn(castInfo, title, 0, 0), name, 1, 0), 3), 600},
+		{"join_heavy", countAndMax(hashJoinOn(scanNode("l", "a"), scanNode("r", "b"), 0, 0), 0), 110, 390_000},
+		{"scan_heavy", countAndMax(scan, 0), 50, 4_000},
+		{"imdb_hash_hash", countAndMax(hashJoinOn(hashJoinOn(castInfo, title, 0, 0), name, 1, 0), 3), 170, 740_000},
 	} {
 		run := func() {
 			if _, err := f.ex.Run(tc.plan); err != nil {
@@ -76,9 +80,19 @@ func TestExecutorAllocs(t *testing.T) {
 		}
 		run() // warm the buffer pool: cold misses allocate its frames
 		allocs := testing.AllocsPerRun(5, run)
-		t.Logf("%s: %.0f allocs", tc.name, allocs)
-		if allocs > tc.ceiling {
-			t.Errorf("%s made %.0f allocations, ceiling is %.0f", tc.name, allocs, tc.ceiling)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 5; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / 5
+		t.Logf("%s: %.0f allocs, %.0f bytes", tc.name, allocs, bytes)
+		if allocs > tc.allocs {
+			t.Errorf("%s made %.0f allocations, ceiling is %.0f", tc.name, allocs, tc.allocs)
+		}
+		if bytes > tc.bytes {
+			t.Errorf("%s allocated %.0f bytes, ceiling is %.0f", tc.name, bytes, tc.bytes)
 		}
 	}
 }

@@ -376,3 +376,34 @@ func TestTraceParityAcrossPipelines(t *testing.T) {
 		return f, agg
 	})
 }
+
+// TestExclusiveBoundAtInt64LimitIsEmpty pins the index-bound wrap fix: an
+// exclusive integer bound at the int64 limit (> MaxInt64, < MinInt64)
+// admits no value, so an index scan over it is an empty range and bills
+// one descent and no page. Tightening the bound by one used to wrap it to
+// the opposite extreme: the scan walked and billed the whole index, and
+// its rows were right only because each entry is re-checked against the
+// filter.
+func TestExclusiveBoundAtInt64LimitIsEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		lo, hi *planner.Bound
+	}{
+		{"gt_max", &planner.Bound{V: storage.IntVal(math.MaxInt64)}, nil},
+		{"lt_min", nil, &planner.Bound{V: storage.IntVal(math.MinInt64)}},
+	} {
+		for _, indexOnly := range []bool{false, true} {
+			rows, c := runVsReference(t, func() (*fixture, *planner.Node) {
+				f := newFixture(64)
+				f.addIndexed("t", "a", seq(2000))
+				fl := planner.Filter{Col: "a", Kind: planner.FRange, Lo: tc.lo, Hi: tc.hi}
+				return f, indexScanNode("t", "a", &fl, indexOnly)
+			})
+			want := Counters{CPUOps: descentOpsPerLevel * int64(math.Log2(2000+2))}
+			if len(rows) != 0 || c != want {
+				t.Errorf("%s (index-only %v): %d rows, %s; want 0 rows, %s",
+					tc.name, indexOnly, len(rows), counterLit(c), counterLit(want))
+			}
+		}
+	}
+}

@@ -19,10 +19,11 @@ import (
 )
 
 // The generated differential: seeded random tables × random well-typed
-// plans over every operator, executed by the product pipeline and by the
-// volcano oracle on buffer pools that start equal and are never reset
-// between plans, so a page-order difference in one plan surfaces as a
-// PageHits/PageMisses difference in a later one.
+// plans over every operator and the shapes where operators meet, executed
+// by the product pipeline and by the volcano oracle on buffer pools that
+// start equal and are never reset between plans, so a page-order
+// difference in one plan surfaces as a PageHits/PageMisses difference in a
+// later one.
 
 // picker makes the generator's choices: from a seeded rng in the
 // differential test, from the fuzzer's bytes in the fuzz target (an
@@ -425,7 +426,7 @@ func rowsEqual(a, b []storage.Row) bool {
 //     both not reach it), having charged the same page accesses, which
 //     pins the ordinal to the same point of the plan. CPU at the abort is
 //     deliberately not compared: a streaming operator has billed the
-//     batches already pushed through it (projectRows), the oracle bills
+//     batches already pushed through it (project), the oracle bills
 //     an operator when its whole input is in, so mid-plan CPU differs
 //     while every completed plan's total agrees.
 func checkAgainstReference(t *testing.T, seed int64, p *picker, plans int) {
@@ -485,9 +486,11 @@ func checkAgainstReference(t *testing.T, seed int64, p *picker, plans int) {
 }
 
 // TestExecutorDifferential is the generated product-vs-oracle comparison
-// over seeded databases and plans; it also requires the generator to have
-// reached every operator, so a generator regression cannot quietly turn
-// the test into a scan-only one.
+// over seeded databases and plans. It also requires the generator to have
+// reached every operator, and every shape where the product's row-id
+// tuples meet an aggregate's materialised rows or an operator that
+// reorders or rewrites tuples, so a generator regression cannot quietly
+// turn the test into a scan-only one.
 func TestExecutorDifferential(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
@@ -497,6 +500,37 @@ func TestExecutorDifferential(t *testing.T) {
 		checkAgainstReference(t, seed, &picker{rng: rand.New(rand.NewSource(-seed))}, 8)
 	}
 
+	isJoin := func(n *planner.Node) bool {
+		return n.Op == planner.OpHashJoin || n.Op == planner.OpMergeJoin || n.Op == planner.OpNestLoop
+	}
+	// input skips the sort a merge join puts under each of its inputs.
+	input := func(n *planner.Node) *planner.Node {
+		if n.Op == planner.OpSort {
+			return n.Left
+		}
+		return n
+	}
+	shapes := []struct {
+		name  string
+		match func(n *planner.Node) bool
+	}{
+		{"a join with an aggregate on its left", func(n *planner.Node) bool {
+			return isJoin(n) && input(n.Left).Op == planner.OpAggregate
+		}},
+		{"a join with an aggregate on its right", func(n *planner.Node) bool {
+			return isJoin(n) && input(n.Right).Op == planner.OpAggregate
+		}},
+		{"a sort over a join", func(n *planner.Node) bool {
+			return n.Op == planner.OpSort && isJoin(n.Left)
+		}},
+		{"a limit over a sort", func(n *planner.Node) bool {
+			return n.Op == planner.OpLimit && n.Left.Op == planner.OpSort
+		}},
+		{"a merge join over an index nested loop", func(n *planner.Node) bool {
+			isINL := func(c *planner.Node) bool { return c.Op == planner.OpNestLoop && c.Right.Param }
+			return n.Op == planner.OpMergeJoin && (isINL(input(n.Left)) || isINL(input(n.Right)))
+		}},
+	}
 	seen := map[string]bool{}
 	rng := rand.New(rand.NewSource(1))
 	_, tables := buildDiffDB(rng)
@@ -509,6 +543,11 @@ func TestExecutorDifferential(t *testing.T) {
 				name = "param " + name
 			}
 			seen[name] = true
+			for _, sh := range shapes {
+				if sh.match(n) {
+					seen[sh.name] = true
+				}
+			}
 		})
 	}
 	for op := planner.Op(0); op < planner.NumOps; op++ {
@@ -518,6 +557,11 @@ func TestExecutorDifferential(t *testing.T) {
 	}
 	if !seen["param Index Scan"] {
 		t.Error("generator never produced an index nested loop")
+	}
+	for _, sh := range shapes {
+		if !seen[sh.name] {
+			t.Errorf("generator never produced %s", sh.name)
+		}
 	}
 }
 

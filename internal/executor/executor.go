@@ -9,17 +9,23 @@
 // experiments report — see DESIGN.md §2 for why this substitution preserves
 // the paper's behaviour.
 //
-// There is one evaluation pipeline, batch-streaming and single-goroutine
-// (batch.go): scans push batches of storage.RowsPerPage tuples up through
-// the operator tree, applying pushed-down residual predicates page by page
-// as they read; hash joins stream the build side into one chained table
-// sized from the rows actually built (never from the planner's estimate)
-// and probe batch-at-a-time; and aggregates, projections, and limits
-// consume batches instead of fully materialized inputs. Every row an
-// operator creates is carved from a per-run value chunk (newRow) instead
-// of being allocated on its own, and nothing is kept on the Executor
-// between runs, because callers retain result rows. All work charging
-// lives in the operator bodies in this file. The tuple-at-a-time volcano
+// There is one evaluation pipeline, batch-streaming, late-materialised and
+// single-goroutine (batch.go). Operators pass tuples of row ids, not rows:
+// a batch is a flat, pointer-free []int32 holding up to storage.RowsPerPage
+// tuples, each with one id per input relation (slot), and every node maps
+// its output columns to (slot, column) pairs (rel). A slot is a base table,
+// read in place through its columns, or the rows an aggregate materialised.
+// Scans push the ids of the rows that pass their residual predicates, page
+// by page; joins read their keys through the slot map and emit
+// concatenated id tuples; a hash join streams its build side into one
+// chained table sized from the tuples actually built (never from the
+// planner's estimate); project is a column remap; sort orders an index
+// over its input. Values are read only where they are needed — join keys,
+// sort keys, filters — and built only where one must be owned: the
+// aggregate's accumulators and output rows, and the root, which carves the
+// result rows from a per-run value chunk (newRow). Nothing is kept on the
+// Executor between runs, because callers retain result rows. All work
+// charging lives in the operator bodies in this file. The value-row volcano
 // evaluator the pipeline replaced lives on in reference_test.go as the
 // oracle: golden, parity, differential, and fuzz tests require
 // byte-identical rows, Counters, Trace cardinalities, and Fault page
@@ -183,12 +189,27 @@ func (e *Executor) RunCtx(ctx context.Context, plan *planner.Node) (rows []stora
 			err = in.cause
 		}
 	}()
-	rows, err = e.collect(plan)
+	r := layoutOf(plan)
+	ids, err := e.collect(plan, r)
 	if err != nil {
 		return nil, err
 	}
+	w := r.width()
+	rows = make([]storage.Row, len(ids)/w)
+	for i := range rows {
+		rows[i] = e.materialize(r, ids[i*w:(i+1)*w])
+	}
 	e.C.RowsOut += int64(len(rows))
 	return rows, nil
+}
+
+// materialize carves result tuple t's values into a row of its own.
+func (e *Executor) materialize(r *rel, t []int32) storage.Row {
+	row := e.newRow(len(r.cols))
+	for j := range row {
+		row[j] = r.value(t, j)
+	}
+	return row
 }
 
 // ResetCounters zeroes the accumulated counters.
@@ -211,12 +232,12 @@ const (
 	maxChunkValues = 511
 )
 
-// newRow returns a zeroed w-value row carved from the run's value chunk.
-// Capacity is capped at w, so an append to the row copies it instead of
-// writing into the next row's values. A chunk is never reused — result
-// rows outlive the run, and a retained row keeps its whole chunk (at most
-// 16 KiB) reachable — and a row wider than a chunk gets its own
-// allocation.
+// newRow returns a zeroed w-value row carved from the run's value chunk:
+// a result row, or an aggregate's output row. Capacity is capped at w, so
+// an append to the row copies it instead of writing into the next row's
+// values. A chunk is never reused — result rows outlive the run, and a
+// retained row keeps its whole chunk (at most 16 KiB) reachable — and a
+// row wider than a chunk gets its own allocation.
 func (e *Executor) newRow(w int) storage.Row {
 	if w > len(e.chunk) {
 		e.chunkSize = min(max(2*e.chunkSize+1, minChunkValues), maxChunkValues)
@@ -279,78 +300,62 @@ func (e *Executor) page(table string, index bool, pageNo int, random bool) {
 	}
 }
 
-// scanBinding resolves a scan node's output columns and filters to storage
-// column positions.
-type scanBinding struct {
-	tab     *storage.Table
-	outPos  []int // storage column index per output column
-	filtPos []int // storage column index per filter
-}
-
-func (e *Executor) bind(n *planner.Node) (*scanBinding, error) {
+// bindScan resolves a scan node against its table and fills the node's
+// tuple slot: the storage column behind each output column and behind each
+// residual filter.
+func (e *Executor) bindScan(n *planner.Node, s *slot) error {
 	tab, ok := e.DB.Table(n.Table)
 	if !ok {
-		return nil, fmt.Errorf("executor: missing table %s", n.Table)
+		return fmt.Errorf("executor: missing table %s", n.Table)
 	}
-	b := &scanBinding{tab: tab}
-	for _, c := range n.Cols {
+	s.tab = tab
+	s.cols = make([]*storage.Column, len(n.Cols))
+	for i, c := range n.Cols {
 		ci := tab.Meta.ColumnIndex(c.Name)
 		if ci == -1 {
-			return nil, fmt.Errorf("executor: missing column %s.%s", n.Table, c.Name)
+			return fmt.Errorf("executor: missing column %s.%s", n.Table, c.Name)
 		}
-		b.outPos = append(b.outPos, ci)
+		s.cols[i] = tab.Cols[ci]
 	}
+	s.filt = make([]*storage.Column, len(n.Filters))
 	for i := range n.Filters {
 		ci := tab.Meta.ColumnIndex(n.Filters[i].Col)
 		if ci == -1 {
-			return nil, fmt.Errorf("executor: missing filter column %s.%s", n.Table, n.Filters[i].Col)
+			return fmt.Errorf("executor: missing filter column %s.%s", n.Table, n.Filters[i].Col)
 		}
-		b.filtPos = append(b.filtPos, ci)
+		s.filt[i] = tab.Cols[ci]
 	}
-	return b, nil
+	return nil
 }
 
 // passes applies the node's residual filters to stored row ri.
-func (b *scanBinding) passes(n *planner.Node, ri int) bool {
+func (s *slot) passes(n *planner.Node, ri int) bool {
 	for i := range n.Filters {
-		if !n.Filters[i].Matches(b.tab.Cols[b.filtPos[i]].Value(ri)) {
+		if !n.Filters[i].Matches(s.filt[i].Value(ri)) {
 			return false
 		}
 	}
 	return true
 }
 
-// emit projects stored row ri into the scan's output shape.
-func (e *Executor) emit(b *scanBinding, ri int) storage.Row {
-	out := e.newRow(len(b.outPos))
-	for i, ci := range b.outPos {
-		out[i] = b.tab.Cols[ci].Value(ri)
-	}
-	return out
-}
-
-// seqScanYield reads the table page by page, applying the pushed-down
-// residual predicates as each page is read and yielding passing rows. CPU
-// is billed per page (every stored row is touched once, plus one predicate
+// seqScan reads the table page by page, applying the pushed-down residual
+// predicates as each page is read and pushing the passing row ids. CPU is
+// billed per page (every stored row is touched once, plus one predicate
 // evaluation per filter), so partial work at an abort reflects the pages
 // actually read.
-func (e *Executor) seqScanYield(n *planner.Node, yield func(storage.Row)) error {
-	b, err := e.bind(n)
-	if err != nil {
+func (e *Executor) seqScan(n *planner.Node, s *slot, bt *batcher) error {
+	if err := e.bindScan(n, s); err != nil {
 		return err
 	}
-	nRows := b.tab.NumRows()
+	nRows := s.tab.NumRows()
 	perRow := int64(1 + len(n.Filters))
-	for p := 0; p < b.tab.NumPages(); p++ {
+	for p := 0; p < s.tab.NumPages(); p++ {
 		e.page(n.Table, false, p, false)
 		lo := p * storage.RowsPerPage
-		hi := lo + storage.RowsPerPage
-		if hi > nRows {
-			hi = nRows
-		}
+		hi := min(lo+storage.RowsPerPage, nRows)
 		for ri := lo; ri < hi; ri++ {
-			if b.passes(n, ri) {
-				yield(e.emit(b, ri))
+			if s.passes(n, ri) {
+				bt.id(int32(ri))
 			}
 		}
 		e.C.CPUOps += int64(hi-lo) * perRow
@@ -358,19 +363,27 @@ func (e *Executor) seqScanYield(n *planner.Node, yield func(storage.Row)) error 
 	return nil
 }
 
-// indexBounds derives the index probe range from the node's index filter.
-func indexBounds(f *planner.Filter) (lo, hi *storage.Value) {
+// indexSpan returns the [a, z) span of index positions the index filter
+// selects. An exclusive integer bound is tightened to an inclusive one,
+// except at the int64 limit (> MaxInt64, < MinInt64), where it admits no
+// value and the span is empty: tightening it would wrap to the opposite
+// extreme and select the whole index.
+func indexSpan(ix *storage.Index, f *planner.Filter) (int, int) {
 	if f == nil {
-		return nil, nil
+		return ix.Range(nil, nil)
 	}
 	switch f.Kind {
 	case planner.FEq:
 		v := f.Val
-		return &v, &v
+		return ix.Range(&v, &v)
 	case planner.FRange:
+		var lo, hi *storage.Value
 		if f.Lo != nil {
 			v := f.Lo.V
 			if !f.Lo.Incl && v.Kind == catalog.Int {
+				if v.I == math.MaxInt64 {
+					return 0, 0
+				}
 				v = storage.IntVal(v.I + 1)
 			}
 			lo = &v
@@ -378,34 +391,35 @@ func indexBounds(f *planner.Filter) (lo, hi *storage.Value) {
 		if f.Hi != nil {
 			v := f.Hi.V
 			if !f.Hi.Incl && v.Kind == catalog.Int {
+				if v.I == math.MinInt64 {
+					return 0, 0
+				}
 				v = storage.IntVal(v.I - 1)
 			}
 			hi = &v
 		}
-		return lo, hi
+		return ix.Range(lo, hi)
 	}
-	return nil, nil
+	return ix.Range(nil, nil)
 }
 
-// indexScanYield walks the index range and yields matching rows. The
-// B-tree descent is billed at descentOpsPerLevel per level — the same rate
+// indexScan walks the index range and pushes matching row ids. The B-tree
+// descent is billed at descentOpsPerLevel per level — the same rate
 // indexNestLoop charges per probe and the planner costs descents at
-// (optimizer cost model, 4×log2) — so index access paths and index
-// nested loops bill symmetrically. An empty range ([a,a)) touches no leaf
-// pages: it bills exactly one descent, so identical no-match probes bill
+// (optimizer cost model, 4×log2) — so index access paths and index nested
+// loops bill symmetrically. An empty range ([a,a)) touches no leaf pages:
+// it bills exactly one descent, so identical no-match probes bill
 // identically regardless of where the miss lands relative to leaf-page
 // boundaries.
-func (e *Executor) indexScanYield(n *planner.Node, yield func(storage.Row)) error {
-	b, err := e.bind(n)
-	if err != nil {
+func (e *Executor) indexScan(n *planner.Node, s *slot, bt *batcher) error {
+	if err := e.bindScan(n, s); err != nil {
 		return err
 	}
-	ix, ok := b.tab.Index(n.IndexCol)
+	ix, ok := s.tab.Index(n.IndexCol)
 	if !ok {
 		return fmt.Errorf("executor: missing index on %s.%s", n.Table, n.IndexCol)
 	}
-	lo, hi := indexBounds(n.IndexFilter)
-	a, z := ix.Range(lo, hi)
+	a, z := indexSpan(ix, n.IndexFilter)
 	// Charge the descent plus entries spanned.
 	logN := int64(math.Log2(float64(len(ix.RowIDs) + 2)))
 	e.C.CPUOps += descentOpsPerLevel*logN + int64(z-a)
@@ -428,21 +442,13 @@ func (e *Executor) indexScanYield(n *planner.Node, yield func(storage.Row)) erro
 			// sequential scans amortize.
 			e.C.CPUOps += heapFetchOps
 		}
-		if !b.passes(n, ri) {
+		if !s.passes(n, ri) {
 			continue
 		}
-		yield(e.emit(b, ri))
+		bt.id(int32(ri))
 		e.C.CPUOps += int64(1 + len(n.Filters))
 	}
 	return nil
-}
-
-// joinRows concatenates a matched pair into one output row.
-func (e *Executor) joinRows(l, r storage.Row) storage.Row {
-	out := e.newRow(len(l) + len(r))
-	copy(out, l)
-	copy(out[len(l):], r)
-	return out
 }
 
 // hashJoinCharge bills a completed hash join: 1.5 passes over the build
@@ -452,15 +458,20 @@ func (e *Executor) hashJoinCharge(build, probe, out int64) {
 	e.C.CPUOps += build*2 + probe + out
 }
 
-// mergeJoinRows merges two sorted, materialized inputs (a merge join needs
-// its inputs whole).
-func (e *Executor) mergeJoinRows(n *planner.Node, left, right []storage.Row) []storage.Row {
+// mergeJoin merges two sorted, collected inputs (a merge join needs its
+// inputs whole) into concatenated tuples.
+func (e *Executor) mergeJoin(n *planner.Node, r *rel, left, right []int32) []int32 {
+	lr, rr := r.left, r.right
+	wl, wr := lr.width(), rr.width()
+	nl, nr := len(left)/wl, len(right)/wr
+	lt := func(i int) []int32 { return left[i*wl : (i+1)*wl] }
+	rt := func(j int) []int32 { return right[j*wr : (j+1)*wr] }
 	lk, rk := n.LeftKeys[0], n.RightKeys[0]
-	var out []storage.Row
+	var out []int32
 	i, j := 0, 0
-	for i < len(left) && j < len(right) {
+	for i < nl && j < nr {
 		e.tick(1)
-		lv, rv := left[i][lk], right[j][rk]
+		lv, rv := lr.value(lt(i), lk), rr.value(rt(j), rk)
 		if lv.Null {
 			i++
 			continue
@@ -478,61 +489,55 @@ func (e *Executor) mergeJoinRows(n *planner.Node, left, right []storage.Row) []s
 		default:
 			// Cross product of the equal groups, checking secondary keys.
 			i2 := i
-			for i2 < len(left) && !left[i2][lk].Null && left[i2][lk].Compare(lv) == 0 {
+			for i2 < nl && lr.value(lt(i2), lk).Equal(lv) {
 				i2++
 			}
 			j2 := j
-			for j2 < len(right) && !right[j2][rk].Null && right[j2][rk].Compare(rv) == 0 {
+			for j2 < nr && rr.value(rt(j2), rk).Equal(rv) {
 				j2++
 			}
 			for a := i; a < i2; a++ {
 				for b := j; b < j2; b++ {
 					e.tick(1)
-					if extraKeysMatch(left[a], right[b], n.LeftKeys, n.RightKeys) {
-						out = append(growRows(out, 1), e.joinRows(left[a], right[b]))
+					if keysEqual(lt(a), lr, n.LeftKeys[1:], rt(b), rr, n.RightKeys[1:]) {
+						out = appendIDs(appendIDs(out, lt(a)...), rt(b)...)
 					}
 				}
 			}
 			i, j = i2, j2
 		}
 	}
-	e.C.CPUOps += int64(len(left)) + int64(len(right)) + int64(len(out))
+	e.C.CPUOps += int64(nl) + int64(nr) + int64(len(out)/r.width())
 	return out
 }
 
-func extraKeysMatch(l, r storage.Row, lks, rks []int) bool {
-	for k := 1; k < len(lks); k++ {
-		if !l[lks[k]].Equal(r[rks[k]]) {
-			return false
-		}
-	}
-	return true
-}
-
-// nestLoopRows runs a naive nested loop over materialized inputs. Matches
-// are computed via hashing; billing is the naive loop's |outer|×|inner|
+// nestLoop runs a naive nested loop over collected inputs. Matches are
+// computed via hashing; billing is the naive loop's |outer|×|inner|
 // comparisons plus the inner's rescan I/O.
-func (e *Executor) nestLoopRows(n *planner.Node, left, right []storage.Row) []storage.Row {
-	table := joinTable{keys: n.RightKeys, rows: make([]storage.Row, 0, len(right))}
-	for _, r := range right {
+func (e *Executor) nestLoop(n *planner.Node, r *rel, left, right []int32) []int32 {
+	wl, wr := r.left.width(), r.right.width()
+	nl, nr := len(left)/wl, len(right)/wr
+	table := joinTable{rel: r.right, keys: n.RightKeys, ids: make([]int32, 0, len(right))}
+	for j := 0; j < len(right); j += wr {
 		e.tick(1)
-		table.add(r)
+		table.add(right[j : j+wr])
 	}
 	table.seal()
-	var out []storage.Row
-	for _, l := range left {
+	var out []int32
+	for i := 0; i < len(left); i += wl {
 		e.tick(1)
-		for p := table.chain(l, n.LeftKeys); p != 0; p = table.next[p-1] {
-			if r := table.rows[p-1]; keysEqual(l, r, n.LeftKeys, n.RightKeys) {
+		l := left[i : i+wl]
+		for p := table.chain(l, r.left, n.LeftKeys); p != 0; p = table.next[p-1] {
+			if rt := table.tuple(p - 1); keysEqual(l, r.left, n.LeftKeys, rt, r.right, n.RightKeys) {
 				e.tick(1)
-				out = append(growRows(out, 1), e.joinRows(l, r))
+				out = appendIDs(appendIDs(out, l...), rt...)
 			}
 		}
 	}
 	// Cost-faithful charges: |outer|×|inner| comparisons plus the inner's
 	// rescan I/O for every outer row beyond the first.
-	e.C.CPUOps += int64(len(left))*int64(len(right)) + int64(len(out))
-	if rescans := int64(len(left)) - 1; rescans > 0 {
+	e.C.CPUOps += int64(nl)*int64(nr) + int64(len(out)/r.width())
+	if rescans := int64(nl) - 1; rescans > 0 {
 		if n.Right.Op == planner.OpSeqScan {
 			if tab, ok := e.DB.Table(n.Right.Table); ok {
 				pages := int64(tab.NumPages())
@@ -544,22 +549,22 @@ func (e *Executor) nestLoopRows(n *planner.Node, left, right []storage.Row) []st
 			}
 		} else {
 			// Non-scan inners are materialized: re-emitting tuples is CPU.
-			e.C.CPUOps += rescans * int64(len(right))
+			e.C.CPUOps += rescans * int64(nr)
 		}
 	}
 	return out
 }
 
-// indexNestLoopRows probes the inner relation's index once per outer row.
-// The inner is the parameterized scan n.Right; only the outer side is
-// pre-materialized (index probes are inherently row-at-a-time).
-func (e *Executor) indexNestLoopRows(n *planner.Node, left []storage.Row) ([]storage.Row, error) {
-	inner := n.Right
-	b, err := e.bind(inner)
-	if err != nil {
+// indexNestLoop probes the inner relation's index once per outer tuple.
+// The inner is the parameterized scan n.Right, whose slot is the output
+// tuple's last; only the outer side is collected beforehand (index probes
+// are inherently row-at-a-time).
+func (e *Executor) indexNestLoop(n *planner.Node, r *rel, left []int32) ([]int32, error) {
+	inner, s := n.Right, r.right.slots[0]
+	if err := e.bindScan(inner, s); err != nil {
 		return nil, err
 	}
-	ix, ok := b.tab.Index(inner.IndexCol)
+	ix, ok := s.tab.Index(inner.IndexCol)
 	if !ok {
 		return nil, fmt.Errorf("executor: missing index on %s.%s", inner.Table, inner.IndexCol)
 	}
@@ -575,10 +580,12 @@ func (e *Executor) indexNestLoopRows(n *planner.Node, left []storage.Row) ([]sto
 		return nil, fmt.Errorf("executor: index nested loop without a key on %s", inner.IndexCol)
 	}
 	logN := int64(math.Log2(float64(len(ix.RowIDs) + 2)))
-	var out []storage.Row
-	for _, l := range left {
+	wl := r.left.width()
+	var out []int32
+	for i := 0; i < len(left); i += wl {
 		e.tick(1)
-		key := l[n.LeftKeys[probe]]
+		l := left[i : i+wl]
+		key := r.left.value(l, n.LeftKeys[probe])
 		if key.Null {
 			continue
 		}
@@ -592,40 +599,47 @@ func (e *Executor) indexNestLoopRows(n *planner.Node, left []storage.Row) ([]sto
 			ri := int(ix.RowIDs[pos])
 			e.page(inner.Table, false, ri/storage.RowsPerPage, true)
 			e.C.CPUOps += heapFetchOps
-			if !b.passes(inner, ri) {
+			if !s.passes(inner, ri) {
 				continue
 			}
-			r := e.emit(b, ri)
 			okAll := true
 			for k := range n.LeftKeys {
 				if k == probe {
 					continue
 				}
-				if !l[n.LeftKeys[k]].Equal(r[n.RightKeys[k]]) {
+				if !r.left.value(l, n.LeftKeys[k]).Equal(s.cols[n.RightKeys[k]].Value(ri)) {
 					okAll = false
 					break
 				}
 			}
 			if okAll {
-				out = append(growRows(out, 1), e.joinRows(l, r))
+				out = appendIDs(appendIDs(out, l...), int32(ri))
 			}
 			e.C.CPUOps += int64(1 + len(inner.Filters))
 		}
 	}
-	e.C.CPUOps += int64(len(out))
+	e.C.CPUOps += int64(len(out) / r.width())
 	return out, nil
 }
 
-// sortRows sorts rows in place by the node's sort spec. The amortized
-// cancellation check is threaded into the comparator, so a deadline or
-// disconnect interrupts the O(n log n) loop itself rather than waiting for
-// the sort to finish; the ticks are cancellation cadence only and do not
-// perturb the exact CPUOps charge, which stays 2·n·log2(n).
-func (e *Executor) sortRows(n *planner.Node, rows []storage.Row) {
-	slices.SortStableFunc(rows, func(a, b storage.Row) int {
+// sortOrder stably sorts an index over the collected tuples by the node's
+// sort spec and returns it; the tuples themselves do not move. The
+// amortized cancellation check is threaded into the comparator, so a
+// deadline or disconnect interrupts the O(n log n) loop itself rather
+// than waiting for the sort to finish; the ticks are cancellation cadence
+// only and do not perturb the exact CPUOps charge, which stays
+// 2·n·log2(n).
+func (e *Executor) sortOrder(n *planner.Node, r *rel, ids []int32) []int32 {
+	w := r.width()
+	order := make([]int32, len(ids)/w)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
 		e.tick(1)
+		ta, tb := ids[int(a)*w:int(a+1)*w], ids[int(b)*w:int(b+1)*w]
 		for k, col := range n.SortCols {
-			c := compareNullable(a[col], b[col])
+			c := compareNullable(r.value(ta, col), r.value(tb, col))
 			if c == 0 {
 				continue
 			}
@@ -636,9 +650,10 @@ func (e *Executor) sortRows(n *planner.Node, rows []storage.Row) {
 		}
 		return 0
 	})
-	if len(rows) > 1 {
-		e.C.CPUOps += 2 * int64(len(rows)) * int64(math.Log2(float64(len(rows))))
+	if len(order) > 1 {
+		e.C.CPUOps += 2 * int64(len(order)) * int64(math.Log2(float64(len(order))))
 	}
+	return order
 }
 
 func compareNullable(a, b storage.Value) int {
@@ -653,8 +668,8 @@ func compareNullable(a, b storage.Value) int {
 	return a.Compare(b)
 }
 
-// aggState accumulates one group's aggregates.
-type aggState struct {
+// accumulator holds one group's aggregates.
+type accumulator struct {
 	group  storage.Row
 	counts []int64
 	sums   []int64
@@ -663,15 +678,26 @@ type aggState struct {
 	inited []bool
 }
 
-// aggregator accumulates grouped aggregates incrementally, fed batch by
-// batch without materializing the input; billing depends only on the rows
-// fed, not on how they were batched.
-type aggregator struct {
+func newAccumulator(na int) *accumulator {
+	return &accumulator{counts: make([]int64, na), sums: make([]int64, na),
+		mins: make([]storage.Value, na), maxs: make([]storage.Value, na),
+		inited: make([]bool, na)}
+}
+
+// aggregation accumulates grouped aggregates incrementally, fed batch by
+// batch without collecting the input; billing depends only on the tuples
+// fed, not on how they were batched. It is the one operator that reads
+// values out of its input tuples (vals) and the one that creates values
+// no table holds: its output rows.
+type aggregation struct {
 	e      *Executor
 	n      *planner.Node
-	groups map[string]*aggState
+	in     *rel
+	need   []int           // input columns the grouping and aggregates read
+	vals   []storage.Value // the current tuple's needed values, by input column
+	groups map[string]*accumulator
 	order  []string
-	single *aggState // the one state of an ungrouped aggregate
+	single *accumulator // the one state of an ungrouped aggregate
 	rows   int64
 	kb     []byte // reusable group-key buffer
 }
@@ -686,12 +712,13 @@ func aggInputType(n *planner.Node, col int) catalog.Type {
 	return catalog.Int
 }
 
-// newAggregator validates the aggregate specs and returns an empty
-// accumulator. SUM and AVG over a non-integer column are rejected here —
-// the planner already refuses them at bind time (planner.Analyze) and plan
-// time (buildTop); this guards hand-built plans, which previously summed
-// nothing and silently returned 0 while counts kept incrementing.
-func (e *Executor) newAggregator(n *planner.Node) (*aggregator, error) {
+// newAggregation validates the aggregate specs and returns an empty
+// accumulator over input layout in. SUM and AVG over a non-integer column
+// are rejected here — the planner already refuses them at bind time
+// (planner.Analyze) and plan time (buildTop); this guards hand-built
+// plans, which previously summed nothing and silently returned 0 while
+// counts kept incrementing.
+func (e *Executor) newAggregation(n *planner.Node, in *rel) (*aggregation, error) {
 	for _, spec := range n.Aggs {
 		if (spec.Func == sqlparser.AggSum || spec.Func == sqlparser.AggAvg) && spec.Col >= 0 {
 			if t := aggInputType(n, spec.Col); t != catalog.Int {
@@ -699,7 +726,15 @@ func (e *Executor) newAggregator(n *planner.Node) (*aggregator, error) {
 			}
 		}
 	}
-	return &aggregator{e: e, n: n, groups: make(map[string]*aggState)}, nil
+	a := &aggregation{e: e, n: n, in: in, vals: make([]storage.Value, len(in.cols)),
+		groups: make(map[string]*accumulator)}
+	a.need = append(a.need, n.GroupCols...)
+	for _, spec := range n.Aggs {
+		if spec.Col >= 0 && !slices.Contains(a.need, spec.Col) {
+			a.need = append(a.need, spec.Col)
+		}
+	}
+	return a, nil
 }
 
 // appendGroupVal appends v's group-key encoding (the same bytes
@@ -717,64 +752,69 @@ func appendGroupVal(dst []byte, v storage.Value) []byte {
 	return append(dst, 0)
 }
 
-// feed accumulates a slice of input rows into the group states. The
+// feed accumulates one batch of input tuples into the group states. The
 // ungrouped case keeps a single state and skips key building entirely —
 // the common COUNT/MIN/MAX-over-everything shape stays off the map.
-func (a *aggregator) feed(rows []storage.Row) {
-	e, n := a.e, a.n
-	na := len(n.Aggs)
-	if len(rows) == 0 {
+func (a *aggregation) feed(b []int32) {
+	e, n, w := a.e, a.n, a.in.width()
+	count := len(b) / w
+	if count == 0 {
 		return
 	}
 	if len(n.GroupCols) == 0 {
-		e.tick(len(rows))
-		a.rows += int64(len(rows))
+		e.tick(count)
+		a.rows += int64(count)
 		st := a.single
 		if st == nil {
-			st = &aggState{counts: make([]int64, na), sums: make([]int64, na),
-				mins: make([]storage.Value, na), maxs: make([]storage.Value, na),
-				inited: make([]bool, na)}
+			st = newAccumulator(len(n.Aggs))
 			a.single = st
 			a.groups[""] = st
 			a.order = append(a.order, "")
 		}
-		for _, r := range rows {
-			st.update(n.Aggs, r)
+		for i := 0; i < len(b); i += w {
+			a.load(b[i : i+w])
+			st.update(n.Aggs, a.vals)
 		}
 		return
 	}
-	for _, r := range rows {
+	for i := 0; i < len(b); i += w {
 		e.tick(1)
 		a.rows++
+		a.load(b[i : i+w])
 		kb := a.kb[:0]
 		for _, g := range n.GroupCols {
-			kb = appendGroupVal(kb, r[g])
+			kb = appendGroupVal(kb, a.vals[g])
 		}
 		a.kb = kb
 		st := a.groups[string(kb)]
 		if st == nil {
-			st = &aggState{counts: make([]int64, na), sums: make([]int64, na),
-				mins: make([]storage.Value, na), maxs: make([]storage.Value, na),
-				inited: make([]bool, na)}
+			st = newAccumulator(len(n.Aggs))
 			for _, g := range n.GroupCols {
-				st.group = append(st.group, r[g])
+				st.group = append(st.group, a.vals[g])
 			}
 			k := string(kb)
 			a.groups[k] = st
 			a.order = append(a.order, k)
 		}
-		st.update(n.Aggs, r)
+		st.update(n.Aggs, a.vals)
 	}
 }
 
-// update folds one input row into the group's accumulators.
-func (st *aggState) update(aggs []planner.AggSpec, r storage.Row) {
+// load reads the columns the aggregate needs out of input tuple t.
+func (a *aggregation) load(t []int32) {
+	for _, c := range a.need {
+		a.vals[c] = a.in.value(t, c)
+	}
+}
+
+// update folds one input tuple's values into the group's accumulators.
+func (st *accumulator) update(aggs []planner.AggSpec, vals []storage.Value) {
 	for ai, spec := range aggs {
 		if spec.Col == -1 { // COUNT(*)
 			st.counts[ai]++
 			continue
 		}
-		v := r[spec.Col]
+		v := vals[spec.Col]
 		if v.Null {
 			continue
 		}
@@ -800,7 +840,7 @@ func (st *aggState) update(aggs []planner.AggSpec, r storage.Row) {
 // NULLs (MIN/MAX over all-NULL input, SUM/AVG over zero non-NULL rows)
 // are typed from the input column's kind, so MIN over an empty string
 // column yields a string-typed NULL rather than an integer one.
-func (a *aggregator) finish() []storage.Row {
+func (a *aggregation) finish() []storage.Row {
 	e, n := a.e, a.n
 	na := len(n.Aggs)
 	e.C.CPUOps += a.rows * int64(len(n.GroupCols)+na+1)
@@ -855,20 +895,5 @@ func (a *aggregator) finish() []storage.Row {
 		}
 		out = append(out, row)
 	}
-	return out
-}
-
-// projectRows projects one batch of rows into the node's output shape.
-func (e *Executor) projectRows(n *planner.Node, rows []storage.Row) []storage.Row {
-	e.tick(len(rows))
-	out := make([]storage.Row, len(rows))
-	for i, r := range rows {
-		pr := e.newRow(len(n.Projection))
-		for j, p := range n.Projection {
-			pr[j] = r[p]
-		}
-		out[i] = pr
-	}
-	e.C.CPUOps += int64(len(rows))
 	return out
 }

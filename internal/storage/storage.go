@@ -90,13 +90,14 @@ func (v Value) String() string {
 	return v.S
 }
 
-// Row is a tuple. A row is immutable once emitted: the executor's operators
-// pass rows by slice and retain them uncopied (hash-join build sides,
-// collected inputs, and join outputs all alias their inputs' values), so
-// nothing may write to a row it did not create. Rows the executor returns
-// stay valid after later runs on the same Executor, and their capacity
-// equals their length, so appending to one copies instead of writing into
-// a neighbouring row's values.
+// Row is a tuple of values. A row is immutable once built: nothing may
+// write to a row it did not create. The executor passes row ids between
+// its operators and builds rows only where values must be owned: the
+// result rows it returns, and an aggregate's output rows, which the
+// operators above the aggregate read in place by index. Rows the executor
+// returns stay valid after later runs on the same Executor, and their
+// capacity equals their length, so appending to one copies instead of
+// writing into a neighbouring row's values.
 type Row []Value
 
 // Column is columnar storage for one column.
