@@ -150,9 +150,11 @@ func ExecSeconds(c Counters) float64 { return cloud.ExecSeconds(c) }
 // carrying the partial work counters accumulated before cancellation.
 var ErrDeadlineExceeded = executor.ErrDeadlineExceeded
 
-// DeadlineExceededError is the typed cancellation error returned by
-// Engine.ExecuteCtx / Optimizer.RunCtx for a query stopped at its
-// deadline.
+// DeadlineExceededError is the typed cancellation error carrying the
+// partial work counters. Engine.ExecuteCtx returns it for any execution
+// whose context ended; Optimizer.RunCtx returns it only for a query that
+// ran past Config.QueryTimeout and was recorded as a censored experience
+// (a caller whose own context ends gets that context's error instead).
 type DeadlineExceededError = executor.DeadlineExceededError
 
 // DeadlineBudgetSecs maps a wall-clock deadline onto the simulated clock —
@@ -201,11 +203,12 @@ func ServeObs(addr string) (*ObsServer, error) { return obs.Serve(addr, obs.Defa
 // async retraining with model hot-swap, durable experience log).
 type (
 	// BaoServer is a running serving layer over one Optimizer: concurrent
-	// selections, a single execution lane, a background trainer, and
-	// optional durability (see internal/server).
+	// selections, the optimizer's single execution lane, a background
+	// trainer, and optional durability (see internal/server).
 	BaoServer = baoserver.Server
-	// ServerConfig controls a BaoServer (admission limits, timeouts, the
-	// experience-log path and model checkpoint directory).
+	// ServerConfig controls a BaoServer (admission limit, request timeout,
+	// the experience-log path and model checkpoint directory). The
+	// per-query deadline is the Optimizer's Config.QueryTimeout.
 	ServerConfig = baoserver.Config
 	// ExperienceLog is the durable append-only record of observed
 	// experiences and critical-query exploration sets.
@@ -324,8 +327,9 @@ func OpenCheckpointStore(dir string, keep int) (*CheckpointStore, error) {
 
 // OpenExperienceLog opens (creating if absent) a durable experience log,
 // replaying nothing by itself — pass the path as ServerConfig.LogPath to
-// have a server replay and append to it, or use the returned log's
-// Replay method directly for offline inspection and custom tooling.
+// have a server replay and append to it, call the returned log's Attach
+// to do the same for a library Optimizer, or Replay it for offline
+// inspection and custom tooling.
 func OpenExperienceLog(path string) (*ExperienceLog, error) {
 	return baoserver.OpenExperienceLog(path, DefaultObserver())
 }

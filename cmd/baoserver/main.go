@@ -59,6 +59,7 @@ func main() {
 	cfg.PlanCacheSize = *planCacheSize
 	cfg.PlanCacheBytes = *planCacheBytes
 	cfg.InferBatch = *inferBatch
+	cfg.QueryTimeout = *queryTimeout
 	if *guardOn {
 		cfg.Breaker = bao.BreakerConfig{Enabled: true}
 		cfg.Validate = bao.ValidateConfig{Enabled: true}
@@ -69,7 +70,6 @@ func main() {
 	srv, err := bao.Serve(opt, *listen, bao.ServerConfig{
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *timeout,
-		QueryTimeout:   *queryTimeout,
 		LogPath:        *explog,
 		SegmentBytes:   *explogSegBytes,
 		CheckpointDir:  *ckptDir,

@@ -46,6 +46,7 @@ func main() {
 	eng := cli.LoadDataset(*wlName)
 	cfg := bao.FastConfig()
 	cfg.PlanCache = true
+	cfg.QueryTimeout = *queryTimeout
 	if *guardOn {
 		cfg.Breaker = bao.BreakerConfig{Enabled: true}
 		cfg.Validate = bao.ValidateConfig{Enabled: true}
@@ -63,15 +64,9 @@ func main() {
 			cli.Fatal(err)
 		}
 		defer l.Close() //nolint:errcheck // session teardown
-		l.Replay(opt)
+		l.Attach(opt)
 		replayed, skipped := l.Replayed()
 		fmt.Printf("explog: replayed %d records (%d skipped) from %s\n", replayed, skipped, *explog)
-		opt.SetExperienceHook(func(e bao.Experience) {
-			l.AppendExperience(e) //nolint:errcheck // degradation is counted inside
-		})
-		opt.SetCriticalHook(func(key string, exps []bao.Experience) {
-			l.AppendCritical(key, exps) //nolint:errcheck // degradation is counted inside
-		})
 	}
 	cli.Pretrain(opt)
 	baoOn := false
@@ -141,14 +136,8 @@ func main() {
 			fmt.Println(tag)
 		case *sqlparser.SelectStmt:
 			start := time.Now()
-			ctx := context.Background()
-			if *queryTimeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, *queryTimeout)
-				defer cancel() //nolint:gocritic // shell loop; a handful of timers is fine
-			}
 			if baoOn {
-				out, sel, err := opt.RunCtx(ctx, st.String())
+				out, sel, err := opt.Run(st.String())
 				if err != nil {
 					if sel != nil && errors.Is(err, bao.ErrDeadlineExceeded) {
 						fmt.Printf("cancelled: exceeded -query-timeout %s (Bao arm %q; recorded as censored experience)\n",
@@ -164,7 +153,7 @@ func main() {
 					float64(time.Since(start).Microseconds())/1000,
 					opt.Cfg.Arms[sel.ArmID].Name)
 			} else {
-				out, err := eng.QueryCtx(ctx, st.String())
+				out, err := queryNative(eng, st.String(), *queryTimeout)
 				if err != nil {
 					if errors.Is(err, bao.ErrDeadlineExceeded) {
 						fmt.Printf("cancelled: exceeded -query-timeout %s\n", *queryTimeout)
@@ -188,6 +177,18 @@ func main() {
 			fmt.Println(tag)
 		}
 	}
+}
+
+// queryNative runs sql on the engine's own optimizer under the
+// -query-timeout deadline, when one is set.
+func queryNative(eng *bao.Engine, sql string, timeout time.Duration) (*bao.Result, error) {
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	return eng.QueryCtx(ctx, sql)
 }
 
 // printRows renders a result as a simple aligned table, truncating long

@@ -132,6 +132,12 @@ type Config struct {
 	// When nil the process-wide obs.Default() is used; obs.Disabled()
 	// turns instrumentation into no-ops.
 	Observer *obs.Observer
+	// QueryTimeout is RunCtx's per-query execution deadline (zero = none),
+	// started once the query holds the execution lane. A query that runs
+	// past it is recorded as a censored experience at
+	// cloud.DeadlineBudgetSecs(QueryTimeout) — a function of this value
+	// alone, so the recorded observation is reproducible (see RunCtx).
+	QueryTimeout time.Duration
 }
 
 // DefaultConfig returns the paper's configuration.
@@ -243,9 +249,12 @@ const minRetrainWindow = 16
 // layer's trainer) draws its sample under b.mu, fits a fresh model with no
 // lock held, and publishes it; a published model is never written again.
 // b.mu guards only the experience window, the critical-query registry,
-// the retrain schedule and the hooks. Engine *execution* is not
-// synchronized here: concurrent callers must serialize Eng.Execute (the
-// serving layer runs a single execution lane).
+// the retrain schedule and the hooks. Engine execution runs on one
+// execution lane (lane): the engine bills each query the delta of shared
+// cumulative counters and the buffer pool mutates per execution, so
+// RunCtx and ExploreCriticalCtx serialize their executions on it while
+// selections stay concurrent. A caller that executes on Eng itself
+// (Select, Eng.Execute, Observe) must not do so beside them.
 type Bao struct {
 	Cfg Config
 	Eng *engine.Engine
@@ -255,12 +264,12 @@ type Bao struct {
 	Model model.Model
 	Feat  Featurizer
 
-	// Enabled gates arm selection (SET enable_bao); when disabled, Run
-	// uses the engine's default optimizer but can still learn off-policy.
-	Enabled bool
 	// AdvisorMode keeps observing executions for training while never
-	// steering plans (§4).
+	// steering plans (§4): Run executes the engine's default plan.
 	AdvisorMode bool
+
+	// lane is the single execution lane (see the concurrency note above).
+	lane sync.Mutex
 
 	// Fixed by New: the sink, the two arm families a state can offer, and
 	// every arm's hint set in arm order (what the planner takes).
@@ -377,7 +386,6 @@ func New(eng *engine.Engine, cfg Config) *Bao {
 	b := &Bao{
 		Cfg:        cfg,
 		Eng:        eng,
-		Enabled:    true,
 		critical:   make(map[string][]Experience),
 		markedCrit: make(map[string]string),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
@@ -487,7 +495,9 @@ func (b *Bao) SetExperienceHook(fn func(Experience)) {
 }
 
 // SetCriticalHook registers fn to be called with every critical-query
-// exploration set ExploreCritical stores. Pass nil to unregister.
+// exploration set ExploreCritical stores. fn runs while the exploration
+// holds the execution lane, so it must not execute through b. Pass nil to
+// unregister.
 func (b *Bao) SetCriticalHook(fn func(key string, exps []Experience)) {
 	b.mu.Lock()
 	b.critHook = fn
@@ -543,27 +553,34 @@ func (b *Bao) FlushPlanCache() {
 	}
 }
 
-// Run is the full per-query lifecycle: select (or fall back to the default
-// optimizer when disabled), execute, observe. It returns the engine result
-// and the selection made.
+// Run is RunCtx for a caller that never goes away.
 func (b *Bao) Run(sql string) (*engine.Result, *Selection, error) {
 	return b.RunCtx(context.Background(), sql)
 }
 
-// RunCtx is Run under a context. When the context carries a deadline and
-// execution blows past it, the query stops within one cancellation-check
-// interval, a censored experience is recorded at the deadline's
-// simulated-clock budget (see ObserveTimeout), and the typed
-// executor.ErrDeadlineExceeded — carrying the partial work counters — is
-// returned alongside the selection. A cancellation without a deadline
-// (caller gone) records nothing.
+// RunCtx is the one per-query lifecycle: select, execute on the execution
+// lane under Cfg.QueryTimeout, and record exactly one outcome.
+//
+//   - Completed: the execution is observed (Observe) and its result
+//     returned with the selection.
+//   - Censored: execution ran past Cfg.QueryTimeout. It stops within one
+//     cancellation-check interval, an "execute" span and a censored
+//     experience at cloud.DeadlineBudgetSecs(Cfg.QueryTimeout) are recorded
+//     (ObserveTimeout), and the *executor.DeadlineExceededError carrying the
+//     partial work counters is returned with the selection. RunCtx returns
+//     that error type for this outcome only.
+//   - Abandoned: ctx is the caller's lifetime. Once it is cancelled or
+//     expires — during selection, before or during execution, or before the
+//     observation — Abandon runs, nothing is recorded, and the error
+//     returned is ctx's (or, from selection, one wrapping it). The caller
+//     being gone wins over every other outcome.
+//   - Failed: any other selection error is returned with no selection; any
+//     other execution error abandons the selection and is returned with it.
+//
+// In AdvisorMode the engine's default plan runs on the same lane and
+// deadline and is learned from off-policy; no selection is returned.
 func (b *Bao) RunCtx(ctx context.Context, sql string) (*engine.Result, *Selection, error) {
-	var budget float64
-	if dl, ok := ctx.Deadline(); ok {
-		budget = cloud.DeadlineBudgetSecs(time.Until(dl))
-	}
-	if !b.Enabled || b.AdvisorMode {
-		// Default optimizer path; advisor mode still learns off-policy.
+	if b.AdvisorMode {
 		q, err := b.Eng.AnalyzeSQL(sql)
 		if err != nil {
 			return nil, nil, err
@@ -572,41 +589,72 @@ func (b *Bao) RunCtx(ctx context.Context, sql string) (*engine.Result, *Selectio
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := b.Eng.ExecuteCtx(ctx, n)
+		res, err := b.execute(ctx, n)
 		if err != nil {
 			return nil, nil, err
 		}
 		res.PlanCandidates = cands
-		if b.AdvisorMode {
-			b.AddExternalExperience(n, res.Counters)
-		}
+		b.AddExternalExperience(n, res.Counters)
 		return res, nil, nil
 	}
 	sel, err := b.SelectCtx(ctx, sql)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			b.Abandon(nil, "select abandoned: "+cerr.Error())
+		}
 		return nil, nil, err
 	}
+	// Don't take the execution lane for a caller that is already gone.
+	if cerr := ctx.Err(); cerr != nil {
+		b.Abandon(sel, "abandoned before execute: "+cerr.Error())
+		return nil, sel, cerr
+	}
+	budget := cloud.DeadlineBudgetSecs(b.Cfg.QueryTimeout)
 	if sel.Trace != nil && budget > 0 {
 		sel.Trace.DeadlineSecs = budget
 	}
 	execStart := time.Now()
-	res, err := b.Eng.ExecuteCtx(ctx, sel.Plans[sel.ArmID])
-	if err != nil {
-		if errors.Is(err, executor.ErrDeadlineExceeded) && budget > 0 &&
-			errors.Is(err, context.DeadlineExceeded) {
-			sel.Trace.AddSpan("execute", execStart, time.Since(execStart), "deadline exceeded")
-			b.ObserveTimeout(sel, budget)
-		} else {
-			b.Abandon(sel, err.Error())
-		}
-		return nil, sel, err
-	}
-	if sel.Trace != nil {
+	res, err := b.execute(ctx, sel.Plans[sel.ArmID])
+	if err == nil && sel.Trace != nil {
 		sel.Trace.AddSpan("execute", execStart, time.Since(execStart),
 			fmt.Sprintf("simulated_secs=%.6f", b.Cfg.Metric.Value(res.Counters)))
 	}
+	if cerr := ctx.Err(); cerr != nil {
+		// Whichever deadline tripped, the caller is gone: drop all signal,
+		// including a completed execution's.
+		reason := "observation dropped: "
+		if err != nil {
+			reason = "execution abandoned: "
+		}
+		b.Abandon(sel, reason+cerr.Error())
+		return nil, sel, cerr
+	}
+	var de *executor.DeadlineExceededError
+	switch {
+	case errors.As(err, &de):
+		sel.Trace.AddSpan("execute", execStart, time.Since(execStart), "deadline exceeded")
+		b.ObserveTimeout(sel, budget)
+		return nil, sel, err
+	case err != nil:
+		b.Abandon(sel, "execute failed: "+err.Error())
+		return nil, sel, err
+	}
 	b.Observe(sel, res.Counters)
 	return res, sel, nil
+}
+
+// execute runs plan on the execution lane, under Cfg.QueryTimeout when set.
+// The deadline starts once the lane is held, so time spent queueing behind
+// other executions never counts against a query's budget.
+func (b *Bao) execute(ctx context.Context, plan *planner.Node) (*engine.Result, error) {
+	b.lane.Lock()
+	defer b.lane.Unlock()
+	if b.Cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, b.Cfg.QueryTimeout)
+		defer cancel()
+	}
+	return b.Eng.ExecuteCtx(ctx, plan)
 }
 
 // Observer returns the observability sink this Bao records into.

@@ -108,10 +108,10 @@ func TestSelectCtxCancelled(t *testing.T) {
 	}
 }
 
-// runCensored builds a fresh engine+Bao with the given worker settings,
-// stalls execution at a fixed page ordinal, and runs one query under a
-// deadline. It returns the abort counters and the recorded experience.
-func runCensored(t *testing.T, workers int) (executor.Counters, Experience) {
+// stalledBao builds a fresh engine+Bao with the given worker count and
+// QueryTimeout whose executions stall at a fixed page ordinal until their
+// context dies.
+func stalledBao(t *testing.T, workers int, timeout time.Duration) *Bao {
 	t.Helper()
 	e := engine.New(engine.GradePostgreSQL, 3000)
 	inst := workload.IMDb(workload.Config{Scale: 0.12, Queries: 1, Seed: 42})
@@ -122,12 +122,19 @@ func runCensored(t *testing.T, workers int) (executor.Counters, Experience) {
 	cfg.Arms = TopArms(3)
 	cfg.Workers = workers
 	cfg.RetrainEvery = 1000
+	cfg.QueryTimeout = timeout
 	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 	b := New(e, cfg)
 	e.Exec.Fault = &executor.Fault{AfterPages: 11, Stall: true}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, sel, err := b.RunCtx(ctx, censorTestSQL)
+	return b
+}
+
+// runCensored runs one stalled query past a 10ms QueryTimeout. It returns
+// the abort counters and the recorded experience.
+func runCensored(t *testing.T, workers int) (executor.Counters, Experience) {
+	t.Helper()
+	b := stalledBao(t, workers, 10*time.Millisecond)
+	_, sel, err := b.Run(censorTestSQL)
 	if !errors.Is(err, executor.ErrDeadlineExceeded) {
 		t.Fatalf("workers=%d: err = %v, want ErrDeadlineExceeded", workers, err)
 	}
@@ -147,28 +154,69 @@ func runCensored(t *testing.T, workers int) (executor.Counters, Experience) {
 
 // TestCensoredTimeoutDeterministicAcrossWorkers pins the acceptance
 // criterion: a fault-injected stall at the same simulated-clock point
-// yields byte-identical abort counters and the same censored experience
-// shape regardless of worker count (and, under -race, timing).
+// yields byte-identical abort counters and the same censored experience —
+// at exactly the configured deadline's budget — regardless of worker count
+// (and, under -race, timing).
 func TestCensoredTimeoutDeterministicAcrossWorkers(t *testing.T) {
+	budget := cloud.DeadlineBudgetSecs(10 * time.Millisecond)
 	baseC, baseE := runCensored(t, 1)
 	if got := baseC.PageHits + baseC.PageMisses; got != 10 {
 		t.Fatalf("abort pages = %d, want 10 (stall at 11 precedes the charge)", got)
 	}
-	// The library-path budget maps the context's *remaining* time, so its
-	// exact value is wall-dependent; the server path (which knows the
-	// configured deadline) pins it exactly — see the server tests. Here the
-	// bound is that it never exceeds the full deadline's budget.
-	maxBudget := cloud.DeadlineBudgetSecs(10 * time.Millisecond)
-	if baseE.Secs <= 0 || baseE.Secs > maxBudget {
-		t.Fatalf("censored Secs = %v, want in (0, %v]", baseE.Secs, maxBudget)
+	if baseE.Secs != budget {
+		t.Fatalf("censored Secs = %v, want the budget %v", baseE.Secs, budget)
 	}
 	for _, w := range []int{2, 4} {
 		c, exp := runCensored(t, w)
 		if c != baseC {
 			t.Fatalf("workers=%d: abort counters %+v != sequential baseline %+v", w, c, baseC)
 		}
-		if exp.ArmID != baseE.ArmID || !exp.Censored || exp.Secs <= 0 || exp.Secs > maxBudget {
+		if exp.ArmID != baseE.ArmID || !exp.Censored || exp.Secs != budget {
 			t.Fatalf("workers=%d: experience %+v != baseline %+v", w, exp, baseE)
+		}
+	}
+}
+
+// cancelAtStall is a caller context that cancels itself the first time
+// anything waits on it — here, exactly when execution reaches the injected
+// stall, since with no QueryTimeout the executor's stall is the only
+// caller of Done.
+type cancelAtStall struct {
+	context.Context
+	cancel context.CancelFunc
+}
+
+func (c cancelAtStall) Done() <-chan struct{} {
+	c.cancel()
+	return c.Context.Done()
+}
+
+// TestRunCtxCancelMidExecutionAbandons: a caller that goes away while its
+// query executes gets nothing recorded — no experience, no completed or
+// censored query — and one abandonment.
+func TestRunCtxCancelMidExecutionAbandons(t *testing.T) {
+	b := stalledBao(t, 1, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, sel, err := b.RunCtx(cancelAtStall{ctx, cancel}, censorTestSQL)
+	if res != nil || sel == nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCtx = (%v, %v, %v), want no result, the selection and context.Canceled", res, sel, err)
+	}
+	var de *executor.DeadlineExceededError
+	if errors.As(err, &de) {
+		t.Fatal("an abandoned query returned the censored outcome's error")
+	}
+	snap := b.Stats()
+	if n := b.ExperienceSize(); n != 0 {
+		t.Fatalf("abandoned query recorded %d experiences", n)
+	}
+	for name, want := range map[string]float64{
+		"bao_server_abandoned_total": 1,
+		"bao_queries_total":          0,
+		"bao_query_timeouts_total":   0,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Fatalf("%s = %v, want %v", name, got, want)
 		}
 	}
 }

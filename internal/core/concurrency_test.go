@@ -88,6 +88,49 @@ func TestSelectDoesNotTakeBaoLock(t *testing.T) {
 
 var errBlocked = errors.New("a reader of the published state waited on b.mu")
 
+// TestConcurrentRunCtxSharesOneLane: RunCtx needs no lock from its callers.
+// The engine bills each query the delta of shared cumulative counters, so
+// two interleaved executions would each be billed the other's work (and
+// race on the executor); on the one execution lane every concurrent run of
+// a plan reports the work a lone run of it does — its pages split between
+// hits and misses by whatever the pool then held, but never more or fewer.
+func TestConcurrentRunCtxSharesOneLane(t *testing.T) {
+	const goroutines, runs = 4, 4
+	cfg := FastConfig()
+	cfg.Arms = TopArms(1) // one arm: every run executes the same plan
+	cfg.RetrainEvery = 1 << 30
+	cfg.Observer = obs.Disabled()
+	b := New(buildIMDbEngine(t), cfg)
+	lone, _, err := b.Run(censorTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lone.Counters
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				res, _, err := b.Run(censorTestSQL)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c := res.Counters
+				if c.CPUOps != want.CPUOps || c.RowsOut != want.RowsOut ||
+					c.PageHits+c.PageMisses != want.PageHits+want.PageMisses {
+					t.Errorf("concurrent run billed %+v, a lone run %+v", c, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := b.ExperienceSize(); n != 1+goroutines*runs {
+		t.Fatalf("window = %d, want %d", n, 1+goroutines*runs)
+	}
+}
+
 // TestConcurrentBanditStateAddsUp is the model-based check: selectors,
 // observers, both retrain entry points, an adviser and a checkpoint
 // restorer run against one optimizer, and afterwards everything must add

@@ -301,22 +301,6 @@ func TestAdviseUntrainedErrors(t *testing.T) {
 	}
 }
 
-func TestDisabledBaoUsesDefaultOptimizer(t *testing.T) {
-	e := buildIMDbEngine(t)
-	b := New(e, FastConfig())
-	b.Enabled = false
-	res, sel, err := b.Run("SELECT COUNT(*) FROM title t WHERE t.kind_id = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel != nil {
-		t.Fatal("disabled Bao returned a selection")
-	}
-	if res == nil || b.ExperienceSize() != 0 {
-		t.Fatal("disabled Bao must execute without learning")
-	}
-}
-
 func TestTrainEventsRecorded(t *testing.T) {
 	e := buildIMDbEngine(t)
 	cfg := FastConfig()

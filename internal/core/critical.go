@@ -59,9 +59,9 @@ func (b *Bao) RestoreCritical(key string, exps []Experience) {
 
 // ExploreCritical executes every marked query under every arm, storing the
 // flagged experiences that Retrain will always honor. It returns the total
-// counters spent, so callers can bill the exploration. Execution runs on
-// the shared engine, so like Run this must not race other executions; the
-// serving layer serializes it behind its execution lock.
+// counters spent, so callers can bill the exploration. The whole
+// exploration holds the execution lane, so no RunCtx execution interleaves
+// with it.
 func (b *Bao) ExploreCritical() (executor.Counters, error) {
 	return b.ExploreCriticalCtx(context.Background())
 }
@@ -74,6 +74,8 @@ func (b *Bao) ExploreCritical() (executor.Counters, error) {
 // explored in sorted key order, so buffer-pool residency — and with it the
 // cache-aware features of the recorded experiences — repeats run to run.
 func (b *Bao) ExploreCriticalCtx(ctx context.Context) (executor.Counters, error) {
+	b.lane.Lock()
+	defer b.lane.Unlock()
 	b.mu.RLock()
 	marked := make(map[string]string, len(b.markedCrit))
 	keys := make([]string, 0, len(b.markedCrit))

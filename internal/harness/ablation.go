@@ -53,13 +53,10 @@ func (s *Session) Ablation() error {
 	}
 	lc := learnedcost.New(eng, learnedcost.DefaultConfig())
 	total := 0.0
-	ev := 0
+	events := eventReplay(eng, inst)
 	for i, q := range inst.Queries {
-		for ev < len(inst.Events) && inst.Events[ev].BeforeQuery <= i {
-			if err := inst.Events[ev].Apply(eng); err != nil {
-				return err
-			}
-			ev++
+		if err := events(i); err != nil {
+			return err
 		}
 		res, err := lc.Run(q.SQL)
 		if err != nil {

@@ -100,12 +100,7 @@ func (s *Session) explogChaosRun(workers int, ft *baoserver.DiskFault) (*explogO
 	if err != nil {
 		return nil, err
 	}
-	b.SetExperienceHook(func(e core.Experience) {
-		l.AppendExperience(e) //nolint:errcheck // degradation is the scenario
-	})
-	b.SetCriticalHook(func(key string, exps []core.Experience) {
-		l.AppendCritical(key, exps) //nolint:errcheck // degradation is the scenario
-	})
+	l.Attach(b)
 	for i := 0; i < n; i++ {
 		sel, err := b.Select(inst.Queries[i].SQL)
 		if err != nil {

@@ -164,13 +164,10 @@ func (s *Session) Figure14() error {
 				}
 			}
 			var secs []float64
-			ev := 0
+			events := eventReplay(eng, inst)
 			for i, q := range inst.Queries {
-				for ev < len(inst.Events) && inst.Events[ev].BeforeQuery <= i {
-					if err := inst.Events[ev].Apply(eng); err != nil {
-						return err
-					}
-					ev++
+				if err := events(i); err != nil {
+					return err
 				}
 				t, err := runq(q.SQL)
 				if err != nil {
@@ -274,13 +271,10 @@ func (s *Session) bestStaticHintSetTotal() (float64, error) {
 		}
 		eng.SessionHints = arm.Hints
 		total := 0.0
-		ev := 0
+		events := eventReplay(eng, inst)
 		for i, q := range inst.Queries {
-			for ev < len(inst.Events) && inst.Events[ev].BeforeQuery <= i {
-				if err := inst.Events[ev].Apply(eng); err != nil {
-					return 0, err
-				}
-				ev++
+			if err := events(i); err != nil {
+				return 0, err
 			}
 			res, err := eng.Query(q.SQL)
 			if err != nil {
@@ -406,7 +400,7 @@ func (s *Session) Figure16() error {
 				if err != nil {
 					return err
 				}
-				secs, _, err := evalArmsMetric(eng, b.Cfg.Arms, sql, metric)
+				secs, _, err := evalArms(eng, b.Cfg.Arms, sql, true, metric)
 				if err != nil {
 					return err
 				}
@@ -419,7 +413,7 @@ func (s *Session) Figure16() error {
 				regrets = append(regrets, secs[sel.ArmID]-opt)
 				pgRegrets = append(pgRegrets, secs[0]-opt)
 				// Feed the observation for the chosen arm (counters were
-				// measured cold inside evalArmsMetric; approximate with the
+				// measured cold inside evalArms; approximate with the
 				// metric value directly). Every arm's true cost is known
 				// here, so the regret ledger books measured baselines
 				// rather than the model's counterfactual predictions.
@@ -437,34 +431,4 @@ func (s *Session) Figure16() error {
 	}
 	fmt.Fprintln(s.Opts.Out, "(regret units: seconds for cpu, scaled physical reads for io)")
 	return nil
-}
-
-// evalArmsMetric is evalArms under an arbitrary optimization metric, cold
-// cache per execution.
-func evalArmsMetric(eng *engine.Engine, arms []core.Arm, sql string, metric core.Metric) ([]float64, []float64, error) {
-	q, err := eng.AnalyzeSQL(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	secs := make([]float64, len(arms))
-	cache := make(map[string]float64)
-	for i, arm := range arms {
-		n, _, err := eng.Plan(q, arm.Hints)
-		if err != nil {
-			return nil, nil, err
-		}
-		sig := n.Explain()
-		if v, ok := cache[sig]; ok {
-			secs[i] = v
-			continue
-		}
-		eng.Pool.Clear()
-		res, err := eng.Execute(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		secs[i] = metric.Value(res.Counters)
-		cache[sig] = secs[i]
-	}
-	return secs, nil, nil
 }

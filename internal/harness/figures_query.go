@@ -12,10 +12,10 @@ import (
 )
 
 // evalArms plans a query under every arm and executes each *unique* plan
-// (arms frequently collapse to the same plan), returning per-arm simulated
-// seconds and plans. With cold=true the buffer pool is cleared before each
+// (arms frequently collapse to the same plan), returning per-arm metric
+// values and plans. With cold=true the buffer pool is cleared before each
 // execution so arms compare fairly.
-func evalArms(eng *engine.Engine, arms []core.Arm, sql string, cold bool) ([]float64, []*planner.Node, error) {
+func evalArms(eng *engine.Engine, arms []core.Arm, sql string, cold bool, metric core.Metric) ([]float64, []*planner.Node, error) {
 	q, err := eng.AnalyzeSQL(sql)
 	if err != nil {
 		return nil, nil, err
@@ -41,7 +41,7 @@ func evalArms(eng *engine.Engine, arms []core.Arm, sql string, cold bool) ([]flo
 		if err != nil {
 			return nil, nil, err
 		}
-		secs[i] = cloud.ExecSeconds(res.Counters)
+		secs[i] = metric.Value(res.Counters)
 		cache[sig] = secs[i]
 	}
 	return secs, plans, nil
@@ -128,7 +128,7 @@ func (s *Session) Figure11() error {
 		if err != nil {
 			return err
 		}
-		secs, _, err := evalArms(eng, bao.Cfg.Arms, q.SQL, true)
+		secs, _, err := evalArms(eng, bao.Cfg.Arms, q.SQL, true, core.MetricLatency)
 		if err != nil {
 			return err
 		}
@@ -188,13 +188,10 @@ func (s *Session) Figure12() error {
 		cfg.Arms = core.TopArms(nArms)
 		bao := core.New(eng, cfg)
 		optT, execT := 0.0, 0.0
-		ev := 0
+		events := eventReplay(eng, inst)
 		for i, q := range inst.Queries {
-			for ev < len(inst.Events) && inst.Events[ev].BeforeQuery <= i {
-				if err := inst.Events[ev].Apply(eng); err != nil {
-					return err
-				}
-				ev++
+			if err := events(i); err != nil {
+				return err
 			}
 			sel, err := bao.Select(q.SQL)
 			if err != nil {
@@ -244,7 +241,7 @@ func (s *Session) HintAnalysis() error {
 	totalImprove := 0.0
 	opChanged, pathChanged, orderChanged := 0, 0, 0
 	for _, q := range inst.Queries[:nq] {
-		secs, plans, err := evalArms(eng, arms, q.SQL, true)
+		secs, plans, err := evalArms(eng, arms, q.SQL, true, core.MetricLatency)
 		if err != nil {
 			return err
 		}

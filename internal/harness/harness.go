@@ -122,15 +122,12 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 		bao = core.New(eng, cfg.BaoCfg)
 		res.Bao = bao
 	}
-	ev := 0
+	events := eventReplay(eng, cfg.Workload)
 	gpuBilled := 0
 	budget := cloud.DeadlineBudgetSecs(cfg.QueryTimeout)
 	for i, q := range cfg.Workload.Queries {
-		for ev < len(cfg.Workload.Events) && cfg.Workload.Events[ev].BeforeQuery <= i {
-			if err := cfg.Workload.Events[ev].Apply(eng); err != nil {
-				return nil, fmt.Errorf("harness: event %q: %w", cfg.Workload.Events[ev].Name, err)
-			}
-			ev++
+		if err := events(i); err != nil {
+			return nil, err
 		}
 		rec := QueryRecord{Index: i, Template: q.Template}
 		if bao != nil {
@@ -183,6 +180,21 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 		res.Records = append(res.Records, rec)
 	}
 	return res, nil
+}
+
+// eventReplay returns a function that, called with each query index of
+// inst's stream in order, applies to eng every dataset dynamic
+// (workload.Event) scheduled before that query.
+func eventReplay(eng *engine.Engine, inst *workload.Instance) func(query int) error {
+	next := 0
+	return func(query int) error {
+		for ; next < len(inst.Events) && inst.Events[next].BeforeQuery <= query; next++ {
+			if err := inst.Events[next].Apply(eng); err != nil {
+				return fmt.Errorf("harness: event %q: %w", inst.Events[next].Name, err)
+			}
+		}
+		return nil
+	}
 }
 
 // percentile returns the p-th percentile (0..100) of xs.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bao/internal/cloud"
+	"bao/internal/core"
 	"bao/internal/engine"
 )
 
@@ -93,7 +94,7 @@ func TestEvalArmsDedupesAndIsComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	bcfg := s.BaoConfig()
-	secs, plans, err := evalArms(eng, bcfg.Arms, "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id AND t.kind_id = 2", false)
+	secs, plans, err := evalArms(eng, bcfg.Arms, "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id AND t.kind_id = 2", false, core.MetricLatency)
 	if err != nil {
 		t.Fatal(err)
 	}

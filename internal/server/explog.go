@@ -514,6 +514,20 @@ func (l *ExperienceLog) Replay(b *core.Bao) {
 	l.records = nil // replayed; free the memory
 }
 
+// Attach makes the log b's durable record: it replays the recovered state
+// into b (Replay), then registers the log as b's experience and critical
+// hooks, so everything b admits from here on is appended. An append that
+// fails degrades the log (counted and journaled inside), never b.
+func (l *ExperienceLog) Attach(b *core.Bao) {
+	l.Replay(b)
+	b.SetExperienceHook(func(e core.Experience) {
+		l.AppendExperience(e) //nolint:errcheck // degradation is counted and journaled inside
+	})
+	b.SetCriticalHook(func(key string, exps []core.Experience) {
+		l.AppendCritical(key, exps) //nolint:errcheck // degradation is counted and journaled inside
+	})
+}
+
 // Replayed returns how many intact post-snapshot records the opening
 // scan found and how many corrupt or torn records it skipped.
 func (l *ExperienceLog) Replayed() (replayed, skipped int) {

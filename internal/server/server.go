@@ -28,15 +28,10 @@ type Config struct {
 	// RequestTimeout bounds each request's handling time. Zero means 30s.
 	// When it fires the client gets a 503 and the request goroutine is
 	// abandoned: it stops work at the next cancellation check and records
-	// nothing (no experience, no explog append, no pending entry).
+	// nothing (no experience, no explog append, no pending entry). The
+	// per-query execution deadline, whose expiry is a 504 and a censored
+	// experience instead, is the optimizer's core.Config.QueryTimeout.
 	RequestTimeout time.Duration
-	// QueryTimeout bounds each /v1/query execution. Unlike an abandoned
-	// request, a query cancelled at this deadline is a deliberate learning
-	// signal: the client gets a 504 and Bao records a censored experience
-	// at the deadline's simulated-clock budget — the paper's treatment of
-	// queries that blow past the time limit. Zero disables the per-query
-	// deadline (RequestTimeout still bounds the whole request).
-	QueryTimeout time.Duration
 	// LogPath, when set, opens a durable experience log there: every
 	// admitted experience and critical exploration set is appended, and
 	// on startup intact records are replayed into the optimizer.
@@ -56,9 +51,6 @@ type Config struct {
 	// generation, rolling back past corrupt or unloadable ones;
 	// checkpointKeep generations are retained.
 	CheckpointDir string
-	// TrainDelay artificially stretches each background retrain (test
-	// hook for asserting the fast path is independent of training).
-	TrainDelay time.Duration
 	// EventLogPath, when set, streams the structured event journal
 	// (model swaps, breaker transitions, checkpoint saves/rollbacks,
 	// censored/abandoned outcomes) to a rotating JSONL file there. The
@@ -81,20 +73,15 @@ const (
 // Server is the concurrent Bao serving layer: an HTTP/JSON API over one
 // core.Bao. Selections (the model fast path) run concurrently and
 // lock-free against a snapshot of the current model; executions on the
-// embedded engine are serialized on a single execution lane (the engine's
-// executor counters and buffer pool mutate per execution); training runs
-// on a single background goroutine and hot-swaps fitted models in.
+// embedded engine take the optimizer's single execution lane (see
+// core.Bao); training runs on a single background goroutine and hot-swaps
+// fitted models in.
 type Server struct {
 	bao  *core.Bao
 	cfg  Config
 	o    *obs.Observer
 	log  *ExperienceLog
 	ckpt *guard.CheckpointStore // versioned model checkpoints; nil unless configured
-
-	// execMu is the single execution lane: the embedded engine computes
-	// per-query work as deltas of shared cumulative counters, so
-	// executions must not interleave.
-	execMu sync.Mutex
 
 	admit chan struct{} // admission-control semaphore
 
@@ -103,7 +90,12 @@ type Server struct {
 	order   []uint64                   // FIFO eviction order for pending
 	nextID  uint64
 
+	// retrainCh is never closed: an observation may still hold the retrain
+	// hook after Shutdown or Kill detached it, and its late signal is
+	// dropped rather than sent on a closed channel. The trainer exits when
+	// stop closes.
 	retrainCh   chan retrainSignal
+	stop        chan struct{}
 	trainerDone chan struct{}
 	shutOnce    sync.Once
 	eventSink   bool // an EventLogPath file sink was attached (closed at shutdown)
@@ -139,6 +131,7 @@ func New(b *core.Bao, cfg Config) (*Server, error) {
 		admit:       make(chan struct{}, cfg.MaxInFlight),
 		pending:     make(map[uint64]*core.Selection),
 		retrainCh:   make(chan retrainSignal, 1),
+		stop:        make(chan struct{}),
 		trainerDone: make(chan struct{}),
 	}
 	// The serving layer always keeps the /debug endpoints live: decision
@@ -163,14 +156,8 @@ func New(b *core.Bao, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.Replay(b)
+		l.Attach(b)
 		s.log = l
-		b.SetExperienceHook(func(e core.Experience) {
-			l.AppendExperience(e) //nolint:errcheck // degradation is counted and journaled inside
-		})
-		b.SetCriticalHook(func(key string, exps []core.Experience) {
-			l.AppendCritical(key, exps) //nolint:errcheck // degradation is counted and journaled inside
-		})
 	}
 	if cfg.CheckpointDir != "" {
 		st, err := guard.OpenCheckpointStore(cfg.CheckpointDir, checkpointKeep)
@@ -339,12 +326,12 @@ func (s *Server) shutdown(ctx context.Context) error {
 			firstErr = err
 		}
 	}
-	// With the HTTP front drained nothing can signal the trainer anymore;
-	// detach the hooks, then let the trainer drain its channel and exit.
+	// Detach the hooks, then let the trainer run its pending signal and
+	// exit.
 	s.bao.SetRetrainHook(nil)
 	s.bao.SetExperienceHook(nil)
 	s.bao.SetCriticalHook(nil)
-	close(s.retrainCh)
+	close(s.stop)
 	select {
 	case <-s.trainerDone:
 	case <-ctx.Done():
@@ -394,9 +381,10 @@ func (s *Server) Generation() uint64 { return s.gen.Load() }
 
 // Kill abruptly stops the server without flushing — the chaos-test crash
 // path. The listener (when one exists) closes without draining, hooks
-// detach, the trainer drains its queue and exits, and the experience log
-// handle closes. Whatever the last accepted checkpoint captured is all a
-// rebuild gets, which is exactly the guarantee the fleet chaos tests pin.
+// detach, the trainer runs its pending signal and exits, and the
+// experience log handle closes. Whatever the last accepted checkpoint
+// captured is all a rebuild gets, which is exactly the guarantee the fleet
+// chaos tests pin.
 // Waiting for the trainer matters for fencing: once Kill returns, nothing
 // on this server writes to its durable namespace again, so a new owner
 // may open it.
@@ -408,7 +396,7 @@ func (s *Server) Kill() {
 		s.bao.SetRetrainHook(nil)
 		s.bao.SetExperienceHook(nil)
 		s.bao.SetCriticalHook(nil)
-		close(s.retrainCh)
+		close(s.stop)
 		<-s.trainerDone
 		s.closeLog() //nolint:errcheck // crash path; the scan tolerates a torn tail
 		if s.eventSink {
@@ -577,105 +565,53 @@ type queryTimeoutResponse struct {
 	Censored    bool    `json:"censored"`
 }
 
-// handleQuery runs the full select-execute-observe loop on the embedded
-// engine. Selection runs concurrently with other requests; only the
-// execute step takes the single execution lane. The request context is
-// threaded all the way into the volcano executor, so three outcomes exist
-// beyond success:
+// handleQuery runs one query through core.Bao.RunCtx — select, execute on
+// the optimizer's execution lane, then observe, censor or abandon — under
+// the request context, and maps the outcome onto HTTP:
 //
-//   - the per-query deadline (Config.QueryTimeout) fires: execution stops
-//     within one cancellation-check interval, the client gets a 504, and a
-//     censored experience at the deadline's simulated-clock budget enters
-//     the window — the timed-out arm still teaches the model;
-//   - the request is abandoned (TimeoutHandler 503 or client disconnect):
-//     work stops the same way but nothing is recorded anywhere;
-//   - execution fails outright: the selection is released (trace finished,
-//     nothing parked or recorded) and the client gets a 500.
+//   - 200 with the result;
+//   - 400 when no selection was made (the SQL did not select);
+//   - 504 when execution ran past core.Config.QueryTimeout: Bao recorded a
+//     censored experience at the deadline's simulated-clock budget, so the
+//     timed-out arm still teaches the model, and the body carries the
+//     partial work performed;
+//   - 500 when execution failed outright (the selection was released:
+//     trace finished, nothing parked or recorded);
+//   - nothing once the request is abandoned (TimeoutHandler 503 or client
+//     disconnect): RunCtx recorded nothing anywhere.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req selectRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	sel, err := s.bao.SelectCtx(r.Context(), req.SQL)
-	if err != nil {
-		if r.Context().Err() != nil {
-			s.bao.Abandon(nil, "select abandoned: "+r.Context().Err().Error())
-			return
+	res, sel, err := s.bao.RunCtx(r.Context(), req.SQL)
+	var de *executor.DeadlineExceededError
+	switch {
+	case r.Context().Err() != nil:
+		// Abandoned: nobody is left to answer.
+	case err == nil:
+		// A nil selection is advisor mode, which runs the default arm.
+		resp := queryResponse{Arm: s.bao.Cfg.Arms[0].Name, Rows: len(res.Rows), SimulatedSecs: cloud.ExecSeconds(res.Counters)}
+		if sel != nil {
+			resp.ArmID, resp.Arm, resp.UsedModel = sel.ArmID, s.bao.Cfg.Arms[sel.ArmID].Name, sel.UsedModel
 		}
+		writeJSON(w, resp)
+	case sel == nil:
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Don't burn the execution lane for a client that is already gone.
-	if cerr := r.Context().Err(); cerr != nil {
-		s.bao.Abandon(sel, "abandoned before execute: "+cerr.Error())
-		return
-	}
-	execCtx := r.Context()
-	var budget float64
-	if s.cfg.QueryTimeout > 0 {
-		// The budget derives from the configured deadline, not remaining
-		// wall time, so the censored observation is reproducible.
-		budget = cloud.DeadlineBudgetSecs(s.cfg.QueryTimeout)
-		var cancel context.CancelFunc
-		execCtx, cancel = context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-		defer cancel()
-		if sel.Trace != nil {
-			sel.Trace.DeadlineSecs = budget
-		}
-	}
-	execStart := time.Now()
-	s.execMu.Lock()
-	res, err := s.bao.Eng.ExecuteCtx(execCtx, sel.Plans[sel.ArmID])
-	s.execMu.Unlock()
-	if err != nil {
-		// Order matters: if the *request* context died, the client is gone
-		// regardless of which deadline tripped first — drop all signal.
-		if cerr := r.Context().Err(); cerr != nil {
-			s.bao.Abandon(sel, "execution abandoned: "+cerr.Error())
-			return
-		}
-		var de *executor.DeadlineExceededError
-		if errors.As(err, &de) && budget > 0 {
-			sel.Trace.AddSpan("execute", execStart, time.Since(execStart), "deadline exceeded")
-			s.bao.ObserveTimeout(sel, budget)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusGatewayTimeout)
-			json.NewEncoder(w).Encode(queryTimeoutResponse{ //nolint:errcheck // best effort over HTTP
-				Error:       "query exceeded its deadline; recorded as censored experience",
-				ArmID:       sel.ArmID,
-				Arm:         s.bao.Cfg.Arms[sel.ArmID].Name,
-				BudgetSecs:  budget,
-				PartialSecs: cloud.ExecSeconds(de.Counters),
-				Censored:    true,
-			})
-			return
-		}
-		// Plain execution failure after a successful Select: release the
-		// selection so nothing lingers (trace finished, no pending entry,
-		// no experience) and surface the error.
-		s.bao.Abandon(sel, "execute failed: "+err.Error())
+	case errors.As(err, &de):
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusGatewayTimeout)
+		json.NewEncoder(w).Encode(queryTimeoutResponse{ //nolint:errcheck // best effort over HTTP
+			Error:       "query exceeded its deadline; recorded as censored experience",
+			ArmID:       sel.ArmID,
+			Arm:         s.bao.Cfg.Arms[sel.ArmID].Name,
+			BudgetSecs:  cloud.DeadlineBudgetSecs(s.bao.Cfg.QueryTimeout),
+			PartialSecs: cloud.ExecSeconds(de.Counters),
+			Censored:    true,
+		})
+	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
 	}
-	if sel.Trace != nil {
-		sel.Trace.AddSpan("execute", execStart, time.Since(execStart),
-			fmt.Sprintf("simulated_secs=%.6f", s.bao.Cfg.Metric.Value(res.Counters)))
-	}
-	// The execution completed and was paid for; a client that vanished in
-	// the meantime must still not grow the window (its 503 already told it
-	// nothing happened).
-	if cerr := r.Context().Err(); cerr != nil {
-		s.bao.Abandon(sel, "observation dropped: "+cerr.Error())
-		return
-	}
-	s.bao.Observe(sel, res.Counters)
-	writeJSON(w, queryResponse{
-		ArmID:         sel.ArmID,
-		Arm:           s.bao.Cfg.Arms[sel.ArmID].Name,
-		UsedModel:     sel.UsedModel,
-		Rows:          len(res.Rows),
-		SimulatedSecs: cloud.ExecSeconds(res.Counters),
-	})
 }
 
 // handleModel serves GET (download the current trained model) and POST
@@ -731,9 +667,7 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.bao.MarkCritical(req.SQL)
-	s.execMu.Lock()
 	total, err := s.bao.ExploreCriticalCtx(r.Context())
-	s.execMu.Unlock()
 	if err != nil {
 		if r.Context().Err() != nil {
 			// Exploration for the in-progress query stored nothing; the mark

@@ -15,6 +15,7 @@ import (
 
 	"bao/internal/core"
 	"bao/internal/engine"
+	"bao/internal/guard"
 	"bao/internal/obs"
 	"bao/internal/workload"
 )
@@ -196,21 +197,23 @@ func TestSelectObserveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSelectsDontBlockOnRetrain is the acceptance scenario: with the
-// trainer artificially slowed, concurrent selections must complete while
-// the retrain is in flight (the fast path shares the previous model and
-// never waits), and the fitted model must be picked up afterwards.
+// TestSelectsDontBlockOnRetrain is the acceptance scenario: with the fit
+// artificially slowed, concurrent selections must complete while the
+// retrain is in flight (the fast path shares the previous model and never
+// waits), and the fitted model must be picked up afterwards.
 func TestSelectsDontBlockOnRetrain(t *testing.T) {
 	const delay = 1500 * time.Millisecond
-	s := newTestServer(t, Config{TrainDelay: delay}, nil)
+	s := newTestServer(t, Config{}, func(cfg *core.Config) {
+		cfg.Fault = &guard.Fault{SlowFit: delay}
+	})
 	base := "http://" + s.Addr()
 	for i := 0; i < 16; i++ {
 		if code := postJSON(t, base+"/v1/query", selectRequest{SQL: testSQL}, nil); code != http.StatusOK {
 			t.Fatalf("query %d: status %d", i, code)
 		}
 	}
-	// The 16th observation signaled the trainer, which is now sleeping
-	// through TrainDelay. Selections during that window must not block.
+	// The 16th observation signaled the trainer, whose fit is now sleeping
+	// through SlowFit. Selections during that window must not block.
 	if tc := s.Bao().TrainCount(); tc != 0 {
 		t.Fatalf("trainer finished before the delay elapsed (trainCount=%d)", tc)
 	}

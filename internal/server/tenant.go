@@ -31,7 +31,9 @@ type TenantOptions struct {
 	NewBao func(tenant string) (*core.Bao, error)
 	// Server is the per-tenant serving config template. LogPath,
 	// CheckpointDir, and EventLogPath are overridden per tenant; the
-	// admission and timeout knobs apply to every tenant.
+	// admission and request-timeout knobs apply to every tenant. The
+	// per-query deadline is the core.Config.QueryTimeout each tenant's
+	// NewBao sets.
 	Server Config
 	// MaxResident bounds how many tenants hold their model in memory at
 	// once (0 = 8). MaxResidentBytes additionally bounds the approximate

@@ -54,8 +54,9 @@ func waitCounter(t *testing.T, b *core.Bao, name string, want float64) {
 func censoredQuery(t *testing.T, workers int) (queryTimeoutResponse, core.Experience) {
 	t.Helper()
 	const stallAt = 11
-	s := newTestServer(t, Config{QueryTimeout: 25 * time.Millisecond}, func(cfg *core.Config) {
+	s := newTestServer(t, Config{}, func(cfg *core.Config) {
 		cfg.Workers = workers
+		cfg.QueryTimeout = 25 * time.Millisecond
 	})
 	s.Bao().Eng.Exec.Fault = &executor.Fault{AfterPages: stallAt, Stall: true}
 	code, body := postRaw(t, "http://"+s.Addr()+"/v1/query", selectRequest{SQL: testSQL})
@@ -113,7 +114,7 @@ func TestQueryTimeoutCensoredAndDeterministic(t *testing.T) {
 }
 
 func TestQueryTimeoutMetricsAndTrace(t *testing.T) {
-	s := newTestServer(t, Config{QueryTimeout: 25 * time.Millisecond}, nil)
+	s := newTestServer(t, Config{}, func(cfg *core.Config) { cfg.QueryTimeout = 25 * time.Millisecond })
 	s.Bao().Observer().EnableTracing(8)
 	s.Bao().Eng.Exec.Fault = &executor.Fault{AfterPages: 7, Stall: true}
 	code, _ := postRaw(t, "http://"+s.Addr()+"/v1/query", selectRequest{SQL: testSQL})

@@ -34,12 +34,22 @@ func (s *Server) signalRetrain(cause obs.Cause) {
 // signals, fits a fresh Thompson-sampling draw on a detached model
 // (core.Bao.RetrainAsyncFor — no lock held during the fit, so in-flight
 // selections keep predicting with the previous model), and hot-swaps the
-// fitted model in, checkpointing each accepted generation. Exits when the
-// signal channel closes at shutdown.
+// fitted model in, checkpointing each accepted generation. Exits when stop
+// closes at shutdown, after running the signal still pending then.
 func (s *Server) trainer() {
 	defer close(s.trainerDone)
-	for sig := range s.retrainCh {
-		s.trainOnce(sig)
+	for {
+		select {
+		case sig := <-s.retrainCh:
+			s.trainOnce(sig)
+		case <-s.stop:
+			select {
+			case sig := <-s.retrainCh:
+				s.trainOnce(sig)
+			default:
+			}
+			return
+		}
 	}
 }
 
@@ -55,11 +65,6 @@ func (s *Server) trainOnce(sig retrainSignal) {
 			s.bao.Breaker().ModelFailure("trainer-panic")
 		}
 	}()
-	if s.cfg.TrainDelay > 0 {
-		// Test hook: stretch the training window so tests can assert
-		// the fast path never waits on an in-flight retrain.
-		time.Sleep(s.cfg.TrainDelay)
-	}
 	if s.bao.RetrainAsyncFor(sig.cause) {
 		s.o.TrainerLag.Set(time.Since(sig.at).Seconds())
 		s.saveCheckpoint(sig.cause)
