@@ -106,8 +106,8 @@ func BenchmarkSelect(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Train one model, then share it across the variants so each measures
-	// the identical Select path with and without the query-fingerprint
-	// plan cache (repeat-shape hits).
+	// the identical Select path with and without the text-keyed plan
+	// cache (repeated-text hits).
 	cfg := bao.FastConfig()
 	cfg.RetrainEvery = 25
 	cfg.Train.MaxEpochs = 10

@@ -44,7 +44,7 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 64, "admitted concurrent requests before shedding with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request handling timeout")
 	queryTimeout := cli.QueryTimeout()
-	planCache := flag.Bool("plan-cache", true, "cache planned arm sets and featurized tensors per query fingerprint (invalidated on retrain, DDL, and ANALYZE)")
+	planCache := flag.Bool("plan-cache", true, "cache analyzed queries, planned arm sets and featurized tensors per SQL text (invalidated on retrain, DDL, and ANALYZE)")
 	planCacheSize := flag.Int("plan-cache-size", 512, "plan-cache entry bound")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "plan-cache resident byte bound (0 = 64 MiB)")
 	inferBatch := flag.Int("infer-batch", 64, "coalesce concurrent predictions into shared forward passes of at most this many plan tensors (0 = off)")

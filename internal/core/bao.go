@@ -84,16 +84,16 @@ type Config struct {
 	// worker per CPU; one forces fully sequential execution. Results are
 	// bit-identical at every worker count.
 	Workers int
-	// PlanCache enables the query-fingerprint plan cache: the per-shape
-	// work of a selection — planned arm set, dedup groups, featurized
-	// tensors, and predictions — is cached keyed by (query fingerprint,
-	// model version, catalog version, statistics epoch), so a repeated
-	// query shape costs one lookup plus the argmin instead of 49 planner
-	// invocations and a forward pass. Entries invalidate lazily on any DDL
-	// (catalog version), ANALYZE (statistics epoch), and eagerly on model
-	// publication (retrain hot-swap or checkpoint restore). Cached and
-	// uncached selections are byte-identical at any worker count. Off by
-	// default (the cmd layer turns it on for serving).
+	// PlanCache enables the text-keyed plan cache: the work of a selection
+	// — analyzed query, planned arm set, dedup groups, featurized tensors,
+	// and predictions — is cached keyed by the exact SQL text and checked
+	// against (model version, catalog version, statistics epoch), so a
+	// repeated text costs one map lookup plus the argmin instead of a
+	// parse, 49 planner invocations and a forward pass. Entries invalidate
+	// lazily on any DDL (catalog version), ANALYZE (statistics epoch), and
+	// eagerly on model publication (retrain hot-swap or checkpoint
+	// restore). Cached and uncached selections are byte-identical at any
+	// worker count. Off by default (the cmd layer turns it on for serving).
 	PlanCache bool
 	// PlanCacheSize bounds the cache's entry count (0 = 512). The cache is
 	// additionally bounded by PlanCacheBytes (0 = 64 MiB), the approximate
@@ -192,7 +192,9 @@ type TrainEvent struct {
 	SimGPUSeconds float64
 }
 
-// Selection is the outcome of Bao's per-query arm choice.
+// Selection is the outcome of Bao's per-query arm choice. Query, Plans
+// and Candidates may be shared with the plan cache, and through it with
+// every other selection of the same SQL text: they are read-only.
 type Selection struct {
 	SQL        string
 	Query      *planner.Query
@@ -295,7 +297,7 @@ type Bao struct {
 	fits        int // Fit calls so far (enforcement refits included); seeds inline draws
 	rng         *rand.Rand
 
-	// pcache is the query-fingerprint plan cache; nil unless
+	// pcache is the text-keyed plan cache; nil unless
 	// Cfg.PlanCache. It has its own lock (never held together with mu
 	// except briefly inside model-publication flushes, b.mu → pcache.mu).
 	pcache *planCache

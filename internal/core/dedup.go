@@ -6,10 +6,8 @@ import (
 	"bao/internal/planner"
 )
 
-// fnv64 is the running FNV-1a (64-bit) hash behind both fingerprint
-// schemes: planFingerprint over physical plans, queryFingerprint
-// (plancache.go) over analyzed statements. It hashes in place, so a
-// fingerprint allocates nothing.
+// fnv64 is the running FNV-1a (64-bit) hash behind planFingerprint. It
+// hashes in place, so a fingerprint allocates nothing.
 type fnv64 uint64
 
 func newFNV64() fnv64 { return 14695981039346656037 }

@@ -2,106 +2,12 @@ package core
 
 import (
 	"container/list"
-	"math/bits"
 	"sync"
 
 	"bao/internal/nn"
 	"bao/internal/obs"
 	"bao/internal/planner"
-	"bao/internal/sqlparser"
 )
-
-// queryFingerprint hashes the analyzed statement into a stable shape key:
-// the fnv64 writer dedup.go hashes physical plans with, lifted to the
-// query AST. Structure — tables, join graph, filter columns and
-// operators, output shape — hashes exactly; literals are bucketed by
-// magnitude so the repeated parameterized queries a real workload sends
-// ("... WHERE votes > 1500" vs "> 1800") land in the same cache chain.
-// Bucketing only widens the chain a lookup scans: a hit additionally
-// requires canonical-SQL equality (see planCache.get), so two literal
-// variants of one shape are distinct entries that merely share a slot.
-func queryFingerprint(stmt *sqlparser.SelectStmt) uint64 {
-	h := newFNV64()
-	col := func(c sqlparser.ColRef) {
-		h.str(c.Table)
-		h.str(c.Column)
-	}
-	flag := func(b bool) {
-		if b {
-			h.tag(1)
-		} else {
-			h.tag(0)
-		}
-	}
-	for _, t := range stmt.From {
-		h.tag(1)
-		h.str(t.Name)
-		h.str(t.Alias)
-	}
-	for _, s := range stmt.Select {
-		h.tag(2)
-		h.u64(uint64(s.Agg))
-		flag(s.Star)
-		col(s.Col)
-	}
-	for _, p := range stmt.Where {
-		switch p := p.(type) {
-		case sqlparser.JoinPred:
-			h.tag(3)
-			col(p.Left)
-			col(p.Right)
-		case sqlparser.FilterPred:
-			h.tag(4)
-			col(p.Col)
-			h.u64(uint64(p.Op))
-			h.u64(literalBucket(p.Val))
-		case sqlparser.BetweenPred:
-			h.tag(5)
-			col(p.Col)
-			h.u64(literalBucket(p.Lo))
-			h.u64(literalBucket(p.Hi))
-		case sqlparser.InPred:
-			h.tag(6)
-			col(p.Col)
-			h.u64(uint64(len(p.Vals)))
-			for _, v := range p.Vals {
-				h.u64(literalBucket(v))
-			}
-		default:
-			h.tag(7)
-		}
-	}
-	for _, g := range stmt.GroupBy {
-		h.tag(8)
-		col(g)
-	}
-	for _, o := range stmt.OrderBy {
-		h.tag(9)
-		col(o.Col)
-		flag(o.Desc)
-	}
-	if stmt.Limit > 0 {
-		h.tag(10)
-		h.u64(uint64(bits.Len64(uint64(stmt.Limit))))
-	}
-	return uint64(h)
-}
-
-// literalBucket collapses a literal to its type and order of magnitude
-// (bit length for ints, length bit-width for strings), so literal-only
-// variants of one query shape share a fingerprint.
-func literalBucket(l sqlparser.Literal) uint64 {
-	switch {
-	case l.Null:
-		return 1 << 16
-	case l.IsStr:
-		return 1<<17 | uint64(bits.Len(uint(len(l.Str))))
-	case l.Int < 0:
-		return 1<<18 | uint64(bits.Len64(uint64(-l.Int)))
-	default:
-		return uint64(bits.Len64(uint64(l.Int)))
-	}
-}
 
 // cacheVariant is the buffer-pool-dependent half of a cache entry: the
 // featurized tensors and (when the entry has been predicted under the
@@ -112,9 +18,9 @@ func literalBucket(l sqlparser.Literal) uint64 {
 type cacheVariant struct {
 	// resSig is the buffer-pool residency baked into trees: the
 	// cache-residency feature of every scan node across the unique plans,
-	// in tree order. A lookup recomputes the current residency and reuses
-	// trees only on exact match, so cached featurization is byte-identical
-	// to what fresh vectorization would produce.
+	// in tree order. A hit compares the current residency against it and
+	// reuses trees only on exact match, so cached featurization is
+	// byte-identical to what fresh vectorization would produce.
 	resSig []float64
 	trees  []*nn.Tree // one tensor per dedup group
 	// preds are the clamped per-group predictions computed under model
@@ -127,14 +33,15 @@ type cacheVariant struct {
 	finite   int
 }
 
-// planCacheEntry is the per-shape work SelectCtx would otherwise redo on
-// every repeat: the planned arm set, dedup groups, and (via variant) the
-// featurized tensors and predictions. Entries are validated against the
-// catalog version and statistics epoch they were planned under and
-// dropped when either moves.
+// planCacheEntry is the work SelectCtx would otherwise redo on every
+// repeat of one SQL text: the analyzed query, the planned arm set, dedup
+// groups, and (via variant) the featurized tensors and predictions.
+// Entries are validated against the catalog version and statistics epoch
+// they were analyzed and planned under and dropped when either moves.
+// Everything but variant is immutable once stored; hits share it.
 type planCacheEntry struct {
-	fp         uint64
-	canon      string // canonical SQL — exact-match key within a fingerprint chain
+	sql        string         // the exact SQL text: the cache key
+	query      *planner.Query // sql analyzed under schemaVer
 	schemaVer  uint64
 	statsEpoch uint64
 
@@ -148,21 +55,20 @@ type planCacheEntry struct {
 	elem    *list.Element
 }
 
-// planCache is the query-fingerprint plan cache: an LRU bounded by entry
-// count and by the approximate resident bytes of the cached tensors.
-// Fingerprint collisions (including deliberate ones from literal
-// bucketing) chain; a hit requires canonical-SQL equality plus matching
-// catalog and statistics epochs. All methods are safe for concurrent
-// use.
+// planCache is the text-keyed plan cache: an LRU bounded by entry count
+// and by the approximate resident bytes of the cached tensors. The key is
+// the exact SQL text, so a hit is one map lookup and never runs the
+// lexer, parser or analyzer; it additionally requires matching catalog
+// and statistics epochs. All methods are safe for concurrent use.
 type planCache struct {
 	maxEntries int
 	maxBytes   int64
 	o          *obs.Observer
 
-	mu     sync.Mutex
-	chains map[uint64][]*planCacheEntry
-	lru    *list.List // of *planCacheEntry; front = most recent
-	bytes  int64
+	mu      sync.Mutex
+	entries map[string]*planCacheEntry // by SQL text
+	lru     *list.List                 // of *planCacheEntry; front = most recent
+	bytes   int64
 }
 
 func newPlanCache(maxEntries int, maxBytes int64, o *obs.Observer) *planCache {
@@ -176,40 +82,37 @@ func newPlanCache(maxEntries int, maxBytes int64, o *obs.Observer) *planCache {
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		o:          o,
-		chains:     make(map[uint64][]*planCacheEntry),
+		entries:    make(map[string]*planCacheEntry),
 		lru:        list.New(),
 	}
 }
 
-// get returns the entry for (fp, canon) if present and still valid under
-// the given catalog version and statistics epoch. A stale entry is
-// removed and the lookup misses, so invalidation needs no sweep: the
-// next repeat of an invalidated shape replans and repopulates. Counting
+// get returns the entry for sql if present and still valid under the
+// given catalog version and statistics epoch. A stale entry is removed
+// and the lookup misses, so invalidation needs no sweep: the next repeat
+// of an invalidated text reanalyzes, replans and repopulates. Counting
 // the hit or miss is the caller's job (a miss here is followed by a put,
 // and the caller holds the trace).
-func (c *planCache) get(fp uint64, canon string, schemaVer, statsEpoch uint64) *planCacheEntry {
+func (c *planCache) get(sql string, schemaVer, statsEpoch uint64) *planCacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.chains[fp] {
-		if e.canon != canon {
-			continue
-		}
-		if e.schemaVer != schemaVer || e.statsEpoch != statsEpoch {
-			c.removeLocked(e)
-			c.publishLocked()
-			return nil
-		}
-		c.lru.MoveToFront(e.elem)
-		return e
+	e := c.entries[sql]
+	switch {
+	case e == nil:
+		return nil
+	case e.schemaVer != schemaVer || e.statsEpoch != statsEpoch:
+		c.removeLocked(e)
+		c.publishLocked()
+		return nil
 	}
-	return nil
+	c.lru.MoveToFront(e.elem)
+	return e
 }
 
-// put inserts an entry, replacing any existing entry with the same
-// (fp, canon) and evicting from the LRU tail until both bounds hold. An
-// entry bigger than the byte cap on its own is not cached. Eviction runs
-// before the gauges are published, so the bytes gauge never reads above
-// the cap.
+// put inserts an entry, replacing any existing entry for the same text
+// and evicting from the LRU tail until both bounds hold. An entry bigger
+// than the byte cap on its own is not cached. Eviction runs before the
+// gauges are published, so the bytes gauge never reads above the cap.
 func (c *planCache) put(e *planCacheEntry) {
 	e.bytes = entryBytes(e)
 	if e.bytes > c.maxBytes {
@@ -217,14 +120,11 @@ func (c *planCache) put(e *planCacheEntry) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, old := range c.chains[e.fp] {
-		if old.canon == e.canon {
-			c.removeLocked(old)
-			break
-		}
+	if old := c.entries[e.sql]; old != nil {
+		c.removeLocked(old)
 	}
 	e.elem = c.lru.PushFront(e)
-	c.chains[e.fp] = append(c.chains[e.fp], e)
+	c.entries[e.sql] = e
 	c.bytes += e.bytes
 	for c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes {
 		tail := c.lru.Back()
@@ -273,11 +173,16 @@ func (c *planCache) replaceVariant(e *planCacheEntry, v *cacheVariant) {
 }
 
 // flush drops every entry (used when invalidation must be immediate
-// rather than lazy, e.g. tests forcing a cold cache).
+// rather than lazy, e.g. tests forcing a cold cache). Dropped entries are
+// detached, so a selection still holding one cannot write a variant back
+// into the byte count.
 func (c *planCache) flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.chains = make(map[uint64][]*planCacheEntry)
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		el.Value.(*planCacheEntry).elem = nil
+	}
+	c.entries = make(map[string]*planCacheEntry) // not clear: that keeps the buckets
 	c.lru.Init()
 	c.bytes = 0
 	c.publishLocked()
@@ -296,19 +201,7 @@ func (c *planCache) removeLocked(e *planCacheEntry) {
 	}
 	c.lru.Remove(e.elem)
 	e.elem = nil
-	chain := c.chains[e.fp]
-	for i, x := range chain {
-		if x == e {
-			chain[i] = chain[len(chain)-1]
-			chain = chain[:len(chain)-1]
-			break
-		}
-	}
-	if len(chain) == 0 {
-		delete(c.chains, e.fp)
-	} else {
-		c.chains[e.fp] = chain
-	}
+	delete(c.entries, e.sql)
 	c.bytes -= e.bytes
 }
 
@@ -320,7 +213,8 @@ func (c *planCache) publishLocked() {
 // entryBytes approximates an entry's resident footprint: the featurized
 // tensors dominate (N nodes × feature-dim float64s per unique plan), so
 // the estimate counts tensor, prediction, and signature payloads plus a
-// small fixed overhead for the plan skeletons and bookkeeping.
+// small fixed overhead for the plan skeletons, analyzed query and
+// bookkeeping.
 func entryBytes(e *planCacheEntry) int64 {
 	const overhead = 512
 	b := int64(overhead)
@@ -379,29 +273,33 @@ func rowIsScan(row []float64) bool {
 		row[int(planner.OpIndexOnlyScan)] == 1
 }
 
-// residencyFromPlans samples the current buffer-pool residency of every
-// scan node across the unique plans, in the same pre-order the tensor
-// encoding visits them, for comparison against a cached variant's
-// signature. Nil when the featurizer is cache-oblivious (no residency in
-// the features, so no drift to detect).
-func (f *Featurizer) residencyFromPlans(uniq []*planner.Node) []float64 {
+// residencyMatches reports whether the current buffer-pool residency of
+// every scan node across the unique plans, visited in the pre-order the
+// tensor encoding uses, equals sig bit for bit. A cache-oblivious
+// featurizer has no residency in its features, so no drift to detect.
+func (f *Featurizer) residencyMatches(uniq []*planner.Node, sig []float64) bool {
 	if f.CacheFrac == nil {
-		return nil
+		return len(sig) == 0
 	}
-	var sig []float64
-	var walk func(n *planner.Node)
-	walk = func(n *planner.Node) {
-		if n == nil {
-			return
-		}
-		if n.IsScan() {
-			sig = append(sig, f.CacheFrac(n.Table, n.Op == planner.OpIndexOnlyScan))
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
+	i := 0
 	for _, p := range uniq {
-		walk(p)
+		i = f.matchScans(p, sig, i)
 	}
-	return sig
+	return i == len(sig)
+}
+
+// matchScans compares the scans under n, in pre-order, against sig from
+// index i. It returns the index after them, or -1 from the first
+// mismatch on.
+func (f *Featurizer) matchScans(n *planner.Node, sig []float64, i int) int {
+	if n == nil || i < 0 {
+		return i
+	}
+	if n.IsScan() {
+		if i == len(sig) || f.CacheFrac(n.Table, n.Op == planner.OpIndexOnlyScan) != sig[i] {
+			return -1
+		}
+		i++
+	}
+	return f.matchScans(n.Right, sig, f.matchScans(n.Left, sig, i))
 }

@@ -4,44 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"bao/internal/catalog"
 	"bao/internal/obs"
-	"bao/internal/sqlparser"
+	"bao/internal/planner"
 )
-
-func mustParse(t *testing.T, sql string) *sqlparser.SelectStmt {
-	t.Helper()
-	stmt, err := sqlparser.ParseSelect(sql)
-	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
-	}
-	return stmt
-}
-
-// Literal-only variants of one query shape must share a fingerprint (they
-// land in the same cache chain), while structural changes — different
-// table, column, operator, or literal magnitude class — must not.
-func TestQueryFingerprintBucketsLiterals(t *testing.T) {
-	base := mustParse(t, "SELECT COUNT(*) FROM title t WHERE t.votes > 1200")
-	sameBucket := mustParse(t, "SELECT COUNT(*) FROM title t WHERE t.votes > 1500")
-	if queryFingerprint(base) != queryFingerprint(sameBucket) {
-		t.Fatal("same-magnitude literal variants got different fingerprints")
-	}
-	cases := map[string]string{
-		"literal magnitude": "SELECT COUNT(*) FROM title t WHERE t.votes > 1200000",
-		"operator":          "SELECT COUNT(*) FROM title t WHERE t.votes < 1200",
-		"column":            "SELECT COUNT(*) FROM title t WHERE t.kind_id > 1200",
-		"table":             "SELECT COUNT(*) FROM cast_info t WHERE t.votes > 1200",
-		"output":            "SELECT MIN(t.votes) FROM title t WHERE t.votes > 1200",
-	}
-	for what, sql := range cases {
-		if queryFingerprint(base) == queryFingerprint(mustParse(t, sql)) {
-			t.Fatalf("%s change not reflected in fingerprint", what)
-		}
-	}
-}
 
 // cachedWorkload is the repeated-shape select mix the cache tests drive:
 // a few templates, several literal variants each.
@@ -141,6 +112,39 @@ func TestPlanCacheEvictionBounds(t *testing.T) {
 	if ev := snap.Counter("bao_plancache_evictions_total"); ev == 0 {
 		t.Fatal("distinct shapes past the entry cap never evicted")
 	}
+	// Eviction drops the text key with the entry: exactly the newest
+	// texts stay keyed, and an evicted one misses again.
+	resident := queries[len(queries)-cfg.PlanCacheSize:]
+	if got := cachedTexts(t, b); !slices.Equal(got, resident) {
+		t.Fatalf("keyed texts %q, want the newest %q", got, resident)
+	}
+	misses := func() float64 { return cfg.Observer.Snapshot().Counter("bao_plancache_misses_total") }
+	before := misses()
+	if _, err := b.Select(queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	if misses() != before+1 {
+		t.Fatal("an evicted text hit the cache")
+	}
+	// So does a flush: no text stays keyed, a selection still holding a
+	// flushed entry cannot write it back into the byte count, and the next
+	// repeat misses.
+	held := b.pcache.get(queries[0], b.Eng.CatalogVersion(), b.Eng.StatsEpoch())
+	b.FlushPlanCache()
+	if got := cachedTexts(t, b); len(got) != 0 {
+		t.Fatalf("texts %q still keyed after a flush", got)
+	}
+	b.pcache.replaceVariant(held, &cacheVariant{predsVer: held.variant.predsVer + 1, trees: held.variant.trees})
+	if n, by := b.PlanCacheStats(); n != 0 || by != 0 {
+		t.Fatalf("a flushed entry's write-back left %d entries, %d bytes", n, by)
+	}
+	before = misses()
+	if _, err := b.Select(queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	if misses() != before+1 {
+		t.Fatal("a flushed text hit the cache")
+	}
 
 	// A tight byte cap must bound resident bytes the same way: rebuild with
 	// a cap small enough that tensors, not the entry count, evict.
@@ -169,32 +173,88 @@ func TestPlanCacheEvictionBounds(t *testing.T) {
 func TestPlanCacheInvalidation(t *testing.T) {
 	sql := "SELECT COUNT(*) FROM title t WHERE t.kind_id = 3 AND t.votes > 1000"
 
-	setup := func(t *testing.T) (*Bao, *obs.Observer) {
+	setup := func(t *testing.T) (*Bao, *obs.Observer, *planner.Query) {
 		cfg := FastConfig()
 		cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 		cfg.PlanCache = true
 		b := trainedBao(t, cfg)
-		if _, err := b.Select(sql); err != nil {
+		sel, err := b.Select(sql)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if n, _ := b.PlanCacheStats(); n == 0 {
 			t.Fatal("select did not populate the cache")
 		}
-		return b, cfg.Observer
+		return b, cfg.Observer, sel.Query
 	}
-	missesAfter := func(t *testing.T, b *Bao, o *obs.Observer) {
+	// missesAfter selects text after an invalidation: it must miss and be
+	// analyzed afresh rather than reuse stale, the analyzed query an
+	// invalidated entry held, and its repeat must hit and share the new one.
+	missesAfter := func(t *testing.T, b *Bao, o *obs.Observer, text string, stale *planner.Query) {
 		t.Helper()
-		before := o.Snapshot().Counter("bao_plancache_misses_total")
-		if _, err := b.Select(sql); err != nil {
+		misses := func() float64 { return o.Snapshot().Counter("bao_plancache_misses_total") }
+		before := misses()
+		sel, err := b.Select(text)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if after := o.Snapshot().Counter("bao_plancache_misses_total"); after != before+1 {
+		if after := misses(); after != before+1 {
 			t.Fatalf("select after invalidation hit the cache (misses %v -> %v)", before, after)
+		}
+		if sel.Query == stale {
+			t.Fatal("the miss reused the invalidated entry's analyzed query")
+		}
+		again, err := b.Select(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses() != before+1 || again.Query != sel.Query {
+			t.Fatal("the repeat did not hit the repopulated entry")
 		}
 	}
 
+	t.Run("text key", func(t *testing.T) {
+		b, o, q := setup(t)
+		sel, err := b.Select(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.Query != q {
+			t.Fatal("a hit analyzed the text again instead of sharing the cached query")
+		}
+		// The key is the text as sent: a formatting variant is its own entry.
+		n0, _ := b.PlanCacheStats()
+		missesAfter(t, b, o, strings.Replace(sql, " AND ", "  AND ", 1), q)
+		if n, _ := b.PlanCacheStats(); n != n0+1 {
+			t.Fatalf("%d entries after caching a formatting variant, want %d", n, n0+1)
+		}
+	})
+	// Residency drift keeps the entry but not its tensors: the hit
+	// vectorizes afresh, and the next one reuses the new tensors.
+	t.Run("residency drift refeaturizes", func(t *testing.T) {
+		b, _, _ := setup(t)
+		hit, err := b.Select(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Feat.CacheFrac("title", false) == 0 {
+			t.Fatal("title has no resident pages: clearing the pool would not drift")
+		}
+		b.Eng.Pool.Clear()
+		drifted, err := b.Select(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := b.Select(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if drifted.Trees[0] == hit.Trees[0] || again.Trees[0] != drifted.Trees[0] {
+			t.Fatal("residency drift did not refeaturize exactly once")
+		}
+	})
 	t.Run("retrain flushes", func(t *testing.T) {
-		b, o := setup(t)
+		b, o, q := setup(t)
 		v := b.ModelVersion()
 		b.Retrain()
 		if b.ModelVersion() != v+1 {
@@ -203,10 +263,10 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		if n, by := b.PlanCacheStats(); n != 0 || by != 0 {
 			t.Fatalf("cache not flushed on retrain: %d entries, %d bytes", n, by)
 		}
-		missesAfter(t, b, o)
+		missesAfter(t, b, o, sql, q)
 	})
 	t.Run("checkpoint restore flushes", func(t *testing.T) {
-		b, o := setup(t)
+		b, o, q := setup(t)
 		var buf bytes.Buffer
 		if err := b.SaveModel(&buf); err != nil {
 			t.Fatal(err)
@@ -221,20 +281,20 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		if n, _ := b.PlanCacheStats(); n != 0 {
 			t.Fatal("cache not flushed on model restore")
 		}
-		missesAfter(t, b, o)
+		missesAfter(t, b, o, sql, q)
 	})
 	t.Run("stats epoch misses", func(t *testing.T) {
-		b, o := setup(t)
+		b, o, q := setup(t)
 		b.Eng.AnalyzeTable("title")
-		missesAfter(t, b, o)
+		missesAfter(t, b, o, sql, q)
 	})
 	t.Run("catalog version misses", func(t *testing.T) {
-		b, o := setup(t)
+		b, o, q := setup(t)
 		if err := b.Eng.CreateIndex(catalog.Index{
 			Name: "ix_title_votes_pc", Table: "title", Column: "votes"}); err != nil {
 			t.Fatal(err)
 		}
-		missesAfter(t, b, o)
+		missesAfter(t, b, o, sql, q)
 	})
 }
 
@@ -256,16 +316,14 @@ func TestPlanCacheStaleGenerationRepredicts(t *testing.T) {
 	// tag: a version-matched hit would serve these poisoned values.
 	b.pcache.mu.Lock()
 	var poisoned *cacheVariant
-	for _, chain := range b.pcache.chains {
-		for _, e := range chain {
-			nv := *e.variant
-			nv.preds = make([]float64, len(e.variant.preds))
-			for i := range nv.preds {
-				nv.preds[i] = 1e9
-			}
-			e.variant = &nv
-			poisoned = &nv
+	for _, e := range b.pcache.entries {
+		nv := *e.variant
+		nv.preds = make([]float64, len(e.variant.preds))
+		for i := range nv.preds {
+			nv.preds[i] = 1e9
 		}
+		e.variant = &nv
+		poisoned = &nv
 	}
 	b.pcache.mu.Unlock()
 	if poisoned == nil || poisoned.preds == nil {
@@ -295,17 +353,15 @@ func TestPlanCacheStaleGenerationRepredicts(t *testing.T) {
 	}
 	staleVer := b.ModelVersion() - 1
 	b.pcache.mu.Lock()
-	for _, chain := range b.pcache.chains {
-		for _, e := range chain {
-			nv := *e.variant
-			nv.preds = make([]float64, len(e.variant.trees))
-			for i := range nv.preds {
-				nv.preds[i] = 1e9
-			}
-			nv.finite = len(nv.preds)
-			nv.predsVer = staleVer
-			e.variant = &nv
+	for _, e := range b.pcache.entries {
+		nv := *e.variant
+		nv.preds = make([]float64, len(e.variant.trees))
+		for i := range nv.preds {
+			nv.preds[i] = 1e9
 		}
+		nv.finite = len(nv.preds)
+		nv.predsVer = staleVer
+		e.variant = &nv
 	}
 	b.pcache.mu.Unlock()
 	sel, err = b.Select(sql)
@@ -319,5 +375,99 @@ func TestPlanCacheStaleGenerationRepredicts(t *testing.T) {
 	}
 	if tr := sel.Trace; tr != nil && tr.Cache != "hit-repredict" {
 		t.Fatalf("cache verdict = %q, want hit-repredict", tr.Cache)
+	}
+}
+
+// cachedTexts returns the texts the plan cache is keyed by, oldest first,
+// after checking the key map and the LRU hold the same entries.
+func cachedTexts(t *testing.T, b *Bao) []string {
+	t.Helper()
+	c := b.pcache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var texts []string
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*planCacheEntry)
+		if c.entries[e.sql] != e {
+			t.Fatalf("LRU entry %q is not keyed by its text", e.sql)
+		}
+		texts = append(texts, e.sql)
+	}
+	if len(texts) != len(c.entries) {
+		t.Fatalf("%d keyed entries, %d in the LRU", len(c.entries), len(texts))
+	}
+	return texts
+}
+
+// Concurrent selects of one resident text while the breaker is open all
+// plan the default arm from the one analyzed query the cache holds. Under
+// -race this checks that planning only reads a shared query.
+func TestPlanCacheSharedQueryUnderOpenBreaker(t *testing.T) {
+	cfg := guardTestConfig(1, nil)
+	cfg.PlanCache = true
+	cfg.Breaker.Cooldown = 1 << 30 // open for the whole test
+	b := New(buildIMDbEngine(t), cfg)
+	sql := cachedWorkload()[0]
+	first, err := b.Select(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Breaker().Trip("test")
+	counts := func() (float64, float64) {
+		s := cfg.Observer.Snapshot()
+		return s.Counter("bao_plancache_hits_total"), s.Counter("bao_plancache_misses_total")
+	}
+	hits, misses := counts()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				sel, err := b.Select(sql)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if sel.Query != first.Query || sel.ArmID != 0 || sel.UsedModel || sel.Plans[0] == nil {
+					t.Errorf("breaker-open select: shared query %v, arm %d, used model %v",
+						sel.Query == first.Query, sel.ArmID, sel.UsedModel)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if h, m := counts(); h != hits || m != misses {
+		t.Fatalf("breaker-open selects moved the hit/miss counters: %v/%v -> %v/%v", hits, misses, h, m)
+	}
+}
+
+// A full hit — resident text, unchanged residency, predictions cached
+// under the live model — runs no lexer, parser or analyzer and builds no
+// per-arm scratch: it allocates little more than the selection it returns.
+func TestPlanCacheHitAllocs(t *testing.T) {
+	cfg := FastConfig()
+	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
+	cfg.PlanCache = true
+	b := trainedBao(t, cfg)
+	sql := cachedWorkload()[0]
+	for i := 0; i < 2; i++ { // the miss, then a hit
+		if _, err := b.Select(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 50
+	hits := cfg.Observer.PlanCacheHits.Value()
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := b.Select(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := cfg.Observer.PlanCacheHits.Value() - hits; got != runs+1 {
+		t.Fatalf("%v of %d selects hit the cache", got, runs+1)
+	}
+	if allocs > 10 {
+		t.Fatalf("a full plan-cache hit allocates %v times, want <= 10", allocs)
 	}
 }

@@ -36,12 +36,13 @@ type selectReq struct {
 	start, mark time.Time // of the selection; end of the last timed stage
 	breakerNote string
 
-	// Plan cache: the key, the entry hit (nil on a miss or with the cache
-	// off), the variant whose tensors were reused verbatim, the verdict.
-	fp, schemaVer, statsEp uint64
-	canon, verdict         string
-	hit                    *planCacheEntry
-	hitVariant             *cacheVariant
+	// Plan cache: the epochs the lookup ran under, the entry found (nil on
+	// a miss or with the cache off), the variant whose tensors were reused
+	// verbatim, the verdict.
+	schemaVer, statsEp uint64
+	verdict            string
+	hit                *planCacheEntry
+	hitVariant         *cacheVariant
 
 	// Dedup: arm → group, and per group a representative plan and one
 	// tree. armGroup is nil when only arm 0 was planned.
@@ -74,7 +75,7 @@ func (b *Bao) SelectCtx(ctx context.Context, sql string) (*Selection, error) {
 	switch {
 	case !b.breaker.Allow():
 		err = r.planDefault(ctx, "breaker-open", "breaker open: default arm only")
-	case r.lookupCache():
+	case r.hit != nil:
 		r.reuseCached()
 	default:
 		err = r.planAll(ctx)
@@ -111,23 +112,33 @@ func (r *selectReq) stage(name string, to time.Time, note string) {
 	r.mark = to
 }
 
-// parse analyzes the SQL and loads the published bandit state: concurrent
-// Selects share the current model, and a hot-swap arriving mid-query
-// affects only subsequent selections.
+// parse looks the SQL text up in the plan cache, analyzes it only when
+// that misses, and loads the published bandit state: concurrent Selects
+// share the current model, and a hot-swap arriving mid-query affects only
+// subsequent selections. The epochs are snapshotted before the analysis,
+// so a concurrent DDL/ANALYZE at worst tags a stored entry with a
+// superseded epoch, which the next lookup drops.
 func (r *selectReq) parse(ctx context.Context, sql string) error {
 	b := r.b
 	r.tr = b.observer.StartTrace(sql)
 	r.tr.SetRequestID(obs.RequestIDFrom(ctx))
 	r.start = time.Now() // after the trace's own anchor: span offsets are never negative
 	r.mark = r.start
-	q, err := b.Eng.AnalyzeSQL(sql)
-	if err != nil {
-		return err
+	var q *planner.Query
+	if b.pcache != nil {
+		r.schemaVer, r.statsEp = b.Eng.CatalogVersion(), b.Eng.StatsEpoch()
+		if r.hit = b.pcache.get(sql, r.schemaVer, r.statsEp); r.hit != nil {
+			q = r.hit.query
+		}
+	}
+	if q == nil {
+		var err error
+		if q, err = b.Eng.AnalyzeSQL(sql); err != nil {
+			return err
+		}
 	}
 	r.stage("parse", time.Now(), "")
-	n := len(b.Cfg.Arms)
-	r.sel = &Selection{SQL: sql, Query: q, Trace: r.tr,
-		Plans: make([]*planner.Node, n), Candidates: make([]int, n), Trees: make([]*nn.Tree, n)}
+	r.sel = &Selection{SQL: sql, Query: q, Trace: r.tr, Trees: make([]*nn.Tree, len(b.Cfg.Arms))}
 	r.st = b.state.Load()
 	r.sel.WarmUp, r.sel.UsedModel = r.st.warm, r.st.trained
 	return nil
@@ -153,26 +164,10 @@ func (r *selectReq) planDefault(ctx context.Context, reason, note string) error 
 	return nil
 }
 
-// lookupCache consults the plan cache's fingerprint chain before any
-// planner runs and reports a hit. The epochs are snapshotted here — a
-// concurrent DDL/ANALYZE landing after this point at worst tags a stored
-// entry with a superseded epoch, which the next lookup drops.
-func (r *selectReq) lookupCache() bool {
-	b := r.b
-	if b.pcache == nil {
-		return false
-	}
-	stmt := r.sel.Query.Stmt
-	r.schemaVer, r.statsEp = b.Eng.CatalogVersion(), b.Eng.StatsEpoch()
-	r.fp, r.canon = queryFingerprint(stmt), stmt.String()
-	r.hit = b.pcache.get(r.fp, r.canon, r.schemaVer, r.statsEp)
-	return r.hit != nil
-}
-
-// reuseCached serves a plan-cache hit: the planned arm set and dedup
-// groups are reused outright; the tensors too unless buffer-pool residency
-// drifted since they were featurized (the one plan-independent feature
-// input).
+// reuseCached serves a plan-cache hit: the analyzed query, planned arm set
+// and dedup groups are reused outright; the tensors too unless buffer-pool
+// residency drifted since they were featurized (the one plan-independent
+// feature input).
 func (r *selectReq) reuseCached() {
 	b, sel, e := r.b, r.sel, r.hit
 	b.observer.PlanCacheHits.Inc()
@@ -180,7 +175,7 @@ func (r *selectReq) reuseCached() {
 	sel.Plans, sel.Candidates = e.plans, e.cands
 	r.armGroup, r.uniq = e.armGroup, e.uniq
 	sel.UniquePlans = len(r.uniq)
-	if v := e.variant; floatsEqual(b.Feat.residencyFromPlans(r.uniq), v.resSig) {
+	if v := e.variant; b.Feat.residencyMatches(r.uniq, v.resSig) {
 		r.uniqTrees, r.hitVariant = v.trees, v
 	} else {
 		r.verdict = "hit-refeaturize"
@@ -326,8 +321,8 @@ func (r *selectReq) storeCacheEntry() {
 		return
 	}
 	b.pcache.put(&planCacheEntry{
-		fp:         r.fp,
-		canon:      r.canon,
+		sql:        r.sel.SQL,
+		query:      r.sel.Query,
 		schemaVer:  r.schemaVer,
 		statsEpoch: r.statsEp,
 		plans:      r.sel.Plans,
@@ -342,26 +337,20 @@ func (r *selectReq) storeCacheEntry() {
 // select_arm, also carries the plan-cache write-back that precedes it.
 func (r *selectReq) pickArm() {
 	sel, candidates := r.sel, r.st.arms
-	// Cost-sanity guard: drop arms whose plan the traditional optimizer
+	// Cost-sanity guard: skip arms whose plan the traditional optimizer
 	// prices two orders of magnitude above the cheapest arm. Bao
 	// second-guesses the cost model's *choices*, not its arithmetic —
 	// no mis-estimate plausibly hides a 10,000× cost ratio, so such
-	// plans are pure exploration downside.
+	// plans are pure exploration downside. The cheapest arm passes unless
+	// its cost is negative or NaN, and then no arm does: the filter is off.
 	minCost := sel.Plans[candidates[0]].EstCost
 	for _, i := range candidates {
 		if sel.Plans[i].EstCost < minCost {
 			minCost = sel.Plans[i].EstCost
 		}
 	}
-	sane := candidates[:0:0]
-	for _, i := range candidates {
-		if sel.Plans[i].EstCost <= minCost*100 {
-			sane = append(sane, i)
-		}
-	}
-	if len(sane) > 0 {
-		candidates = sane
-	}
+	limit := minCost * 100
+	filter := minCost <= limit
 	// Exact ties are the common case once dedup runs: every arm in a
 	// dedup group carries the same prediction. Break them with the
 	// traditional optimizer's cost estimate — the "leverage the wisdom
@@ -371,9 +360,12 @@ func (r *selectReq) pickArm() {
 	// the learned signal on the trap queries Bao exists to fix. Both
 	// comparisons are strict, so on a full (pred, cost) tie the lowest
 	// arm index wins and the choice is stable run to run.
-	best := candidates[0]
-	for _, i := range candidates[1:] {
-		if sel.Preds[i] < sel.Preds[best] ||
+	best := -1
+	for _, i := range candidates {
+		if filter && !(sel.Plans[i].EstCost <= limit) {
+			continue
+		}
+		if best < 0 || sel.Preds[i] < sel.Preds[best] ||
 			(sel.Preds[i] == sel.Preds[best] && sel.Plans[i].EstCost < sel.Plans[best].EstCost) {
 			best = i
 		}
@@ -415,7 +407,8 @@ var errPlannerPanic = errors.New("planner panicked")
 
 // planArms plans the first n arms of the query in one join enumeration
 // (planner.PlanArms) and stores each arm's plan and the enumeration's
-// candidate count — which does not depend on the hint set — in sel. A
+// candidate count — which does not depend on the hint set — in fresh
+// arm-wide sel.Plans and sel.Candidates (a hit shares the cached ones). A
 // planner panic — real, or injected via Cfg.Fault.PlanPanicArm when that
 // arm is among the n — becomes a breaker trip plus an error wrapping
 // errPlannerPanic: one buggy hint-set extension must degrade queries to
@@ -436,6 +429,7 @@ func (b *Bao) planArms(ctx context.Context, q *planner.Query, sel *Selection, n 
 	if err != nil {
 		return fmt.Errorf("core: planning %d arms: %w", n, err)
 	}
+	sel.Plans, sel.Candidates = make([]*planner.Node, len(b.Cfg.Arms)), make([]int, len(b.Cfg.Arms))
 	copy(sel.Plans, roots)
 	for i := range roots {
 		sel.Candidates[i] = cands

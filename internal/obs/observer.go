@@ -27,7 +27,7 @@ type Observer struct {
 	// plan this query and therefore skipped featurization and inference.
 	PlansDeduped *Counter // bao_plans_deduped_total
 
-	// Plan cache (query-fingerprint select cache) and the cross-request
+	// Plan cache (text-keyed select cache) and the cross-request
 	// inference micro-batcher.
 	PlanCacheHits      *Counter   // bao_plancache_hits_total
 	PlanCacheMisses    *Counter   // bao_plancache_misses_total
@@ -160,7 +160,7 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		Window:       reg.Gauge("bao_experience_window", "Experiences currently in the sliding window."),
 		PlansDeduped: reg.Counter("bao_plans_deduped_total", "Arm plans that duplicated another arm's plan and skipped featurization+inference."),
 
-		PlanCacheHits:      reg.Counter("bao_plancache_hits_total", "Selections served from the query-fingerprint plan cache (planning and dedup skipped)."),
+		PlanCacheHits:      reg.Counter("bao_plancache_hits_total", "Selections served from the text-keyed plan cache (parsing, planning and dedup skipped)."),
 		PlanCacheMisses:    reg.Counter("bao_plancache_misses_total", "Selections that planned all arms because no valid cache entry existed."),
 		PlanCacheEvictions: reg.Counter("bao_plancache_evictions_total", "Plan-cache entries evicted to respect the entry or byte bound."),
 		PlanCacheEntries:   reg.Gauge("bao_plancache_entries", "Entries currently resident in the plan cache."),

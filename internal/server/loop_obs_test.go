@@ -11,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"bao/internal/core"
 	"bao/internal/guard"
@@ -81,6 +83,15 @@ func TestRetrainLinkedTracesUnderLoad(t *testing.T) {
 		}
 	}
 	waitTrainCount(t, s.bao, 1)
+	// The count moves at the swap; the retrain trace is published when the
+	// retrain returns, and the checkpoint trace after that.
+	deadline := time.Now().Add(15 * time.Second)
+	for !slices.ContainsFunc(s.o.Traces(), func(tr *obs.Trace) bool { return tr.Kind == "checkpoint" }) {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint trace published")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	traces := s.o.Traces()
 	var retrain, checkpoint *obs.Trace

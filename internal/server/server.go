@@ -489,7 +489,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 }
 
 // park stores a selection awaiting feedback, evicting the oldest when the
-// pending table is full.
+// pending table is full. take leaves observed IDs in order; once they
+// make it twice the table's bound, order is compacted to the still-pending
+// IDs, so it stays bounded under select + observe traffic.
 func (s *Server) park(sel *core.Selection) uint64 {
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
@@ -501,6 +503,15 @@ func (s *Server) park(sel *core.Selection) uint64 {
 		oldest := s.order[0]
 		s.order = s.order[1:]
 		delete(s.pending, oldest)
+	}
+	if len(s.order) > 2*pendingLimit {
+		live := s.order[:0]
+		for _, p := range s.order {
+			if _, ok := s.pending[p]; ok {
+				live = append(live, p)
+			}
+		}
+		s.order = live
 	}
 	return id
 }
@@ -713,7 +724,7 @@ type statusResponse struct {
 	ModelGeneration     uint64 `json:"model_generation,omitempty"`
 	RetrainRejected     int    `json:"retrain_rejected,omitempty"`
 	CheckpointRollbacks int    `json:"checkpoint_rollbacks,omitempty"`
-	// Plan-cache state (present when the query-fingerprint plan cache is
+	// Plan-cache state (present when the text-keyed plan cache is
 	// enabled): resident entries and approximate tensor bytes, the
 	// hit/miss totals, and the model version cached predictions are keyed
 	// on (moves in lockstep with model_generation under checkpointing).

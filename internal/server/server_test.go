@@ -494,3 +494,33 @@ func TestPendingEviction(t *testing.T) {
 		t.Fatalf("live selection observe: status %d, want 200", code)
 	}
 }
+
+// TestPendingOrderBounded runs select/observe pairs through the parked
+// table — park is what /v1/select does, take what /v1/observe does — and
+// checks the FIFO order stays bounded once observed selections leave it,
+// while eviction still drops the oldest unobserved selection first.
+func TestPendingOrderBounded(t *testing.T) {
+	s := newTestServer(t, Config{}, nil)
+	sel, err := s.Bao().Select(testSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*pendingLimit; i++ {
+		if s.take(s.park(sel)) == nil {
+			t.Fatal("a parked selection was not pending")
+		}
+		if got := len(s.order); got > 2*pendingLimit {
+			t.Fatalf("after %d select/observe pairs the FIFO holds %d IDs, want <= %d", i+1, got, 2*pendingLimit)
+		}
+	}
+	if len(s.pending) != 0 {
+		t.Fatalf("%d selections pending after every one was observed", len(s.pending))
+	}
+	unobserved := make([]uint64, pendingLimit+1)
+	for i := range unobserved {
+		unobserved[i] = s.park(sel)
+	}
+	if len(s.pending) != pendingLimit || s.take(unobserved[0]) != nil || s.take(unobserved[1]) == nil {
+		t.Fatal("eviction did not drop exactly the oldest unobserved selection")
+	}
+}
