@@ -11,6 +11,7 @@ import (
 
 	"bao/internal/cloud"
 	"bao/internal/engine"
+	"bao/internal/obs"
 	"bao/internal/planner"
 	"bao/internal/workload"
 )
@@ -259,6 +260,45 @@ func TestExploreCriticalDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestCriticalRetrainDeterministic rebuilds one optimizer six times — 20
+// queries, 4 of them marked critical and explored, one retrain on one
+// worker — and requires the same saved model every time: the training
+// sample and the enforcement refit set take the critical sets in key
+// order, not map order.
+func TestCriticalRetrainDeterministic(t *testing.T) {
+	stream := workload.IMDb(workload.Config{Scale: 0.12, Queries: 20, Seed: 42}).Queries
+	var first []byte
+	for rebuild := 0; rebuild < 6; rebuild++ {
+		cfg := FastConfig()
+		cfg.Arms = TopArms(6)
+		cfg.Train.MaxEpochs = 5
+		cfg.Workers = 1
+		cfg.Observer = obs.Disabled()
+		b := New(buildIMDbEngine(t), cfg)
+		for _, q := range stream[:4] {
+			b.MarkCritical(q.SQL)
+		}
+		if _, err := b.ExploreCritical(); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range stream {
+			if _, _, err := b.Run(q.SQL); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Retrain()
+		var buf bytes.Buffer
+		if err := b.SaveModel(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if rebuild == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("rebuild %d saved a different model than rebuild 0", rebuild)
+		}
+	}
+}
+
 func TestAdvisorMode(t *testing.T) {
 	e := buildIMDbEngine(t)
 	cfg := FastConfig()
@@ -289,6 +329,34 @@ func TestAdvisorMode(t *testing.T) {
 	for _, want := range []string{"Bao prediction:", "Bao recommended hint:", "QUERY PLAN"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("advisor EXPLAIN missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestAdviseIsSelectsChoice: during the arm warm-up, with a trained model,
+// the hint set Advise recommends is the arm Select picks for the same
+// query, and its predictions are that arm's — the advice is the decision.
+func TestAdviseIsSelectsChoice(t *testing.T) {
+	cfg := FastConfig()
+	cfg.Observer = obs.Disabled()
+	b := trainedBao(t, cfg)
+	if !b.state.Load().warm {
+		t.Fatal("the trained model is past the warm-up: the test would not exercise it")
+	}
+	for _, q := range workload.IMDb(workload.Config{Scale: 0.12, Queries: 80, Seed: 7}).Queries {
+		a, _, err := b.Advise(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := b.Select(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := b.Cfg.Arms[sel.ArmID]; a.BestArm != want {
+			t.Fatalf("%s: Advise recommends %q, Select chose %q", q.Template, a.BestArm.Name, want.Name)
+		}
+		if a.BestPredSecs != sel.Preds[sel.ArmID] || a.ImprovementSecs != sel.Preds[0]-sel.Preds[sel.ArmID] {
+			t.Fatalf("%s: advice %+v does not carry the chosen arm's prediction", q.Template, a)
 		}
 	}
 }

@@ -21,11 +21,18 @@ func (b *Bao) MarkCritical(sql string) {
 // exploration sets, sorted.
 func (b *Bao) CriticalKeys() []string {
 	b.mu.RLock()
-	keys := make([]string, 0, len(b.critical))
-	for k := range b.critical {
+	defer b.mu.RUnlock()
+	return sortedKeys(b.critical)
+}
+
+// sortedKeys returns crit's keys in sorted order: whatever is built from
+// the critical sets — a training sample, an enforcement refit set — is
+// built in it, so a retrain is reproducible (map order is not).
+func sortedKeys(crit map[string][]Experience) []string {
+	keys := make([]string, 0, len(crit))
+	for k := range crit {
 		keys = append(keys, k)
 	}
-	b.mu.RUnlock()
 	sort.Strings(keys)
 	return keys
 }
@@ -163,7 +170,8 @@ func enforceCriticalOn(m model.Model, baseTrees []*nn.Tree, baseSecs []float64, 
 // is that the selected plan performs like the best one.)
 func mispredictedCriticalOn(m model.Model, crit map[string][]Experience) []string {
 	var bad []string
-	for key, exps := range crit {
+	for _, key := range sortedKeys(crit) {
+		exps := crit[key]
 		if len(exps) < 2 {
 			continue
 		}

@@ -9,36 +9,16 @@ import (
 	"bao/internal/planner"
 )
 
-// cacheVariant is the buffer-pool-dependent half of a cache entry: the
-// featurized tensors and (when the entry has been predicted under the
-// current model) the clamped predictions. Residency drift or a model
-// swap replaces the whole variant rather than mutating it, so concurrent
-// readers always see an internally consistent (signature, trees, preds)
-// triple.
-type cacheVariant struct {
-	// resSig is the buffer-pool residency baked into trees: the
-	// cache-residency feature of every scan node across the unique plans,
-	// in tree order. A hit compares the current residency against it and
-	// reuses trees only on exact match, so cached featurization is
-	// byte-identical to what fresh vectorization would produce.
-	resSig []float64
-	trees  []*nn.Tree // one tensor per dedup group
-	// preds are the clamped per-group predictions computed under model
-	// version predsVer; nil until a trained select populates them (and
-	// left nil when no prediction was finite — degenerate outputs are
-	// never cached). finite is the finite-prediction count that went with
-	// preds, reused by the breaker's degenerate-output check.
-	preds    []float64
-	predsVer uint64
-	finite   int
-}
-
 // planCacheEntry is the work SelectCtx would otherwise redo on every
 // repeat of one SQL text: the analyzed query, the planned arm set, dedup
-// groups, and (via variant) the featurized tensors and predictions.
-// Entries are validated against the catalog version and statistics epoch
-// they were analyzed and planned under and dropped when either moves.
-// Everything but variant is immutable once stored; hits share it.
+// groups, the featurized tensors and, once a trained select has made
+// them, the predictions. Entries are validated against the catalog
+// version and statistics epoch they were analyzed and planned under and
+// dropped when either moves. An entry is never written after put: a hit
+// that refeaturizes (residency drift) or re-predicts (the model moved)
+// stores a new entry in its place, so hits share every field lock-free.
+// The tensors are the only record of the buffer-pool residency they were
+// built under (Featurizer.residencyMatches reads it back).
 type planCacheEntry struct {
 	sql        string         // the exact SQL text: the cache key
 	query      *planner.Query // sql analyzed under schemaVer
@@ -49,10 +29,19 @@ type planCacheEntry struct {
 	cands    []int
 	armGroup []int
 	uniq     []*planner.Node // representative plan per dedup group
+	trees    []*nn.Tree      // one tensor per dedup group
+	// preds are the clamped per-group predictions computed under model
+	// version predsVer; nil until a trained select populates them (and
+	// left nil when no prediction was finite — degenerate outputs are
+	// never cached). finite is the finite-prediction count that went with
+	// preds, reused by the breaker's degenerate-output check.
+	preds    []float64
+	predsVer uint64
+	finite   int
 
-	variant *cacheVariant
-	bytes   int64
-	elem    *list.Element
+	// Owned by the cache, under its lock.
+	bytes int64
+	elem  *list.Element
 }
 
 // planCache is the text-keyed plan cache: an LRU bounded by entry count
@@ -109,18 +98,25 @@ func (c *planCache) get(sql string, schemaVer, statsEpoch uint64) *planCacheEntr
 	return e
 }
 
-// put inserts an entry, replacing any existing entry for the same text
-// and evicting from the LRU tail until both bounds hold. An entry bigger
-// than the byte cap on its own is not cached. Eviction runs before the
-// gauges are published, so the bytes gauge never reads above the cap.
-func (c *planCache) put(e *planCacheEntry) {
+// put inserts an entry and evicts from the LRU tail until both bounds
+// hold. An entry bigger than the byte cap on its own is not cached.
+// Eviction runs before the gauges are published, so the bytes gauge never
+// reads above the cap. prev is the entry the selection hit (nil on a
+// miss): e replaces it only while it is still the resident entry for the
+// text, so an entry flushed, evicted or already replaced since the lookup
+// is never written back. A miss replaces whatever entry the text has.
+func (c *planCache) put(e, prev *planCacheEntry) {
 	e.bytes = entryBytes(e)
 	if e.bytes > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old := c.entries[e.sql]; old != nil {
+	old := c.entries[e.sql]
+	if prev != nil && old != prev {
+		return
+	}
+	if old != nil {
 		c.removeLocked(old)
 	}
 	e.elem = c.lru.PushFront(e)
@@ -137,45 +133,10 @@ func (c *planCache) put(e *planCacheEntry) {
 	c.publishLocked()
 }
 
-// replaceVariant swaps in a recomputed variant for a resident entry,
-// keeping the planned-arm half. Versions only move forward: a slow
-// request publishing predictions for a model that has since been swapped
-// out loses to the request that already published newer ones. The
-// entry's byte accounting follows the variant, evicting if the new
-// tensors push the cache over its cap.
-func (c *planCache) replaceVariant(e *planCacheEntry, v *cacheVariant) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e.elem == nil { // evicted since the lookup
-		return
-	}
-	cur := e.variant
-	if v.predsVer < cur.predsVer {
-		return
-	}
-	if v.predsVer == cur.predsVer && v.preds == nil && cur.preds != nil &&
-		floatsEqual(v.resSig, cur.resSig) {
-		return // nothing new: same residency, and we'd drop predictions
-	}
-	e.variant = v
-	nb := entryBytes(e)
-	c.bytes += nb - e.bytes
-	e.bytes = nb
-	for c.bytes > c.maxBytes {
-		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
-		c.removeLocked(tail.Value.(*planCacheEntry))
-		c.o.PlanCacheEvictions.Inc()
-	}
-	c.publishLocked()
-}
-
 // flush drops every entry (used when invalidation must be immediate
 // rather than lazy, e.g. tests forcing a cold cache). Dropped entries are
-// detached, so a selection still holding one cannot write a variant back
-// into the byte count.
+// detached, so a selection still holding one cannot write a replacement
+// back (put finds it no longer resident).
 func (c *planCache) flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -212,94 +173,14 @@ func (c *planCache) publishLocked() {
 
 // entryBytes approximates an entry's resident footprint: the featurized
 // tensors dominate (N nodes × feature-dim float64s per unique plan), so
-// the estimate counts tensor, prediction, and signature payloads plus a
-// small fixed overhead for the plan skeletons, analyzed query and
-// bookkeeping.
+// the estimate counts tensor and prediction payloads plus a small fixed
+// overhead for the plan skeletons, analyzed query and bookkeeping.
 func entryBytes(e *planCacheEntry) int64 {
 	const overhead = 512
 	b := int64(overhead)
-	b += int64(len(e.plans))*16 + int64(len(e.cands)+len(e.armGroup)+len(e.uniq))*8
-	v := e.variant
-	if v == nil {
-		return b
-	}
-	for _, t := range v.trees {
+	b += int64(len(e.plans))*16 + int64(len(e.cands)+len(e.armGroup)+len(e.uniq)+len(e.preds))*8
+	for _, t := range e.trees {
 		b += int64(len(t.Feat))*8 + int64(len(t.Left)+len(t.Right))*8
 	}
-	b += int64(len(v.preds)+len(v.resSig)) * 8
 	return b
-}
-
-// floatsEqual reports bitwise equality of two float64 slices (the
-// residency-signature comparison; NaN never appears in residency
-// fractions, and bit-level comparison is what the byte-identical
-// determinism contract needs anyway).
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// residencyFromTrees reads back the buffer-pool residency baked into the
-// cached tensors: the cache-residency feature of every scan-node row, in
-// tree order. Extracting from the tensors themselves (rather than
-// re-sampling the pool at store time) makes the signature exactly
-// consistent with the features it guards.
-func residencyFromTrees(trees []*nn.Tree) []float64 {
-	var sig []float64
-	for _, t := range trees {
-		for n := 0; n < t.N; n++ {
-			row := t.Feat[n*t.D : (n+1)*t.D]
-			if rowIsScan(row) {
-				sig = append(sig, row[int(planner.NumOps)+3])
-			}
-		}
-	}
-	return sig
-}
-
-// rowIsScan reports whether a feature row's operator one-hot marks a
-// base-relation scan (mirrors planner.Node.IsScan over the encoding laid
-// down by Featurizer.Vectorize).
-func rowIsScan(row []float64) bool {
-	return row[int(planner.OpSeqScan)] == 1 ||
-		row[int(planner.OpIndexScan)] == 1 ||
-		row[int(planner.OpIndexOnlyScan)] == 1
-}
-
-// residencyMatches reports whether the current buffer-pool residency of
-// every scan node across the unique plans, visited in the pre-order the
-// tensor encoding uses, equals sig bit for bit. A cache-oblivious
-// featurizer has no residency in its features, so no drift to detect.
-func (f *Featurizer) residencyMatches(uniq []*planner.Node, sig []float64) bool {
-	if f.CacheFrac == nil {
-		return len(sig) == 0
-	}
-	i := 0
-	for _, p := range uniq {
-		i = f.matchScans(p, sig, i)
-	}
-	return i == len(sig)
-}
-
-// matchScans compares the scans under n, in pre-order, against sig from
-// index i. It returns the index after them, or -1 from the first
-// mismatch on.
-func (f *Featurizer) matchScans(n *planner.Node, sig []float64, i int) int {
-	if n == nil || i < 0 {
-		return i
-	}
-	if n.IsScan() {
-		if i == len(sig) || f.CacheFrac(n.Table, n.Op == planner.OpIndexOnlyScan) != sig[i] {
-			return -1
-		}
-		i++
-	}
-	return f.matchScans(n.Right, sig, f.matchScans(n.Left, sig, i))
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bao/internal/catalog"
@@ -126,15 +128,28 @@ func TestPlanCacheEvictionBounds(t *testing.T) {
 	if misses() != before+1 {
 		t.Fatal("an evicted text hit the cache")
 	}
-	// So does a flush: no text stays keyed, a selection still holding a
-	// flushed entry cannot write it back into the byte count, and the next
-	// repeat misses.
+	// A hit's replacement takes the place of the entry it hit, once: a
+	// second write-back from the same hit finds it already replaced.
 	held := b.pcache.get(queries[0], b.Eng.CatalogVersion(), b.Eng.StatsEpoch())
+	refreshed := func(e *planCacheEntry) *planCacheEntry {
+		c := *e
+		c.predsVer++
+		return &c
+	}
+	first := refreshed(held)
+	b.pcache.put(first, held)
+	b.pcache.put(refreshed(held), held)
+	if got := b.pcache.get(queries[0], b.Eng.CatalogVersion(), b.Eng.StatsEpoch()); got != first {
+		t.Fatal("the text is not keyed by the first replacement of the entry it hit")
+	}
+	// So does a flush: no text stays keyed, a selection still holding a
+	// flushed entry cannot write a replacement back into the byte count,
+	// and the next repeat misses.
 	b.FlushPlanCache()
 	if got := cachedTexts(t, b); len(got) != 0 {
 		t.Fatalf("texts %q still keyed after a flush", got)
 	}
-	b.pcache.replaceVariant(held, &cacheVariant{predsVer: held.variant.predsVer + 1, trees: held.variant.trees})
+	b.pcache.put(refreshed(first), first)
 	if n, by := b.PlanCacheStats(); n != 0 || by != 0 {
 		t.Fatalf("a flushed entry's write-back left %d entries, %d bytes", n, by)
 	}
@@ -314,21 +329,20 @@ func TestPlanCacheStaleGenerationRepredicts(t *testing.T) {
 	}
 	// Corrupt the cached predictions while keeping their (current) version
 	// tag: a version-matched hit would serve these poisoned values.
-	b.pcache.mu.Lock()
-	var poisoned *cacheVariant
-	for _, e := range b.pcache.entries {
-		nv := *e.variant
-		nv.preds = make([]float64, len(e.variant.preds))
-		for i := range nv.preds {
-			nv.preds[i] = 1e9
+	poison := func(ver uint64) {
+		e := b.pcache.get(sql, b.Eng.CatalogVersion(), b.Eng.StatsEpoch())
+		if e == nil || e.preds == nil {
+			t.Fatal("no cached predictions to poison")
 		}
-		e.variant = &nv
-		poisoned = &nv
+		c := *e
+		c.preds = make([]float64, len(e.preds))
+		for i := range c.preds {
+			c.preds[i] = 1e9
+		}
+		c.finite, c.predsVer = len(c.preds), ver
+		b.pcache.put(&c, e)
 	}
-	b.pcache.mu.Unlock()
-	if poisoned == nil || poisoned.preds == nil {
-		t.Fatal("no cached predictions to poison")
-	}
+	poison(b.ModelVersion())
 	// While the version still matches, the poisoned predictions ARE served
 	// (that is what a version-matched hit means).
 	sel, err := b.Select(sql)
@@ -351,19 +365,7 @@ func TestPlanCacheStaleGenerationRepredicts(t *testing.T) {
 	if _, err := b.Select(sql); err != nil { // repopulate
 		t.Fatal(err)
 	}
-	staleVer := b.ModelVersion() - 1
-	b.pcache.mu.Lock()
-	for _, e := range b.pcache.entries {
-		nv := *e.variant
-		nv.preds = make([]float64, len(e.variant.trees))
-		for i := range nv.preds {
-			nv.preds[i] = 1e9
-		}
-		nv.finite = len(nv.preds)
-		nv.predsVer = staleVer
-		e.variant = &nv
-	}
-	b.pcache.mu.Unlock()
+	poison(b.ModelVersion() - 1)
 	sel, err = b.Select(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -459,6 +461,7 @@ func TestPlanCacheHitAllocs(t *testing.T) {
 	}
 	const runs = 50
 	hits := cfg.Observer.PlanCacheHits.Value()
+	entry := b.pcache.entries[sql]
 	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := b.Select(sql); err != nil {
 			t.Fatal(err)
@@ -467,7 +470,135 @@ func TestPlanCacheHitAllocs(t *testing.T) {
 	if got := cfg.Observer.PlanCacheHits.Value() - hits; got != runs+1 {
 		t.Fatalf("%v of %d selects hit the cache", got, runs+1)
 	}
+	if b.pcache.entries[sql] != entry {
+		t.Fatal("a full hit stored a new entry: it has nothing newer to store")
+	}
 	if allocs > 10 {
 		t.Fatalf("a full plan-cache hit allocates %v times, want <= 10", allocs)
+	}
+}
+
+// Four goroutines select one resident text while a fifth clears the
+// buffer pool and executes a plan, 200 times: every drift makes hits
+// refeaturize, re-predict and replace the entry beside readers of it.
+// Under -race this checks a published entry is only ever read; once
+// quiet, the resident entry's tensors are what vectorizing now gives.
+func TestPlanCacheConcurrentRefresh(t *testing.T) {
+	cfg := FastConfig()
+	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
+	cfg.PlanCache = true
+	b := trainedBao(t, cfg)
+	sql := cachedWorkload()[0]
+	first, err := b.Select(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := b.Select(sql); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		b.Eng.Pool.Clear()
+		if _, err := b.execute(context.Background(), first.Plans[0]); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if cfg.Observer.PlanCacheHits.Value() == 0 {
+		t.Fatal("no select hit the cache")
+	}
+	sel, err := b.Select(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range sel.Plans {
+		if !slices.Equal(sel.Trees[i].Feat, b.Feat.Vectorize(p).Feat) {
+			t.Fatalf("arm %d: the resident tensor is not the live residency's", i)
+		}
+	}
+	var sum int64
+	for _, text := range cachedTexts(t, b) {
+		sum += entryBytes(b.pcache.entries[text])
+	}
+	if _, by := b.PlanCacheStats(); by != sum {
+		t.Fatalf("cache counts %d bytes, its entries %d", by, sum)
+	}
+}
+
+// A selection looks its text up before it loads the bandit state, so the
+// state it predicts under is never older than the entry it hit, and the
+// entry that replaces the hit never carries an older prediction version.
+// Readers run the lookup while a writer publishes model after model and
+// repopulates the cache under each.
+func TestPlanCacheConcurrentVersionOrder(t *testing.T) {
+	cfg := FastConfig()
+	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
+	cfg.PlanCache = true
+	b := trainedBao(t, cfg)
+	sql := cachedWorkload()[0]
+	var saved bytes.Buffer
+	if err := b.SaveModel(&saved); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var hits atomic.Int64
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				r := &selectReq{b: b}
+				if err := r.parse(context.Background(), sql); err != nil {
+					t.Error(err)
+					return
+				}
+				if r.hit == nil {
+					continue
+				}
+				hits.Add(1)
+				if r.hit.predsVer > r.st.version {
+					t.Errorf("hit an entry predicted under version %d with state version %d", r.hit.predsVer, r.st.version)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 30; i++ {
+		if err := b.LoadModel(bytes.NewReader(saved.Bytes())); err != nil {
+			t.Error(err)
+			break
+		}
+		if _, err := b.Select(sql); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if hits.Load() == 0 {
+		t.Fatal("no lookup hit the cache")
 	}
 }

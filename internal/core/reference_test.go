@@ -196,72 +196,148 @@ func costsOf(plans []*planner.Node) []float64 {
 	return c
 }
 
-// residencyFromPlans is the residency sample as it stood when a hit built
-// it as a slice and compared that with floatsEqual — the oracle for
-// residencyMatches.
-func (f *Featurizer) residencyFromPlans(uniq []*planner.Node) []float64 {
-	if f.CacheFrac == nil {
-		return nil
-	}
+// The residency check as it stood when a cache entry carried its own
+// residency signature beside the tensors: residencyFromTrees read the
+// signature back out of the tensors at store time (nil for a
+// cache-oblivious featurizer), and a hit compared the live residency of
+// the plans' scans against it. Kept as the oracle for residencyMatches,
+// which reads the tensors directly.
+func residencyFromTrees(trees []*nn.Tree) []float64 {
 	var sig []float64
-	var walk func(n *planner.Node)
-	walk = func(n *planner.Node) {
-		if n == nil {
-			return
+	for _, t := range trees {
+		for n := 0; n < t.N; n++ {
+			row := t.Feat[n*t.D : (n+1)*t.D]
+			if rowIsScan(row) {
+				sig = append(sig, row[int(planner.NumOps)+3])
+			}
 		}
-		if n.IsScan() {
-			sig = append(sig, f.CacheFrac(n.Table, n.Op == planner.OpIndexOnlyScan))
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	for _, p := range uniq {
-		walk(p)
 	}
 	return sig
 }
 
-// TestResidencyMatchesReference compares residencyMatches with building
-// the signature and comparing slices, over every query's distinct plans,
-// under a residency that tells each table and access path apart, against
-// the plans' own signature and ones that differ in a value or a length.
+func rowIsScan(row []float64) bool {
+	return row[int(planner.OpSeqScan)] == 1 ||
+		row[int(planner.OpIndexScan)] == 1 ||
+		row[int(planner.OpIndexOnlyScan)] == 1
+}
+
+func floatsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func (f *Featurizer) residencySigMatches(uniq []*planner.Node, sig []float64) bool {
+	if f.CacheFrac == nil {
+		return len(sig) == 0
+	}
+	i := 0
+	for _, p := range uniq {
+		i = f.matchSigScans(p, sig, i)
+	}
+	return i == len(sig)
+}
+
+func (f *Featurizer) matchSigScans(n *planner.Node, sig []float64, i int) int {
+	if n == nil || i < 0 {
+		return i
+	}
+	if n.IsScan() {
+		if i == len(sig) || f.CacheFrac(n.Table, n.Op == planner.OpIndexOnlyScan) != sig[i] {
+			return -1
+		}
+		i++
+	}
+	return f.matchSigScans(n.Right, sig, f.matchSigScans(n.Left, sig, i))
+}
+
+// TestResidencyMatchesReference checks residencyMatches against the
+// signature oracle over every query's distinct plans: tensors built
+// cache-aware and cache-oblivious, checked under the residency they were
+// built with, under one where a single table or access path moved, and
+// with no residency at all; and cache-aware tensors where one row's
+// residency slot was bumped — a scan's row must mismatch, a join's or a
+// null padding row's must not.
 func TestResidencyMatchesReference(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Observer = obs.Disabled()
 	b := New(buildIMDbEngine(t), cfg)
 	frac := map[string]float64{}
-	b.Feat.CacheFrac = func(table string, indexOnly bool) float64 {
+	aware := func(table string, indexOnly bool) float64 {
 		k := fmt.Sprint(table, indexOnly)
 		if _, ok := frac[k]; !ok {
 			frac[k] = float64(len(frac)+1) / 64
 		}
 		return frac[k]
 	}
-	var oblivious Featurizer
+	b.Feat.CacheFrac = aware
+	check := func(tmpl string, built, live *Featurizer, uniq []*planner.Node, trees []*nn.Tree, what string) {
+		t.Helper()
+		var sig []float64
+		if built.CacheFrac != nil {
+			sig = residencyFromTrees(trees)
+		}
+		got := true
+		for g, p := range uniq {
+			got = got && live.residencyMatches(p, trees[g])
+		}
+		if want := live.residencySigMatches(uniq, sig); got != want {
+			t.Fatalf("%s, %s: residencyMatches = %v, the signature oracle says %v", tmpl, what, got, want)
+		}
+	}
+	// The planner never hangs a lone child on the right; Vectorize still
+	// moves one to the left, so the walk must too.
+	scan := func(op planner.Op, table string) *planner.Node { return &planner.Node{Op: op, Table: table} }
+	sets := map[string][]*planner.Node{"right-only children": {{Op: planner.OpSort, Right: &planner.Node{
+		Op: planner.OpHashJoin, Left: scan(planner.OpSeqScan, "title"),
+		Right: &planner.Node{Op: planner.OpAggregate, Right: scan(planner.OpIndexOnlyScan, "cast_info")}}}}}
 	for _, q := range workload.IMDb(workload.Config{Scale: 0.12, Queries: 40, Seed: 42}).Queries {
 		sel, err := b.Select(q.SQL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var uniq []*planner.Node
 		for _, p := range sel.Plans {
-			if !slices.Contains(uniq, p) {
-				uniq = append(uniq, p)
+			if !slices.Contains(sets[q.SQL], p) {
+				sets[q.SQL] = append(sets[q.SQL], p)
 			}
 		}
-		sig := b.Feat.residencyFromPlans(uniq)
-		sigs := [][]float64{sig, nil, sig[:len(sig)-1], append(slices.Clone(sig), 0.5)}
-		for i := range sig {
-			s := slices.Clone(sig)
-			s[i] += 1
-			sigs = append(sigs, s)
-		}
-		for _, s := range sigs {
-			if got, want := b.Feat.residencyMatches(uniq, s), floatsEqual(sig, s); got != want {
-				t.Fatalf("%s: residencyMatches(%v) = %v against %v, want %v", q.Template, s, got, sig, want)
+	}
+	for name, uniq := range sets {
+		for _, built := range []*Featurizer{{CacheFrac: aware}, {}} {
+			trees := make([]*nn.Tree, len(uniq))
+			for g, p := range uniq {
+				trees[g] = built.Vectorize(p)
 			}
-			if got, want := oblivious.residencyMatches(uniq, s), len(s) == 0; got != want {
-				t.Fatalf("%s: cache-oblivious residencyMatches(%v) = %v, want %v", q.Template, s, got, want)
+			check(name, built, built, uniq, trees, "unchanged")
+			check(name, built, &Featurizer{}, uniq, trees, "cache-oblivious")
+			check(name, built, &Featurizer{CacheFrac: aware}, uniq, trees, "cache-aware")
+			for k := range frac {
+				moved := &Featurizer{CacheFrac: func(table string, indexOnly bool) float64 {
+					if fmt.Sprint(table, indexOnly) == k {
+						return aware(table, indexOnly) + 1
+					}
+					return aware(table, indexOnly)
+				}}
+				check(name, built, moved, uniq, trees, k+" moved")
+			}
+			if built.CacheFrac == nil {
+				continue // the oracle never read an oblivious tensor
+			}
+			for g, tr := range trees {
+				for n := 0; n < tr.N; n++ {
+					bumped := slices.Clone(trees)
+					c := *tr
+					c.Feat = slices.Clone(tr.Feat)
+					c.Feat[n*tr.D+residencyIndex] += 0.5
+					bumped[g] = &c
+					check(name, built, built, uniq, bumped, fmt.Sprintf("plan %d row %d bumped", g, n))
+				}
 			}
 		}
 	}

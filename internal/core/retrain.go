@@ -91,8 +91,8 @@ func (b *Bao) trainingSampleLocked() (s trainingSample) {
 		s.trees = append(s.trees, b.exp[i].Tree)
 		s.secs = append(s.secs, b.exp[i].Secs)
 	}
-	for _, exps := range b.critical {
-		for _, e := range exps {
+	for _, key := range sortedKeys(b.critical) {
+		for _, e := range b.critical[key] {
 			if !isFinite(e.Secs) {
 				continue
 			}

@@ -37,12 +37,12 @@ type selectReq struct {
 	breakerNote string
 
 	// Plan cache: the epochs the lookup ran under, the entry found (nil on
-	// a miss or with the cache off), the variant whose tensors were reused
+	// a miss or with the cache off), whether its tensors were reused
 	// verbatim, the verdict.
 	schemaVer, statsEp uint64
 	verdict            string
 	hit                *planCacheEntry
-	hitVariant         *cacheVariant
+	reused             bool
 
 	// Dedup: arm → group, and per group a representative plan and one
 	// tree. armGroup is nil when only arm 0 was planned.
@@ -117,7 +117,9 @@ func (r *selectReq) stage(name string, to time.Time, note string) {
 // share the current model, and a hot-swap arriving mid-query affects only
 // subsequent selections. The epochs are snapshotted before the analysis,
 // so a concurrent DDL/ANALYZE at worst tags a stored entry with a
-// superseded epoch, which the next lookup drops.
+// superseded epoch, which the next lookup drops. The lookup comes before
+// the state load, so the state is never older than the entry hit: an
+// entry that replaces it never carries an older prediction version.
 func (r *selectReq) parse(ctx context.Context, sql string) error {
 	b := r.b
 	r.tr = b.observer.StartTrace(sql)
@@ -173,11 +175,16 @@ func (r *selectReq) reuseCached() {
 	b.observer.PlanCacheHits.Inc()
 	r.verdict = "hit"
 	sel.Plans, sel.Candidates = e.plans, e.cands
-	r.armGroup, r.uniq = e.armGroup, e.uniq
+	r.armGroup, r.uniq, r.uniqTrees = e.armGroup, e.uniq, e.trees
 	sel.UniquePlans = len(r.uniq)
-	if v := e.variant; b.Feat.residencyMatches(r.uniq, v.resSig) {
-		r.uniqTrees, r.hitVariant = v.trees, v
-	} else {
+	r.reused = true
+	for g, p := range r.uniq {
+		if !b.Feat.residencyMatches(p, e.trees[g]) {
+			r.reused = false
+			break
+		}
+	}
+	if !r.reused {
 		r.verdict = "hit-refeaturize"
 		r.uniqTrees = make([]*nn.Tree, len(r.uniq))
 		for g, p := range r.uniq {
@@ -235,13 +242,13 @@ func (r *selectReq) predict() {
 	b, sel, o := r.b, r.sel, r.b.observer
 	var uniqPreds []float64
 	finite := 0
-	if v := r.hitVariant; v != nil && v.preds != nil && v.predsVer == r.st.version {
+	if e := r.hit; r.reused && e.preds != nil && e.predsVer == r.st.version {
 		// Full hit: these exact tensors were already predicted under this
 		// model version — skip inference entirely. Versions are bumped
 		// precisely when a model is published, so an equal version implies
 		// the same model instance and the cached predictions are
 		// byte-identical to a fresh pass.
-		uniqPreds, finite = v.preds, v.finite
+		uniqPreds, finite = e.preds, e.finite
 	} else {
 		if r.verdict == "hit" {
 			r.verdict = "hit-repredict" // tensors reused, model moved on
@@ -290,37 +297,19 @@ func (b *Bao) predictTrees(mdl model.Model, trees []*nn.Tree) []float64 {
 }
 
 // storeCacheEntry publishes this selection's reusable work into the plan
-// cache: a miss stores the whole entry; a hit that had to refeaturize or
-// re-predict refreshes the entry's variant. Degenerate predictions
-// (freshFinite == 0) are never cached — the entry keeps its plans but no
-// predictions, so the next repeat re-predicts. No-op when the cache is
-// off or the arm set wasn't fully planned (armGroup nil).
+// cache: a miss stores a new entry, and so does a hit that had to
+// refeaturize or re-predict — the hit's plans and groups with its fresh
+// tensors or predictions, in place of the entry it hit. Degenerate
+// predictions (freshFinite == 0) are never cached — the entry keeps its
+// plans but no predictions, so the next repeat re-predicts. No-op when the
+// cache is off, the arm set wasn't fully planned (armGroup nil), or a full
+// hit has nothing newer than what is cached.
 func (r *selectReq) storeCacheEntry() {
 	b := r.b
-	if b.pcache == nil || r.armGroup == nil {
+	if b.pcache == nil || r.armGroup == nil || r.reused && r.freshPreds == nil {
 		return
 	}
-	if r.hit != nil && r.hitVariant != nil && r.freshPreds == nil {
-		return // full hit: nothing newer than what is already cached
-	}
-	v := &cacheVariant{predsVer: r.st.version}
-	if r.hitVariant != nil {
-		// Tensors were reused; only the predictions are new.
-		v.resSig, v.trees = r.hitVariant.resSig, r.hitVariant.trees
-	} else {
-		v.trees = r.uniqTrees
-		if b.Feat.CacheFrac != nil {
-			v.resSig = residencyFromTrees(r.uniqTrees)
-		}
-	}
-	if r.freshFinite > 0 {
-		v.preds, v.finite = r.freshPreds, r.freshFinite
-	}
-	if r.hit != nil {
-		b.pcache.replaceVariant(r.hit, v)
-		return
-	}
-	b.pcache.put(&planCacheEntry{
+	e := &planCacheEntry{
 		sql:        r.sel.SQL,
 		query:      r.sel.Query,
 		schemaVer:  r.schemaVer,
@@ -329,8 +318,13 @@ func (r *selectReq) storeCacheEntry() {
 		cands:      r.sel.Candidates,
 		armGroup:   r.armGroup,
 		uniq:       r.uniq,
-		variant:    v,
-	})
+		trees:      r.uniqTrees,
+		predsVer:   r.st.version,
+	}
+	if r.freshFinite > 0 {
+		e.preds, e.finite = r.freshPreds, r.freshFinite
+	}
+	b.pcache.put(e, r.hit)
 }
 
 // pickArm is the argmin over the selectable arms' predictions. Its stage,
@@ -437,7 +431,9 @@ func (b *Bao) planArms(ctx context.Context, q *planner.Query, sel *Selection, n 
 	return nil
 }
 
-// Advice is advisor-mode EXPLAIN enrichment (Figure 6).
+// Advice is advisor-mode EXPLAIN enrichment (Figure 6): the default
+// plan's prediction, and the arm Select chose with its prediction and its
+// predicted saving over the default.
 type Advice struct {
 	DefaultPredSecs float64
 	BestArm         Arm
@@ -445,8 +441,10 @@ type Advice struct {
 	ImprovementSecs float64
 }
 
-// Advise predicts the default plan's performance and the best hint set for
-// a query without executing anything. When there are no predictions to
+// Advise predicts the default plan's performance and recommends the hint
+// set Select chose for the query — warm-up family, cost-sanity filter and
+// cost tie-break included — without executing anything: the advice is the
+// decision Bao would make. When there are no predictions to
 // advise from — no model yet, or Select degraded to the default arm
 // (breaker open, planner panic, all-non-finite predictions) — it returns
 // the default plan with an error naming the reason.
@@ -469,12 +467,7 @@ func (b *Bao) Advise(sql string) (*Advice, *planner.Node, error) {
 		}
 		return nil, sel.Plans[0], fmt.Errorf("core: advisor has no predictions, default plan served (%s)", reason)
 	}
-	best := 0
-	for i, p := range sel.Preds {
-		if p < sel.Preds[best] {
-			best = i
-		}
-	}
+	best := sel.ArmID
 	a := &Advice{
 		DefaultPredSecs: sel.Preds[0],
 		BestArm:         b.Cfg.Arms[best],

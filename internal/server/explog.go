@@ -166,9 +166,8 @@ type ExperienceLog struct {
 	o    *obs.Observer
 	opt  LogOptions
 
-	// Recovery output of open: intact post-snapshot records (tests
-	// inspect these), replay/skip counters, and the snapshot anchor.
-	records       []logRecord
+	// Recovery output of open: replay/skip counters and the snapshot
+	// anchor.
 	replayed      int
 	skipped       int
 	snapSeq       uint64 // sequence covered by the snapshot recovery loaded (0 = none)
@@ -360,7 +359,6 @@ func (l *ExperienceLog) open() error {
 		if rec.Seq <= l.snapSeq {
 			return // already folded into the snapshot
 		}
-		l.records = append(l.records, rec)
 		l.replayed++
 		l.applyShadowLocked(rec)
 	}
@@ -511,7 +509,6 @@ func (l *ExperienceLog) Replay(b *core.Bao) {
 	if len(l.shadow) > 0 {
 		b.RestoreExperiences(l.shadow)
 	}
-	l.records = nil // replayed; free the memory
 }
 
 // Attach makes the log b's durable record: it replays the recovered state

@@ -20,6 +20,19 @@ func logTree(v float64) *nn.Tree {
 	return t
 }
 
+// replayed opens the log at path and replays it into a fresh optimizer.
+func replayed(t *testing.T, path string) (*ExperienceLog, *core.Bao) {
+	t.Helper()
+	l, err := OpenExperienceLog(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	b := newTestBao(t, nil)
+	l.Replay(b)
+	return l, b
+}
+
 func appendN(t *testing.T, path string, n int) {
 	t.Helper()
 	l, err := OpenExperienceLog(path, nil)
@@ -40,24 +53,21 @@ func appendN(t *testing.T, path string, n int) {
 func TestExperienceLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bao.explog")
 	appendN(t, path, 10)
-	l, err := OpenExperienceLog(path, nil)
-	if err != nil {
-		t.Fatal(err)
+	l, b := replayed(t, path)
+	n, skipped := l.Replayed()
+	if n != 10 || skipped != 0 {
+		t.Fatalf("replayed=%d skipped=%d, want 10/0", n, skipped)
 	}
-	defer l.Close()
-	replayed, skipped := l.Replayed()
-	if replayed != 10 || skipped != 0 {
-		t.Fatalf("replayed=%d skipped=%d, want 10/0", replayed, skipped)
+	exps := b.Experiences()
+	if len(exps) != 10 {
+		t.Fatalf("%d experiences replayed into the optimizer, want 10", len(exps))
 	}
-	for i, rec := range l.records {
-		if rec.Kind != recExperience || rec.Exp == nil {
-			t.Fatalf("record %d: %+v", i, rec)
+	for i, e := range exps {
+		if e.Secs != 0.01*float64(i+1) || e.ArmID != i%3 || e.Key != "q" {
+			t.Fatalf("experience %d round-tripped wrong: %+v", i, e)
 		}
-		if rec.Exp.Secs != 0.01*float64(i+1) || rec.Exp.ArmID != i%3 {
-			t.Fatalf("record %d round-tripped wrong: %+v", i, rec.Exp)
-		}
-		if rec.Exp.Tree == nil || rec.Exp.Tree.N != 3 || rec.Exp.Tree.Row(0)[0] != float64(i) {
-			t.Fatalf("record %d tree corrupted: %+v", i, rec.Exp.Tree)
+		if e.Tree == nil || e.Tree.N != 3 || e.Tree.Row(0)[0] != float64(i) {
+			t.Fatalf("experience %d tree corrupted: %+v", i, e.Tree)
 		}
 	}
 }
@@ -81,9 +91,9 @@ func TestExperienceLogCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, skipped := l.Replayed()
-	if replayed != 7 || skipped != 1 {
-		t.Fatalf("after torn tail: replayed=%d skipped=%d, want 7/1", replayed, skipped)
+	n, skipped := l.Replayed()
+	if n != 7 || skipped != 1 {
+		t.Fatalf("after torn tail: replayed=%d skipped=%d, want 7/1", n, skipped)
 	}
 	// The torn bytes must be gone and the log writable again.
 	if err := l.AppendExperience(core.Experience{Tree: logTree(99), Secs: 9.9}); err != nil {
@@ -92,17 +102,13 @@ func TestExperienceLogCrashRecovery(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := OpenExperienceLog(path, nil)
-	if err != nil {
-		t.Fatal(err)
+	l2, b := replayed(t, path)
+	n, skipped = l2.Replayed()
+	if n != 8 || skipped != 0 {
+		t.Fatalf("after recovery append: replayed=%d skipped=%d, want 8/0", n, skipped)
 	}
-	defer l2.Close()
-	replayed, skipped = l2.Replayed()
-	if replayed != 8 || skipped != 0 {
-		t.Fatalf("after recovery append: replayed=%d skipped=%d, want 8/0", replayed, skipped)
-	}
-	if last := l2.records[len(l2.records)-1].Exp; last.Secs != 9.9 {
-		t.Fatalf("post-recovery record lost: %+v", last)
+	if exps := b.Experiences(); len(exps) != 8 || exps[7].Secs != 9.9 {
+		t.Fatalf("post-recovery record lost: %+v", exps)
 	}
 }
 
@@ -149,15 +155,12 @@ func TestExperienceLogCriticalRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	l2, err := OpenExperienceLog(path, nil)
-	if err != nil {
-		t.Fatal(err)
+	_, b := replayed(t, path)
+	crit := b.CriticalSets()
+	if len(crit) != 1 || len(b.Experiences()) != 0 {
+		t.Fatalf("critical record mangled: %d critical sets, %d window experiences", len(crit), len(b.Experiences()))
 	}
-	defer l2.Close()
-	if len(l2.records) != 1 || l2.records[0].Kind != recCritical || l2.records[0].Key != "crit-q" {
-		t.Fatalf("critical record mangled: %+v", l2.records)
-	}
-	if got := l2.records[0].Exps; len(got) != 2 || got[1].Secs != 0.1 || !got[0].Critical {
+	if got := crit["crit-q"]; len(got) != 2 || got[1].Secs != 0.1 || !got[0].Critical {
 		t.Fatalf("critical experiences mangled: %+v", got)
 	}
 }

@@ -87,8 +87,8 @@ type Server struct {
 
 	selMu   sync.Mutex
 	pending map[uint64]*core.Selection // selections awaiting /v1/observe
-	order   []uint64                   // FIFO eviction order for pending
-	nextID  uint64
+	nextID  uint64                     // the newest parked ID
+	evicted uint64                     // every ID up to here has left pending
 
 	// retrainCh is never closed: an observation may still hold the retrain
 	// hook after Shutdown or Kill detached it, and its late signal is
@@ -489,31 +489,19 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 }
 
 // park stores a selection awaiting feedback, evicting the oldest when the
-// pending table is full. take leaves observed IDs in order; once they
-// make it twice the table's bound, order is compacted to the still-pending
-// IDs, so it stays bounded under select + observe traffic.
+// pending table is full. IDs ascend, so the oldest pending selection is
+// the lowest ID: the low-water mark advances past IDs already observed
+// and evicts until the table is back at its bound, passing each ID once.
 func (s *Server) park(sel *core.Selection) uint64 {
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
 	s.nextID++
-	id := s.nextID
-	s.pending[id] = sel
-	s.order = append(s.order, id)
-	for len(s.order) > 0 && len(s.pending) > pendingLimit {
-		oldest := s.order[0]
-		s.order = s.order[1:]
-		delete(s.pending, oldest)
+	s.pending[s.nextID] = sel
+	for len(s.pending) > pendingLimit {
+		s.evicted++
+		delete(s.pending, s.evicted)
 	}
-	if len(s.order) > 2*pendingLimit {
-		live := s.order[:0]
-		for _, p := range s.order {
-			if _, ok := s.pending[p]; ok {
-				live = append(live, p)
-			}
-		}
-		s.order = live
-	}
-	return id
+	return s.nextID
 }
 
 // take removes and returns a parked selection.
