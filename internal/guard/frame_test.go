@@ -77,3 +77,25 @@ func TestWriteFileAtomicDurableRename(t *testing.T) {
 		t.Fatalf("leftover files: %v", entries)
 	}
 }
+
+// FuzzDecodeFrame: DecodeFrame never panics on arbitrary bytes, and a
+// frame it accepts re-encodes to exactly the bytes it was given.
+func FuzzDecodeFrame(f *testing.F) {
+	frame := EncodeFrame(testMagic, 7, []byte("payload-bytes"))
+	f.Add(EncodeFrame(testMagic, 42, []byte(`{"hello":"world"}`)))
+	f.Add(frame)
+	f.Add(EncodeFrame(testMagic, 0, nil))
+	f.Add(append(append([]byte(nil), frame[:len(frame)-1]...), frame[len(frame)-1]^0xff))
+	f.Add(frame[:len(frame)-3])
+	f.Add(frame[:FrameHeaderLen-1])
+	f.Add(append([]byte("WRONGMG\n"), frame[8:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gen, payload, err := DecodeFrame(testMagic, data)
+		if err != nil {
+			return
+		}
+		if re := EncodeFrame(testMagic, gen, payload); !bytes.Equal(re, data) {
+			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", re, data)
+		}
+	})
+}

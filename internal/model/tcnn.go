@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"bao/internal/nn"
 )
@@ -111,13 +110,17 @@ func (m *TCNNModel) LastFit() nn.TrainResult { return m.lastFit }
 // costs more than the forward passes it would overlap.
 const parallelPredictMin = 8
 
-// Predict implements Model. Trees are fanned across weight-sharing
-// network replicas checked out of a pool (and returned afterwards); every
-// output index is computed by exactly one worker from read-only weights,
-// so the result is identical to the sequential loop at any worker count.
-// Because each call forwards only on checked-out replicas — never on the
-// master network directly — any number of Predict calls may run
-// concurrently against the same trained model.
+// Predict implements Model. Trees are split across weight-sharing
+// network replicas checked out of a pool (and returned afterwards):
+// replica k forwards trees k, k+w, k+2w, …, so every output index is
+// computed by exactly one worker from read-only weights and the result is
+// identical to the sequential loop at any worker count. The split is
+// fixed rather than claimed from a shared cursor so that each replica
+// sees the same trees on every call: its scratch, sized by the largest
+// tree it has forwarded, then stops growing once warm, whatever the
+// scheduler does. Because each call forwards only on checked-out replicas
+// — never on the master network directly — any number of Predict calls
+// may run concurrently against the same trained model.
 func (m *TCNNModel) Predict(trees []*nn.Tree) []float64 {
 	out := make([]float64, len(trees))
 	if !m.fit {
@@ -138,25 +141,20 @@ func (m *TCNNModel) Predict(trees []*nn.Tree) []float64 {
 		}
 		return out
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	run := func(net *nn.TCNN) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(trees) {
-				return
-			}
-			out[i] = m.postprocess(net.Forward(trees[i]))
+	run := func(k int) {
+		for i := k; i < len(trees); i += w {
+			out[i] = m.postprocess(nets[k].Forward(trees[i]))
 		}
 	}
-	for _, net := range nets[1:] {
+	var wg sync.WaitGroup
+	for k := 1; k < w; k++ {
 		wg.Add(1)
-		go func(net *nn.TCNN) {
+		go func() {
 			defer wg.Done()
-			run(net)
-		}(net)
+			run(k)
+		}()
 	}
-	run(nets[0])
+	run(0)
 	wg.Wait()
 	return out
 }

@@ -19,8 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"bao/internal/core"
@@ -61,8 +59,9 @@ const maxFrameLen = 64 << 20
 //	P.seg-<ordinal>   sealed segments, rotated out of the tail at the
 //	                  byte bound; zero-padded so lexical order is seal
 //	                  order
-//	P.snap-<seq>      snapshot frames (guard frame format), named by the
-//	                  highest record sequence they cover
+//	P.snap-<seq>      snapshot frames, named by the highest record
+//	                  sequence they cover; a guard.CheckpointStore
+//	                  (OpenFrameStore) owns them
 //
 // Recovery = newest valid snapshot + every frame with a higher sequence
 // (remaining segments plus the tail), so replay work is bounded by what
@@ -81,7 +80,8 @@ const (
 const DefaultSegmentBytes int64 = 4 << 20
 
 // snapshotKeep retains this many snapshot generations so recovery
-// can fall back past a corrupt newest snapshot.
+// can fall back past a corrupt newest snapshot (the store never prunes
+// the newest one that loads).
 const snapshotKeep = 2
 
 // defaultShadowWindow caps the log's shadow experience window when the
@@ -106,10 +106,6 @@ type LogOptions struct {
 	// configured window size or recovery would under-fill the window.
 	// Zero means defaultShadowWindow.
 	WindowCap int
-	// ModelGen, when set, is sampled at snapshot time and recorded in
-	// the snapshot frame so operators can correlate a recovered window
-	// with the checkpoint generation that was live when it was cut.
-	ModelGen func() uint64
 	// Fault is the deterministic disk-fault script (tests and chaos
 	// drills); nil injects nothing.
 	Fault *DiskFault
@@ -129,25 +125,24 @@ type segmentInfo struct {
 
 // snapshotPayload is the JSON body of a snapshot frame: everything
 // recovery needs to reconstruct the optimizer's durable learning state
-// as of the covered sequence.
+// as of the covered sequence. Snapshots written before the model
+// generation was dropped also carry "model_gen", which decoding ignores.
 type snapshotPayload struct {
 	Window   []core.Experience            `json:"window"`
 	Critical map[string][]core.Experience `json:"critical,omitempty"`
-	ModelGen uint64                       `json:"model_gen,omitempty"`
 }
 
 // LogStats is a point-in-time summary of the segmented log's durability
 // state, surfaced per-tenant via /v1/status.
 type LogStats struct {
-	SnapshotSeq      uint64 // newest durable snapshot's covered sequence (0 = none)
-	SnapshotModelGen uint64 // model generation recorded in the snapshot recovery used
-	TailFrames       uint64 // frames a crash right now would replay (appended since the newest snapshot)
-	Segments         int    // sealed segments on disk awaiting compaction
-	Snapshots        uint64 // snapshots written by this process
-	SnapshotErrors   uint64 // snapshot write/verify failures (covered segments kept)
-	Dropped          uint64 // records dropped while degraded
-	Degraded         bool   // read-only durability degradation active
-	ReopenProbes     uint64 // reopen attempts made while degraded
+	SnapshotSeq    uint64 // newest durable snapshot's covered sequence (0 = none)
+	TailFrames     uint64 // frames a crash right now would replay (appended since the newest snapshot)
+	Segments       int    // sealed segments on disk awaiting compaction
+	Snapshots      uint64 // snapshots written by this process
+	SnapshotErrors uint64 // snapshot write/verify failures (covered segments kept) plus snapshots recovery fell back past
+	Dropped        uint64 // records dropped while degraded
+	Degraded       bool   // read-only durability degradation active
+	ReopenProbes   uint64 // reopen attempts made while degraded
 }
 
 // ExperienceLog is Bao's durable memory: an append-only tail of
@@ -160,18 +155,18 @@ type LogStats struct {
 // counted and dropped, never blocking serving — with exponential-backoff
 // reopen probes clocked by append attempts, not wall time.
 type ExperienceLog struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	o    *obs.Observer
-	opt  LogOptions
+	mu        sync.Mutex
+	f         *os.File
+	path      string
+	o         *obs.Observer
+	opt       LogOptions
+	snapStore *guard.CheckpointStore // the snapshot generations beside the log
 
 	// Recovery output of open: replay/skip counters and the snapshot
 	// anchor.
 	replayed      int
 	skipped       int
 	snapSeq       uint64 // sequence covered by the snapshot recovery loaded (0 = none)
-	snapModelGen  uint64
 	snapFallbacks uint64 // corrupt snapshots skipped past at open
 
 	// Append state.
@@ -221,9 +216,11 @@ func OpenExperienceLog(path string, o *obs.Observer) (*ExperienceLog, error) {
 	return OpenLog(path, LogOptions{Observer: o})
 }
 
-// OpenLog opens (creating if absent) the segmented log at path: it loads
-// the newest valid snapshot (falling back past corrupt ones), replays
-// the sealed segments and tail for frames the snapshot does not cover,
+// OpenLog opens (creating if absent) the segmented log at path: its
+// snapshot store sweeps the temp files of interrupted snapshot writes
+// and restores the newest snapshot that loads (falling back past the
+// rest, one explog-snapshot-error event each); the log then replays the
+// sealed segments and tail for frames the snapshot does not cover,
 // truncates any torn tail back to a frame boundary, deletes segments
 // wholly covered by the snapshot, and starts the background compactor.
 func OpenLog(path string, opt LogOptions) (*ExperienceLog, error) {
@@ -253,87 +250,42 @@ func OpenLog(path string, opt LogOptions) (*ExperienceLog, error) {
 }
 
 func segName(path string, ord uint64) string {
-	return fmt.Sprintf("%s%s%016d", path, segInfix, ord)
+	return guard.GenName(path+segInfix, ord, "")
 }
 
-func snapName(path string, seq uint64) string {
-	return fmt.Sprintf("%s%s%016d", path, snapInfix, seq)
-}
-
-// listLogFiles scans the log's directory for its sealed segments and
-// snapshots, sorted ascending by ordinal/sequence.
-func listLogFiles(path string) (segs, snaps []segmentInfo, err error) {
+// listSegments scans the log's directory for its sealed segments,
+// sorted ascending by ordinal.
+func listSegments(path string) ([]segmentInfo, error) {
 	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
-		return nil, nil, fmt.Errorf("baoserver: list experience log dir: %w", err)
+		return nil, fmt.Errorf("baoserver: list experience log dir: %w", err)
 	}
-	base := filepath.Base(path)
+	var segs []segmentInfo
 	for _, e := range entries {
-		name := e.Name()
-		full := filepath.Join(filepath.Dir(path), name)
-		if n, ok := parseOrdinal(name, base+segInfix); ok {
-			segs = append(segs, segmentInfo{name: full, ord: n})
-		} else if n, ok := parseOrdinal(name, base+snapInfix); ok {
-			snaps = append(snaps, segmentInfo{name: full, ord: n})
+		if n, ok := guard.ParseGenName(e.Name(), filepath.Base(path)+segInfix, ""); ok {
+			segs = append(segs, segmentInfo{name: filepath.Join(filepath.Dir(path), e.Name()), ord: n})
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].ord < segs[j].ord })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].ord < snaps[j].ord })
-	return segs, snaps, nil
-}
-
-func parseOrdinal(name, prefix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimPrefix(name, prefix), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// readSnapshot loads and integrity-checks one snapshot file.
-func readSnapshot(name string) (snapshotPayload, uint64, error) {
-	var p snapshotPayload
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return p, 0, err
-	}
-	seq, payload, err := guard.DecodeFrame(snapMagic, data)
-	if err != nil {
-		return p, 0, err
-	}
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return p, 0, err
-	}
-	return p, seq, nil
+	return segs, nil
 }
 
 // open performs the recovery scan described on OpenLog.
 func (l *ExperienceLog) open() error {
-	segs, snaps, err := listLogFiles(l.path)
+	var err error
+	l.snapStore, err = guard.OpenFrameStore(filepath.Dir(l.path), filepath.Base(l.path)+snapInfix, snapMagic, snapshotKeep)
 	if err != nil {
-		return err
+		return fmt.Errorf("baoserver: experience log snapshots: %w", err)
 	}
-	// Anchor on the newest snapshot that passes its checksum, falling
-	// back past corrupt ones (each fallback lengthens the replayed tail
-	// but never loses state: compaction deletes a segment only after its
-	// covering snapshot verified, so frames a bad snapshot covered are
-	// still on disk).
-	for i := len(snaps) - 1; i >= 0; i-- {
-		p, seq, serr := readSnapshot(snaps[i].name)
-		if serr != nil {
-			l.snapFallbacks++
-			if l.o != nil {
-				l.o.LogSnapshotErrs.Inc()
-				l.o.Emit(obs.Event{Kind: obs.EventExplogSnapshotError,
-					Detail: fmt.Sprintf("recovery fell back past %s: %v", filepath.Base(snaps[i].name), serr)})
-			}
-			continue
+	// Anchor on the newest snapshot that loads. Each fallback lengthens
+	// the replayed tail but never loses state: compaction deletes a
+	// segment only after its covering snapshot verified, so frames a bad
+	// snapshot covered are still on disk.
+	seq, skipped, err := l.snapStore.Recover(func(payload []byte) error {
+		var p snapshotPayload
+		if err := json.Unmarshal(payload, &p); err != nil {
+			return err
 		}
-		l.snapSeq = seq
-		l.snapModelGen = p.ModelGen
 		l.shadow = p.Window
 		if over := len(l.shadow) - l.opt.WindowCap; over > 0 {
 			l.shadow = l.shadow[over:]
@@ -341,9 +293,24 @@ func (l *ExperienceLog) open() error {
 		if p.Critical != nil {
 			l.shadowCrit = p.Critical
 		}
-		break
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("baoserver: experience log snapshots: %w", err)
 	}
-	l.lastSnapSeq = l.snapSeq
+	for _, sk := range skipped {
+		l.snapFallbacks++
+		if l.o != nil {
+			l.o.LogSnapshotErrs.Inc()
+			l.o.Emit(obs.Event{Kind: obs.EventExplogSnapshotError, Detail: "recovery fell back past " + sk.Error()})
+		}
+	}
+	l.snapSeq = seq
+	l.lastSnapSeq = seq
+	segs, err := listSegments(l.path)
+	if err != nil {
+		return err
+	}
 	maxSeq := l.snapSeq
 
 	admit := func(rec logRecord, tail bool) {
@@ -404,8 +371,7 @@ func (l *ExperienceLog) open() error {
 
 	// Housekeeping: segments wholly covered by the anchor snapshot are
 	// redundant (a crashed compactor may have written the snapshot but
-	// died before deleting), and snapshots older than the keep bound are
-	// pruned — but never the anchor itself.
+	// died before deleting). The store already pruned the snapshots.
 	var keep []segmentInfo
 	for _, sg := range l.sealed {
 		if sg.maxSeq > 0 && sg.maxSeq <= l.snapSeq {
@@ -415,7 +381,6 @@ func (l *ExperienceLog) open() error {
 		keep = append(keep, sg)
 	}
 	l.sealed = keep
-	l.pruneSnapshots()
 
 	if l.o != nil {
 		l.o.LogReplayed.Add(float64(l.replayed))
@@ -542,15 +507,14 @@ func (l *ExperienceLog) Stats() LogStats {
 		tail = l.nextSeq - 1 - l.lastSnapSeq
 	}
 	return LogStats{
-		SnapshotSeq:      l.lastSnapSeq,
-		SnapshotModelGen: l.snapModelGen,
-		TailFrames:       tail,
-		Segments:         len(l.sealed),
-		Snapshots:        l.snaps,
-		SnapshotErrors:   l.snapErrs + l.snapFallbacks,
-		Dropped:          l.dropped,
-		Degraded:         l.degraded,
-		ReopenProbes:     l.probes,
+		SnapshotSeq:    l.lastSnapSeq,
+		TailFrames:     tail,
+		Segments:       len(l.sealed),
+		Snapshots:      l.snaps,
+		SnapshotErrors: l.snapErrs + l.snapFallbacks,
+		Dropped:        l.dropped,
+		Degraded:       l.degraded,
+		ReopenProbes:   l.probes,
 	}
 }
 
@@ -788,14 +752,13 @@ func (l *ExperienceLog) compactor() {
 }
 
 // Compact writes a snapshot frame covering everything appended so far
-// and deletes the sealed segments it covers. The snapshot is written
-// atomically (guard.WriteFileAtomic: temp + fsync + rename + directory
-// fsync) and then read back and verified; segments are deleted only
-// after the snapshot is durable AND valid, so a crash — or a corrupt
-// snapshot landing on disk — at any point costs nothing: recovery falls
-// back to the previous snapshot and replays the longer tail. Safe to
-// call concurrently with appends; also invoked synchronously by tests
-// for deterministic compaction points.
+// and deletes the sealed segments it covers. The snapshot store writes
+// the frame atomically, reads it back and verifies it, and prunes old
+// snapshots; segments are deleted only after the snapshot is durable AND
+// valid, so a crash — or a corrupt snapshot landing on disk — at any
+// point costs nothing: recovery falls back to the previous snapshot and
+// replays the longer tail. Safe to call concurrently with appends; also
+// invoked synchronously by tests for deterministic compaction points.
 func (l *ExperienceLog) Compact() error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
@@ -816,16 +779,11 @@ func (l *ExperienceLog) Compact() error {
 	snapOrd := l.snapN
 	l.mu.Unlock()
 
-	var gen uint64
-	if l.opt.ModelGen != nil {
-		gen = l.opt.ModelGen()
-	}
-	payload, err := json.Marshal(snapshotPayload{Window: window, Critical: crit, ModelGen: gen})
+	payload, err := json.Marshal(snapshotPayload{Window: window, Critical: crit})
 	if err != nil {
 		return l.snapshotFailed(fmt.Errorf("baoserver: encode snapshot: %w", err))
 	}
 	frame := guard.EncodeFrame(snapMagic, lastSeq, payload)
-	name := snapName(l.path, lastSeq)
 	ft := l.opt.Fault
 	if ft != nil && ft.FailSnapshotWrite > 0 && snapOrd == ft.FailSnapshotWrite {
 		return l.snapshotFailed(errors.New("baoserver: injected snapshot write failure"))
@@ -834,16 +792,10 @@ func (l *ExperienceLog) Compact() error {
 		frame = append([]byte(nil), frame...)
 		frame[len(frame)-1] ^= 0xff
 	}
-	if err := guard.WriteFileAtomic(filepath.Dir(name), filepath.Base(name), frame); err != nil {
+	// A snapshot that cannot be read back must never orphan the
+	// segments that still hold its content.
+	if err := l.snapStore.WriteFrame(lastSeq, frame); err != nil {
 		return l.snapshotFailed(fmt.Errorf("baoserver: write snapshot: %w", err))
-	}
-	// Verify before deleting anything the snapshot covers: a snapshot
-	// that cannot be read back must never orphan the segments that still
-	// hold its content.
-	if data, rerr := os.ReadFile(name); rerr != nil {
-		return l.snapshotFailed(fmt.Errorf("baoserver: verify snapshot: %w", rerr))
-	} else if _, _, derr := guard.DecodeFrame(snapMagic, data); derr != nil {
-		return l.snapshotFailed(fmt.Errorf("baoserver: verify snapshot: %w", derr))
 	}
 
 	l.mu.Lock()
@@ -868,7 +820,6 @@ func (l *ExperienceLog) Compact() error {
 	for _, sg := range covered {
 		os.Remove(sg.name) //nolint:errcheck // best effort; re-candidates next open
 	}
-	l.pruneSnapshots()
 	if l.o != nil {
 		l.o.LogSnapshots.Inc()
 		l.o.LogSnapshotSeq.Set(float64(lastSeq))
@@ -889,24 +840,6 @@ func (l *ExperienceLog) snapshotFailed(err error) error {
 		l.o.Emit(obs.Event{Kind: obs.EventExplogSnapshotError, Detail: err.Error()})
 	}
 	return err
-}
-
-// pruneSnapshots removes snapshot files beyond the keep bound, oldest
-// first, never removing the current anchor. Best effort.
-func (l *ExperienceLog) pruneSnapshots() {
-	_, snaps, err := listLogFiles(l.path)
-	if err != nil || len(snaps) <= snapshotKeep {
-		return
-	}
-	l.mu.Lock()
-	anchor := l.lastSnapSeq
-	l.mu.Unlock()
-	for _, sn := range snaps[:len(snaps)-snapshotKeep] {
-		if sn.ord == anchor {
-			continue
-		}
-		os.Remove(sn.name) //nolint:errcheck // best effort
-	}
 }
 
 // Sync flushes appended records to stable storage. While degraded it

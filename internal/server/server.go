@@ -1,6 +1,7 @@
 package baoserver
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -150,7 +151,6 @@ func New(b *core.Bao, cfg Config) (*Server, error) {
 			Observer:     s.o,
 			SegmentBytes: cfg.SegmentBytes,
 			WindowCap:    b.WindowCap(),
-			ModelGen:     s.gen.Load,
 			Fault:        cfg.ExplogFault,
 		})
 		if err != nil {
@@ -314,20 +314,23 @@ func (s *Server) Addr() string {
 // inline (library) retraining semantics. Idempotent; only the first call
 // does the work.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var firstErr error
-	s.shutOnce.Do(func() { firstErr = s.shutdown(ctx) })
-	return firstErr
+	var err error
+	s.shutOnce.Do(func() {
+		err = s.teardown(ctx, func(h *http.Server) error { return h.Shutdown(ctx) })
+	})
+	return err
 }
 
-func (s *Server) shutdown(ctx context.Context) error {
-	var firstErr error
+// teardown is the one stop sequence behind Shutdown and Kill, which
+// differ only in how the listener closes and whether ctx bounds the wait
+// for the trainer: close the listener, detach the hooks, let the trainer
+// run its pending signal and exit, then close the log and the journal.
+// Returns the first error.
+func (s *Server) teardown(ctx context.Context, closeHTTP func(*http.Server) error) error {
+	var errs []error
 	if s.httpSrv != nil {
-		if err := s.httpSrv.Shutdown(ctx); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		errs = append(errs, closeHTTP(s.httpSrv))
 	}
-	// Detach the hooks, then let the trainer run its pending signal and
-	// exit.
 	s.bao.SetRetrainHook(nil)
 	s.bao.SetExperienceHook(nil)
 	s.bao.SetCriticalHook(nil)
@@ -335,19 +338,13 @@ func (s *Server) shutdown(ctx context.Context) error {
 	select {
 	case <-s.trainerDone:
 	case <-ctx.Done():
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
+		errs = append(errs, ctx.Err())
 	}
-	if err := s.closeLog(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	errs = append(errs, s.closeLog())
 	if s.eventSink {
-		if err := s.o.Journal().Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		errs = append(errs, s.o.Journal().Close())
 	}
-	return firstErr
+	return cmp.Or(errs...)
 }
 
 // probe builds the /v1/health body: readiness (startup durability work —
@@ -390,18 +387,10 @@ func (s *Server) Generation() uint64 { return s.gen.Load() }
 // may open it.
 func (s *Server) Kill() {
 	s.shutOnce.Do(func() {
-		if s.httpSrv != nil {
-			s.httpSrv.Close() //nolint:errcheck // abrupt by design
-		}
-		s.bao.SetRetrainHook(nil)
-		s.bao.SetExperienceHook(nil)
-		s.bao.SetCriticalHook(nil)
-		close(s.stop)
-		<-s.trainerDone
-		s.closeLog() //nolint:errcheck // crash path; the scan tolerates a torn tail
-		if s.eventSink {
-			s.o.Journal().Close() //nolint:errcheck // crash path
-		}
+		// Errors are dropped: this is the crash path, and the log's scan
+		// tolerates a torn tail. The background context never ends, so the
+		// trainer wait is unbounded.
+		s.teardown(context.Background(), (*http.Server).Close) //nolint:errcheck // abrupt by design
 	})
 }
 
@@ -694,12 +683,11 @@ type statusResponse struct {
 	LogSkipped  int      `json:"log_skipped,omitempty"`
 	// Segmented-log durability state (present when an experience log is
 	// configured): write-path health, the newest durable snapshot's
-	// covered sequence and the model generation it recorded, the frames
-	// a crash right now would replay (the recovery bound), sealed
-	// segments awaiting compaction, and records dropped while degraded.
+	// covered sequence, the frames a crash right now would replay (the
+	// recovery bound), sealed segments awaiting compaction, and records
+	// dropped while degraded.
 	Durability         string `json:"durability,omitempty"`
 	ExplogSnapshotSeq  uint64 `json:"explog_snapshot_seq,omitempty"`
-	ExplogSnapshotGen  uint64 `json:"explog_snapshot_model_gen,omitempty"`
 	ExplogTailFrames   uint64 `json:"explog_tail_frames,omitempty"`
 	ExplogSegments     int    `json:"explog_segments,omitempty"`
 	ExplogDropped      uint64 `json:"explog_dropped,omitempty"`
@@ -748,7 +736,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			resp.Durability = "degraded"
 		}
 		resp.ExplogSnapshotSeq = ls.SnapshotSeq
-		resp.ExplogSnapshotGen = ls.SnapshotModelGen
 		resp.ExplogTailFrames = ls.TailFrames
 		resp.ExplogSegments = ls.Segments
 		resp.ExplogDropped = ls.Dropped

@@ -3,7 +3,6 @@ package baoserver
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -501,6 +500,3 @@ func (r *TenantRegistry) Kill() {
 		e.markGone()
 	}
 }
-
-// ensure io is referenced even if modelBytes changes shape later.
-var _ io.Writer = (*countWriter)(nil)
