@@ -34,7 +34,7 @@ func main() {
 		}
 	}
 	fmt.Printf("observed %d executions, %d model retrains\n\n",
-		len(inst.Queries), len(opt.TrainEvents))
+		len(inst.Queries), opt.TrainCount())
 
 	// Ask for advice on a problematic query: the 16b-style trap.
 	trap := workload.IMDbJOB(workload.Config{Scale: 0.15, Queries: 1, Seed: 42})[0]

@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("after  normalization: %.2fs simulated over %d queries\n",
 		post, len(inst.Queries)-half)
 	fmt.Printf("model retrains: %d; experience window survived the schema change\n",
-		len(opt.TrainEvents))
+		opt.TrainCount())
 
 	// Show that post-change queries really use the new schema.
 	sql := "SELECT SUM(f.amount) FROM fact f, account a WHERE f.account_id = a.id AND a.dept_id = 3 AND a.region_id = 9"

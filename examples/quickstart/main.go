@@ -98,7 +98,7 @@ func main() {
 
 	fmt.Printf("native optimizer: %6.2fs simulated execution\n", native)
 	fmt.Printf("Bao:              %6.2fs simulated execution (%d retrains)\n",
-		learned, len(opt.TrainEvents))
+		learned, opt.TrainCount())
 	if learned < native {
 		fmt.Printf("Bao saved %.0f%% — mostly on the skewed-join tail queries.\n",
 			(1-learned/native)*100)

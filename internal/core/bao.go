@@ -215,11 +215,6 @@ type Selection struct {
 	// the observer has tracing enabled. Observe/ObserveValue finish and
 	// publish it.
 	Trace *obs.Trace
-	// trueArmSecs, when set via ObserveValueWithArms, holds the measured
-	// metric value of every arm for this query — the harness's simulated
-	// clock knows them all — so the regret ledger books true baselines
-	// instead of the model's counterfactual predictions.
-	trueArmSecs []float64
 }
 
 // recentKeep is how many of the newest experiences are always included in
@@ -247,16 +242,17 @@ const minRetrainWindow = 16
 // reads about the learned side — model, version, warm-up arm family — is
 // one immutable banditState behind an atomic pointer, so Select, Advise
 // and the accessors take no lock and never wait on training or on an
-// observation. A retrain (Retrain inline, RetrainAsync from the serving
+// observation. A retrain (Retrain inline, RetrainAsyncFor from the serving
 // layer's trainer) draws its sample under b.mu, fits a fresh model with no
 // lock held, and publishes it; a published model is never written again.
 // b.mu guards only the experience window, the critical-query registry,
-// the retrain schedule and the hooks. Engine execution runs on one
-// execution lane (lane): the engine bills each query the delta of shared
-// cumulative counters and the buffer pool mutates per execution, so
-// RunCtx and ExploreCriticalCtx serialize their executions on it while
-// selections stay concurrent. A caller that executes on Eng itself
-// (Select, Eng.Execute, Observe) must not do so beside them.
+// the retrain schedule, the hooks and the last train event. Engine
+// execution runs on one execution lane (lane): the engine bills each
+// query the delta of shared cumulative counters and the buffer pool
+// mutates per execution, so RunCtx and ExploreCriticalCtx serialize their
+// executions on it while selections stay concurrent. A caller that
+// executes on Eng itself (Select, Eng.Execute, Observe) must not do so
+// beside them.
 type Bao struct {
 	Cfg Config
 	Eng *engine.Engine
@@ -318,8 +314,8 @@ type Bao struct {
 	expHook func(Experience)
 	// critHook observes every stored critical-query exploration set.
 	critHook func(key string, exps []Experience)
-
-	TrainEvents []TrainEvent
+	// lastTrain is the newest accepted retrain's cost record.
+	lastTrain TrainEvent
 }
 
 // banditState is everything a selection reads about the learned side of
@@ -461,6 +457,14 @@ func (b *Bao) ExperienceSize() int { return int(b.windowLen.Load()) }
 
 // TrainCount returns the number of completed retrains.
 func (b *Bao) TrainCount() int { return b.state.Load().trainCount }
+
+// LastTrain returns the newest accepted retrain's cost record (zero before
+// the first).
+func (b *Bao) LastTrain() TrainEvent {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.lastTrain
+}
 
 // ModelVersion returns the count of model publications so far (0 before
 // the first retrain or restore). Cached predictions are keyed on it; the

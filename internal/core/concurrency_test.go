@@ -231,7 +231,7 @@ func TestConcurrentBanditStateAddsUp(t *testing.T) {
 	})
 	spawn(1, func(int) {
 		for i := 0; i < retrains; i++ {
-			if b.RetrainAsync() {
+			if b.RetrainAsyncFor(obs.Cause{}) {
 				asyncAccepted.Add(1)
 			}
 		}
@@ -247,6 +247,9 @@ func TestConcurrentBanditStateAddsUp(t *testing.T) {
 		for i := 0; i < selects; i++ {
 			if _, _, err := b.Advise(sqls[i%len(sqls)]); err != nil {
 				t.Error(err)
+			}
+			if ev := b.LastTrain(); ev.Samples == 0 {
+				t.Errorf("last train event %+v read during retrains records no samples", ev)
 			}
 		}
 	})
@@ -266,11 +269,14 @@ func TestConcurrentBanditStateAddsUp(t *testing.T) {
 	// The gate is off and the window never empties, so every retrain call
 	// is accepted.
 	if got := int(asyncAccepted.Load()); got != retrains {
-		t.Errorf("RetrainAsync accepted %d of %d", got, retrains)
+		t.Errorf("RetrainAsyncFor accepted %d of %d", got, retrains)
 	}
 	wantTrained := 1 + 2*retrains
-	if got := b.TrainCount(); got != wantTrained || len(b.TrainEvents) != wantTrained || b.fits != wantTrained {
-		t.Errorf("TrainCount = %d, %d train events, %d Fit calls; want %d each", got, len(b.TrainEvents), b.fits, wantTrained)
+	if got := b.TrainCount(); got != wantTrained || b.fits != wantTrained {
+		t.Errorf("TrainCount = %d, %d Fit calls; want %d each", got, b.fits, wantTrained)
+	}
+	if ev := b.LastTrain(); ev.Samples == 0 {
+		t.Errorf("last train event %+v records no samples", ev)
 	}
 	if got, want := b.ModelVersion(), uint64(wantTrained+restores); got != want {
 		t.Errorf("ModelVersion = %d, want %d (retrains + restores)", got, want)

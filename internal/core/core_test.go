@@ -375,18 +375,21 @@ func TestTrainEventsRecorded(t *testing.T) {
 	cfg.Arms = TopArms(2)
 	cfg.RetrainEvery = 20
 	b := New(e, cfg)
+	seen := 0
 	for i := 0; i < 45; i++ {
 		if _, _, err := b.Run("SELECT COUNT(*) FROM title t WHERE t.kind_id = 3"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(b.TrainEvents) < 2 {
-		t.Fatalf("expected ≥2 train events, got %d", len(b.TrainEvents))
-	}
-	for _, ev := range b.TrainEvents {
-		if ev.Samples == 0 || ev.SimGPUSeconds <= 0 {
-			t.Fatalf("bad train event %+v", ev)
+		if b.TrainCount() == seen {
+			continue
 		}
+		seen = b.TrainCount()
+		if ev := b.LastTrain(); ev.Samples == 0 || ev.SimGPUSeconds <= 0 || ev.AtQuery != i+1 {
+			t.Fatalf("bad train event %+v after query %d", ev, i+1)
+		}
+	}
+	if seen < 2 {
+		t.Fatalf("expected ≥2 train events, got %d", seen)
 	}
 }
 

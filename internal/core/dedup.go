@@ -62,14 +62,16 @@ func (h *fnv64) plan(n *planner.Node) {
 	h.plan(n.Right)
 }
 
-// dedupPlans groups the per-arm plans by fingerprint. It returns, for each
-// arm, the index of its group's representative plan in order of first
-// appearance, and the group count. Arm i's plan is a duplicate iff
-// armGroup[i] != position of a first appearance; arm 0's plan is always
-// group 0. planner.PlanArms returns arms with the same plan sharing one
-// root, so each distinct root is hashed once and the rest are matched by
-// pointer.
-func dedupPlans(plans []*planner.Node) (armGroup []int, groups int) {
+// DedupPlans is the one plan-identity rule: it groups the per-arm plans by
+// fingerprint. Select featurizes and predicts one plan per group, and the
+// experiment harness executes one per group. It returns, for each arm, the
+// index of its group's representative plan in order of first appearance,
+// and the group count. Arm i's plan is a duplicate iff armGroup[i] !=
+// position of a first appearance; arm 0's plan is always group 0.
+// planner.PlanArms often returns arms with the same plan sharing one root,
+// so each distinct root is hashed once and the rest are matched by
+// pointer; equal plans under distinct roots meet by fingerprint.
+func DedupPlans(plans []*planner.Node) (armGroup []int, groups int) {
 	armGroup = make([]int, len(plans))
 	byRoot := make(map[*planner.Node]int)
 	byFP := make(map[uint64]int)

@@ -66,7 +66,7 @@ func TestDedupPlansGroups(t *testing.T) {
 	s1 := &planner.Node{Op: planner.OpSeqScan, Table: "title", EstRows: 5, EstCost: 5}
 	s2 := &planner.Node{Op: planner.OpSeqScan, Table: "title", EstRows: 5, EstCost: 5}
 	s3 := &planner.Node{Op: planner.OpIndexScan, Table: "title", EstRows: 5, EstCost: 2}
-	groupOf, groups := dedupPlans([]*planner.Node{s1, s2, s3, s1})
+	groupOf, groups := DedupPlans([]*planner.Node{s1, s2, s3, s1})
 	if groups != 2 {
 		t.Fatalf("groups = %d, want 2", groups)
 	}
@@ -173,7 +173,7 @@ func TestTieBreakStable(t *testing.T) {
 }
 
 // TestDedupSharedRoots: planner.PlanArms hands arms with the same plan one
-// shared root. dedupPlans must give pointer-equal roots the same group and
+// shared root. DedupPlans must give pointer-equal roots the same group and
 // fingerprint, number groups in order of first appearance, and agree with
 // hashing every arm's plan on its own.
 func TestDedupSharedRoots(t *testing.T) {
@@ -191,7 +191,7 @@ func TestDedupSharedRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	armGroup, groups := dedupPlans(plans)
+	armGroup, groups := DedupPlans(plans)
 	roots := map[*planner.Node]int{}
 	groupFP := make([]uint64, groups) // of each group's first arm
 	next := 0

@@ -318,7 +318,7 @@ func TestNonFiniteTargetsSkipped(t *testing.T) {
 	if !b.Trained() {
 		t.Fatal("retrain with finite majority did not train")
 	}
-	if ev := b.TrainEvents[0]; ev.Samples != 20 {
+	if ev := b.LastTrain(); ev.Samples != 20 {
 		t.Fatalf("trained on %d samples, want 20 (non-finite targets excluded)", ev.Samples)
 	}
 
@@ -354,7 +354,7 @@ func TestDegeneratePredictionsTripBreaker(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b.ObserveValue(sel, 0.01)
 	}
-	if !b.RetrainAsync() {
+	if !b.RetrainAsyncFor(obs.Cause{}) {
 		t.Fatal("unvalidated NaN candidate should have swapped in")
 	}
 	if !b.Trained() {
@@ -446,7 +446,7 @@ func TestAdviseWhileBreakerOpen(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b.RetrainAsync()
+		b.RetrainAsyncFor(obs.Cause{})
 	}()
 	for i := 0; i < 5; i++ {
 		if _, _, err := b.Advise(obsTestSQL); err == nil && b.Breaker().State() == guard.Open {
@@ -472,7 +472,7 @@ func TestAdviseOnDegeneratePredictions(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b.ObserveValue(sel, 0.01)
 	}
-	if !b.RetrainAsync() || !b.Trained() {
+	if !b.RetrainAsyncFor(obs.Cause{}) || !b.Trained() {
 		t.Fatal("unvalidated NaN candidate should have swapped in")
 	}
 	adviseMustDecline(t, b, "degenerate-predictions")
@@ -528,7 +528,7 @@ func TestSingleNaNPredictionClamped(t *testing.T) {
 	if !sel2.UsedModel {
 		t.Fatal("model not used")
 	}
-	armGroup, groups := dedupPlans(sel2.Plans)
+	armGroup, groups := DedupPlans(sel2.Plans)
 	if groups <= nanGroup {
 		t.Fatalf("%d distinct plans: no group %d for the model to poison", groups, nanGroup)
 	}
@@ -594,7 +594,7 @@ func TestValidationRejectsNaNCandidateKeepsIncumbent(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b.ObserveValue(sel, 0.01)
 	}
-	if b.RetrainAsync() {
+	if b.RetrainAsyncFor(obs.Cause{}) {
 		t.Fatal("NaN candidate passed the validation gate")
 	}
 	if b.Trained() || b.TrainCount() != 0 {
@@ -604,7 +604,7 @@ func TestValidationRejectsNaNCandidateKeepsIncumbent(t *testing.T) {
 		t.Fatalf("bao_retrain_rejected_total = %v, want 1", got)
 	}
 	// The next (unfaulted) attempt trains normally.
-	if !b.RetrainAsync() {
+	if !b.RetrainAsyncFor(obs.Cause{}) {
 		t.Fatal("healthy candidate rejected")
 	}
 	if !b.Trained() || b.TrainCount() != 1 {
@@ -648,11 +648,11 @@ func TestValidationRejectsNonFiniteWeightsKeepsIncumbent(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b.ObserveValue(sel, 0.01)
 	}
-	if !b.RetrainAsync() {
+	if !b.RetrainAsyncFor(obs.Cause{}) {
 		t.Fatal("healthy candidate rejected")
 	}
 	incumbent := b.Model
-	if b.RetrainAsync() {
+	if b.RetrainAsyncFor(obs.Cause{}) {
 		t.Fatal("candidate with non-finite weights passed the validation gate")
 	}
 	if b.Model != incumbent || b.TrainCount() != 1 {

@@ -30,42 +30,6 @@ func loopObsBao(t *testing.T, pred float64) (*Bao, *obs.Observer) {
 	return New(e, cfg), o
 }
 
-func TestRegretLedgerFedWithTrueBaselines(t *testing.T) {
-	b, o := loopObsBao(t, 0.001)
-	sel, err := b.Select(obsTestSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The harness path: every arm's metric value was measured, so the
-	// ledger must book measured baselines, not predictions.
-	armSecs := make([]float64, len(b.Cfg.Arms))
-	for i := range armSecs {
-		armSecs[i] = 0.4
-	}
-	armSecs[0] = 0.5         // default arm
-	armSecs[sel.ArmID] = 0.3 // chosen arm's observation
-	best := 0.3              // chosen arm happens to be best...
-	if sel.ArmID == 0 {
-		armSecs[1], best = 0.2, 0.2 // ...unless it's the default; then arm 1 is
-	}
-	b.ObserveValueWithArms(sel, armSecs)
-
-	s := o.RegretSnapshot()
-	if s.Decisions != 1 || s.TrueBaselineDecisions != 1 {
-		t.Fatalf("decisions = %d/%d, want 1/1", s.Decisions, s.TrueBaselineDecisions)
-	}
-	e := s.Window[0]
-	if !e.TrueBaseline || e.ObservedSecs != 0.3 || e.DefaultSecs != armSecs[0] || e.BestSecs != best {
-		t.Fatalf("entry = %+v", e)
-	}
-	if got := s.CumVsDefaultSecs; got != 0.3-armSecs[0] {
-		t.Fatalf("vs default = %v, want %v", got, 0.3-armSecs[0])
-	}
-	if got := o.RegretVsDefault.Value(); got != s.CumVsDefaultSecs {
-		t.Fatalf("gauge %v != ledger %v", got, s.CumVsDefaultSecs)
-	}
-}
-
 func TestRegretWithoutBaselinesIsZero(t *testing.T) {
 	// Untrained, warm-up off: the default arm serves with no predictions
 	// and no measurements of the others — the decision counts, the regret

@@ -35,19 +35,6 @@ func (b *Bao) ObserveValue(sel *Selection, secs float64) {
 	b.observe(sel, secs, false, false)
 }
 
-// ObserveValueWithArms is ObserveValue for harnesses that measured EVERY
-// arm for this query (regret experiments on the simulated clock):
-// armSecs[i] is arm i's metric value, and armSecs[sel.ArmID] is recorded
-// as the observation. The extra information flows into the regret
-// ledger, which books the default arm's and the best arm's measured cost
-// as true baselines instead of the model's counterfactual predictions.
-func (b *Bao) ObserveValueWithArms(sel *Selection, armSecs []float64) {
-	if len(armSecs) == len(b.Cfg.Arms) {
-		sel.trueArmSecs = armSecs
-	}
-	b.observe(sel, armSecs[sel.ArmID], false, false)
-}
-
 // ObserveLatency records an externally measured metric value with the full
 // on-policy semantics of Observe, including the gross-misprediction early
 // retrain. The serving layer's /v1/observe endpoint uses it: the client
@@ -73,10 +60,10 @@ func (b *Bao) ObserveTimeout(sel *Selection, budgetSecs float64) {
 
 // regretEntry books one decision's regret accounting: observed cost of
 // the chosen arm against the default arm and the best arm. Baselines are
-// measured values when the caller evaluated every arm (trueArmSecs),
-// otherwise the model's own predictions; with neither, both baselines
-// equal the observation and the entry contributes zero regret (it still
-// counts the decision).
+// the model's own predictions; without them, both baselines equal the
+// observation and the entry contributes zero regret (it still counts the
+// decision). Measured per-arm regret is the experiment harness's job
+// (Figure 16), not the ledger's.
 func (b *Bao) regretEntry(sel *Selection, secs float64, censored bool) obs.RegretEntry {
 	cause := sel.Trace.Cause()
 	e := obs.RegretEntry{
@@ -90,25 +77,19 @@ func (b *Bao) regretEntry(sel *Selection, secs float64, censored bool) obs.Regre
 		Censored:     censored,
 		WarmUp:       sel.WarmUp,
 	}
-	baselines := sel.trueArmSecs
-	if baselines != nil {
-		e.TrueBaseline = true
-	} else if sel.UsedModel {
-		baselines = sel.Preds
-	}
-	if len(baselines) == 0 {
+	if !sel.UsedModel || len(sel.Preds) == 0 {
 		return e
 	}
-	if e.TrueBaseline || sel.ArmID != 0 {
+	if sel.ArmID != 0 {
 		// Serving the default arm has zero regret vs default by
-		// definition; only a measured baseline can say otherwise.
-		// MaxFloat64 is the clamp for degenerate predictions, not a price.
-		if d := baselines[0]; isFinite(d) && d < math.MaxFloat64 {
+		// definition. MaxFloat64 is the clamp for degenerate
+		// predictions, not a price.
+		if d := sel.Preds[0]; isFinite(d) && d < math.MaxFloat64 {
 			e.DefaultSecs = d
 		}
 	}
 	best := math.Inf(1)
-	for _, v := range baselines {
+	for _, v := range sel.Preds {
 		if isFinite(v) && v < best {
 			best = v
 		}

@@ -112,19 +112,15 @@ func (b *Bao) trainingSampleLocked() (s trainingSample) {
 // meanwhile keep predicting with the previous model.
 func (b *Bao) Retrain() { b.retrain(obs.Cause{}, true) }
 
-// RetrainAsync is the training process's entry point (the serving layer's
-// trainer goroutine calls it beside the query path): the paper's
+// RetrainAsyncFor is the training process's entry point (the serving
+// layer's trainer goroutine calls it beside the query path): the paper's
 // Bao-server loop, where steering stays on the hot path while learning
 // stays off it. Returns false when nothing was trained or the candidate
-// was rejected.
-func (b *Bao) RetrainAsync() bool { return b.RetrainAsyncFor(obs.Cause{}) }
-
-// RetrainAsyncFor is RetrainAsync carrying the identity of the decision
-// that triggered it: the published "retrain" trace (sample → fit →
-// validate → swap spans) and the swap-accepted/rejected events all link
-// back to cause, so a hot-swap under load is resolvable from the query
-// whose observation scheduled it. A zero Cause (manual retrain, tests)
-// produces an unlinked trace.
+// was rejected. cause identifies the decision that triggered it: the
+// published "retrain" trace (sample → fit → validate → swap spans) and the
+// swap-accepted/rejected events all link back to it, so a hot-swap under
+// load is resolvable from the query whose observation scheduled it. A zero
+// Cause (manual retrain, tests) produces an unlinked trace.
 func (b *Bao) RetrainAsyncFor(cause obs.Cause) bool { return b.retrain(cause, false) }
 
 // retrain is the one fit-and-swap body: the training sample is drawn
@@ -261,13 +257,13 @@ func (b *Bao) validateCandidate(cand model.Model, s trainingSample) guard.Verdic
 // Callers hold b.mu.
 func (b *Bao) finishRetrainLocked(m model.Model, samples int, fit fitResult) {
 	b.publishLocked(m, true, b.state.Load().trainCount+1)
-	b.TrainEvents = append(b.TrainEvents, TrainEvent{
+	b.lastTrain = TrainEvent{
 		AtQuery:       b.queriesSeen,
 		Samples:       samples,
 		Epochs:        fit.epochs,
 		WallSeconds:   fit.wall,
 		SimGPUSeconds: cloud.GPUTrainSeconds(samples, max(fit.epochs, 1)),
-	})
+	}
 	o := b.observer
 	o.HotSwaps.Inc()
 	o.RetrainSeconds.Add(fit.wall)

@@ -209,7 +209,7 @@ func (r *selectReq) planAll(ctx context.Context) error {
 	// same physical plan, and identical plans featurize to identical trees
 	// and predictions, so each distinct plan is vectorized and inferred
 	// exactly once and the result fanned back out per arm.
-	r.armGroup, sel.UniquePlans = dedupPlans(sel.Plans)
+	r.armGroup, sel.UniquePlans = DedupPlans(sel.Plans)
 	deduped := len(sel.Plans) - sel.UniquePlans
 	o.PlansDeduped.Add(float64(deduped))
 	r.uniqTrees = make([]*nn.Tree, sel.UniquePlans)

@@ -358,7 +358,7 @@ func (s *Session) Figure15c() error {
 			}
 		}
 		b.Retrain()
-		ev := b.TrainEvents[len(b.TrainEvents)-1]
+		ev := b.LastTrain()
 		rows = append(rows, []string{fmt.Sprintf("%d", k),
 			fmt.Sprintf("%d", ev.Samples), fmt.Sprintf("%d", ev.Epochs),
 			fmtSecs(ev.WallSeconds), fmtSecs(ev.SimGPUSeconds)})
@@ -400,24 +400,16 @@ func (s *Session) Figure16() error {
 				if err != nil {
 					return err
 				}
-				secs, _, err := evalArms(eng, b.Cfg.Arms, sql, true, metric)
+				t, err := measureArms(eng, b.Cfg.Arms, sql)
 				if err != nil {
 					return err
 				}
-				opt := secs[0]
-				for _, v := range secs {
-					if v < opt {
-						opt = v
-					}
-				}
-				regrets = append(regrets, secs[sel.ArmID]-opt)
-				pgRegrets = append(pgRegrets, secs[0]-opt)
-				// Feed the observation for the chosen arm (counters were
-				// measured cold inside evalArms; approximate with the
-				// metric value directly). Every arm's true cost is known
-				// here, so the regret ledger books measured baselines
-				// rather than the model's counterfactual predictions.
-				b.ObserveValueWithArms(sel, secs)
+				chosen := metric.Value(t.counters[sel.ArmID])
+				opt := metric.Value(t.counters[t.best(metric)])
+				regrets = append(regrets, chosen-opt)
+				pgRegrets = append(pgRegrets, metric.Value(t.counters[0])-opt)
+				// Feed the chosen arm's cold measurement from the table.
+				b.ObserveValue(sel, chosen)
 			}
 			rows = append(rows, []string{metric.String(), fmt.Sprintf("%d", it+1),
 				fmt.Sprintf("%.4f", percentile(regrets, 50)),

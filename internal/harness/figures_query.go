@@ -1,50 +1,69 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"bao/internal/cloud"
 	"bao/internal/core"
 	"bao/internal/engine"
+	"bao/internal/executor"
 	"bao/internal/planner"
 	"bao/internal/workload"
 )
 
-// evalArms plans a query under every arm and executes each *unique* plan
-// (arms frequently collapse to the same plan), returning per-arm metric
-// values and plans. With cold=true the buffer pool is cleared before each
-// execution so arms compare fairly.
-func evalArms(eng *engine.Engine, arms []core.Arm, sql string, cold bool, metric core.Metric) ([]float64, []*planner.Node, error) {
+// armTable is one query's measured cost under every arm, planned the way
+// Select plans it: one PlanArms enumeration, arms grouped by core's plan
+// identity (core.DedupPlans), and one cold execution per group. Every
+// metric and the per-query best arm read from it.
+type armTable struct {
+	plans    []*planner.Node     // per arm
+	counters []executor.Counters // per arm; a group's arms share one execution
+}
+
+// measureArms builds sql's arm table on eng. Each group runs its first
+// arm's plan from a cleared buffer pool, in arm order: the last execution
+// decides what the pool holds for whatever runs next.
+func measureArms(eng *engine.Engine, arms []core.Arm, sql string) (*armTable, error) {
 	q, err := eng.AnalyzeSQL(sql)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	secs := make([]float64, len(arms))
-	plans := make([]*planner.Node, len(arms))
-	cache := make(map[string]float64)
-	for i, arm := range arms {
-		n, _, err := eng.Plan(q, arm.Hints)
-		if err != nil {
-			return nil, nil, err
-		}
-		plans[i] = n
-		sig := n.Explain()
-		if v, ok := cache[sig]; ok {
-			secs[i] = v
-			continue
-		}
-		if cold {
+	hints := make([]planner.Hints, len(arms))
+	for i, a := range arms {
+		hints[i] = a.Hints
+	}
+	plans, _, err := eng.Opt.PlanArms(context.TODO(), q, hints)
+	if err != nil {
+		return nil, err
+	}
+	armGroup, groups := core.DedupPlans(plans)
+	ran := make([]executor.Counters, 0, groups)
+	t := &armTable{plans: plans, counters: make([]executor.Counters, len(plans))}
+	for i, g := range armGroup {
+		if g == len(ran) {
 			eng.Pool.Clear()
+			res, err := eng.Execute(plans[i])
+			if err != nil {
+				return nil, err
+			}
+			ran = append(ran, res.Counters)
 		}
-		res, err := eng.Execute(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		secs[i] = metric.Value(res.Counters)
-		cache[sig] = secs[i]
+		t.counters[i] = ran[g]
 	}
-	return secs, plans, nil
+	return t, nil
+}
+
+// best is the cheapest arm under m, the lowest arm on ties.
+func (t *armTable) best(m core.Metric) int {
+	best := 0
+	for a, c := range t.counters {
+		if m.Value(c) < m.Value(t.counters[best]) {
+			best = a
+		}
+	}
+	return best
 }
 
 // imdbEngine builds a fresh PostgreSQL-grade engine with IMDb loaded.
@@ -71,24 +90,14 @@ func (s *Session) Figure1() error {
 	job := workload.IMDbJOB(s.Opts.wcfg())
 	noNL := planner.AllOn()
 	noNL.NestLoop = false
+	arms := []core.Arm{{Hints: planner.AllOn()}, {Hints: noNL}}
 	var rows [][]string
 	for _, q := range job[:2] {
-		var def, hinted float64
-		for _, h := range []struct {
-			hints planner.Hints
-			out   *float64
-		}{{planner.AllOn(), &def}, {noNL, &hinted}} {
-			n, err := eng.PlanSQL(q.SQL, h.hints)
-			if err != nil {
-				return err
-			}
-			eng.Pool.Clear()
-			res, err := eng.Execute(n)
-			if err != nil {
-				return err
-			}
-			*h.out = cloud.ExecSeconds(res.Counters)
+		t, err := measureArms(eng, arms, q.SQL)
+		if err != nil {
+			return err
 		}
+		def, hinted := cloud.ExecSeconds(t.counters[0]), cloud.ExecSeconds(t.counters[1])
 		rows = append(rows, []string{q.Template, fmtSecs(def), fmtSecs(hinted),
 			fmt.Sprintf("%.1fx", def/hinted)})
 	}
@@ -128,18 +137,13 @@ func (s *Session) Figure11() error {
 		if err != nil {
 			return err
 		}
-		secs, _, err := evalArms(eng, bao.Cfg.Arms, q.SQL, true, core.MetricLatency)
+		t, err := measureArms(eng, bao.Cfg.Arms, q.SQL)
 		if err != nil {
 			return err
 		}
-		opt := secs[0]
-		for _, v := range secs {
-			if v < opt {
-				opt = v
-			}
-		}
-		db := secs[sel.ArmID] - secs[0]
-		do := opt - secs[0]
+		lat := core.MetricLatency.Value
+		db := lat(t.counters[sel.ArmID]) - lat(t.counters[0])
+		do := lat(t.counters[t.best(core.MetricLatency)]) - lat(t.counters[0])
 		deltaBao = append(deltaBao, db)
 		deltaOpt = append(deltaOpt, do)
 		if db > 0.001 {
@@ -241,29 +245,27 @@ func (s *Session) HintAnalysis() error {
 	totalImprove := 0.0
 	opChanged, pathChanged, orderChanged := 0, 0, 0
 	for _, q := range inst.Queries[:nq] {
-		secs, plans, err := evalArms(eng, arms, q.SQL, true, core.MetricLatency)
+		t, err := measureArms(eng, arms, q.SQL)
 		if err != nil {
 			return err
 		}
-		bestArm := 0
-		for a, v := range secs {
-			perArm[a] += v
-			if v < secs[bestArm] {
-				bestArm = a
-			}
+		lat := core.MetricLatency.Value
+		for a, c := range t.counters {
+			perArm[a] += lat(c)
 		}
-		improve := secs[0] - secs[bestArm]
+		bestArm := t.best(core.MetricLatency)
+		improve := lat(t.counters[0]) - lat(t.counters[bestArm])
 		totalImprove += improve
 		attributed[bestArm] += improve
 		// Plan-change frequencies: the per-query best arm vs the default.
-		if bestArm != 0 {
-			if opSet(plans[bestArm]) != opSet(plans[0]) {
+		if best, def := t.plans[bestArm], t.plans[0]; bestArm != 0 {
+			if opSet(best) != opSet(def) {
 				opChanged++
 			}
-			if scanSet(plans[bestArm]) != scanSet(plans[0]) {
+			if scanSet(best) != scanSet(def) {
 				pathChanged++
 			}
-			if plans[bestArm].JoinOrderSignature() != plans[0].JoinOrderSignature() {
+			if best.JoinOrderSignature() != def.JoinOrderSignature() {
 				orderChanged++
 			}
 		}

@@ -123,7 +123,6 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 		res.Bao = bao
 	}
 	events := eventReplay(eng, cfg.Workload)
-	gpuBilled := 0
 	budget := cloud.DeadlineBudgetSecs(cfg.QueryTimeout)
 	for i, q := range cfg.Workload.Queries {
 		if err := events(i); err != nil {
@@ -157,10 +156,10 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 			} else {
 				bao.Observe(sel, out.Counters)
 			}
-			// Bill any training that happened on this query's observation.
-			for gpuBilled < len(bao.TrainEvents) {
-				res.Bill.AddGPU(bao.TrainEvents[gpuBilled].SimGPUSeconds)
-				gpuBilled++
+			// Bill any training that happened on this query's observation:
+			// an inline Observe accepts at most one retrain, the newest.
+			for res.TrainCount < bao.TrainCount() {
+				res.Bill.AddGPU(bao.LastTrain().SimGPUSeconds)
 				res.TrainCount++
 			}
 		} else {

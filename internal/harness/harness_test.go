@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"bao/internal/cloud"
 	"bao/internal/core"
 	"bao/internal/engine"
+	"bao/internal/executor"
 )
 
 // tinyOpts keeps harness tests fast.
@@ -38,6 +40,11 @@ func TestRunWorkloadBothSystems(t *testing.T) {
 	}
 	if bao.Bill.GPUSeconds <= 0 {
 		t.Fatal("bao run billed no GPU time")
+	}
+	// Pinned: this run retrains once, and the bill charges that retrain's
+	// simulated GPU time exactly once.
+	if bao.TrainCount != 1 || bao.Bill.GPUSeconds != 1.2 {
+		t.Fatalf("bao run: %d retrains, %v GPU seconds; want 1, 1.2", bao.TrainCount, bao.Bill.GPUSeconds)
 	}
 	// Session caching: a second request returns the same result.
 	again, err := s.Run("IMDb", cloud.N1_4, engine.GradePostgreSQL, SysNative)
@@ -86,33 +93,59 @@ func TestTable1AndFigure1Output(t *testing.T) {
 	}
 }
 
-func TestEvalArmsDedupesAndIsComplete(t *testing.T) {
+// TestArmTableDedupesAndIsComplete pins the arm table to core's plan
+// identity and to a cold execution of each distinct plan.
+func TestArmTableDedupesAndIsComplete(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSession(tinyOpts(&buf))
 	eng, err := s.imdbEngine(cloud.N1_4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcfg := s.BaoConfig()
-	secs, plans, err := evalArms(eng, bcfg.Arms, "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id AND t.kind_id = 2", false, core.MetricLatency)
+	arms := s.BaoConfig().Arms
+	tab, err := measureArms(eng, arms, "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id AND t.kind_id = 2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(secs) != len(bcfg.Arms) || len(plans) != len(bcfg.Arms) {
-		t.Fatal("evalArms must return one entry per arm")
+	if len(tab.plans) != len(arms) || len(tab.counters) != len(arms) {
+		t.Fatalf("table has %d plans, %d counter sets for %d arms; want one entry per arm", len(tab.plans), len(tab.counters), len(arms))
 	}
-	for i, v := range secs {
-		if v <= 0 {
-			t.Fatalf("arm %d seconds = %v", i, v)
+	// Every arm of a DedupPlans group reads one counter set, and core's
+	// plan identity agrees with the plans' EXPLAIN text.
+	armGroup, groups := core.DedupPlans(tab.plans)
+	groupCounters := map[int]executor.Counters{}
+	groupOfExplain := map[string]int{}
+	for a, p := range tab.plans {
+		g := armGroup[a]
+		if c, ok := groupCounters[g]; ok && c != tab.counters[a] {
+			t.Fatalf("arm %d reads %+v, its group %d reads %+v", a, tab.counters[a], g, c)
 		}
+		groupCounters[g] = tab.counters[a]
+		if v := core.MetricLatency.Value(tab.counters[a]); v <= 0 {
+			t.Fatalf("arm %d seconds = %v", a, v)
+		}
+		if prev, ok := groupOfExplain[p.Explain()]; ok && prev != g {
+			t.Fatalf("arm %d: EXPLAIN-identical plans in groups %d and %d", a, prev, g)
+		}
+		groupOfExplain[p.Explain()] = g
 	}
-	// Arms with identical plans must report identical seconds (dedupe).
-	sig := map[string]float64{}
-	for i, p := range plans {
-		if prev, ok := sig[p.Explain()]; ok && prev != secs[i] {
-			t.Fatal("identical plans reported different timings")
+	if len(groupOfExplain) != groups {
+		t.Fatalf("%d distinct EXPLAIN texts, %d plan groups", len(groupOfExplain), groups)
+	}
+	// Each group's counters are a lone cold execution of its
+	// representative, the group's first arm.
+	for a, g := range armGroup {
+		if slices.Contains(armGroup[:a], g) {
+			continue
 		}
-		sig[p.Explain()] = secs[i]
+		eng.Pool.Clear()
+		res, err := eng.Execute(tab.plans[a])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counters != groupCounters[g] {
+			t.Fatalf("group %d: table counters %+v, cold execution %+v", g, groupCounters[g], res.Counters)
+		}
 	}
 }
 

@@ -21,12 +21,12 @@ import (
 func TestRegretLedgerTotalsAndWindow(t *testing.T) {
 	l := NewRegretLedger(2)
 	// Decision 1: chose arm a (1.0s), default 2.0s, best 0.5s.
-	l.Record(RegretEntry{Arm: "a", ObservedSecs: 1, DefaultSecs: 2, BestSecs: 0.5, TrueBaseline: true})
+	l.Record(RegretEntry{Arm: "a", ObservedSecs: 1, DefaultSecs: 2, BestSecs: 0.5})
 	// Decision 2: chose arm b (3.0s), default 1.0s, best 1.0s.
 	l.Record(RegretEntry{Arm: "b", ObservedSecs: 3, DefaultSecs: 1, BestSecs: 1, Censored: true})
 	s := l.Snapshot()
-	if s.Decisions != 2 || s.TrueBaselineDecisions != 1 {
-		t.Fatalf("decisions = %d/%d, want 2/1", s.Decisions, s.TrueBaselineDecisions)
+	if s.Decisions != 2 {
+		t.Fatalf("decisions = %d, want 2", s.Decisions)
 	}
 	// Cumulative vs default: (1-2) + (3-1) = 1; vs best: (1-0.5) + (3-1) = 2.5.
 	if s.CumVsDefaultSecs != 1 || s.CumVsBestSecs != 2.5 {

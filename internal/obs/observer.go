@@ -51,9 +51,8 @@ type Observer struct {
 
 	// Regret against the default arm, cumulative and over the ledger's
 	// sliding window: the "never much worse than the default" signal.
-	// Regret against the best arm lives in /debug/regret only, beside the
-	// true_baseline flag that says whether "best" was measured or is the
-	// model's own prediction.
+	// Regret against the best arm lives in /debug/regret only: "best" is
+	// the model's own prediction, not a measurement.
 	RegretVsDefault *Gauge // bao_regret_vs_default_seconds
 	RegretWinDef    *Gauge // bao_regret_window_vs_default_seconds
 

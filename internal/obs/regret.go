@@ -8,12 +8,10 @@ import (
 // RegretEntry is one decision's regret accounting: the latency Bao
 // observed for the arm it chose against two baselines — the default arm
 // (what the underlying optimizer would have done, Bao's safety floor) and
-// the best arm (the lowest latency believed or known achievable this
-// decision). Baselines come from true per-arm measurements when the
-// harness's simulated clock evaluated every arm (TrueBaseline), and from
-// the model's own predictions when serving live (a counterfactual the
-// model believes, not ground truth — the distinction /debug/regret makes
-// explicit so nobody reads predicted regret as measured regret).
+// the best arm (the lowest latency the model believes achievable this
+// decision). Baselines are the model's own predictions: a counterfactual
+// the model believes, not ground truth. Measured per-arm regret is the
+// experiment harness's Figure 16 table.
 type RegretEntry struct {
 	TraceID      uint64  `json:"trace_id,omitempty"`
 	RequestID    string  `json:"request_id,omitempty"`
@@ -22,7 +20,6 @@ type RegretEntry struct {
 	ObservedSecs float64 `json:"observed_secs"`
 	DefaultSecs  float64 `json:"default_secs"`
 	BestSecs     float64 `json:"best_secs"`
-	TrueBaseline bool    `json:"true_baseline,omitempty"`
 	Censored     bool    `json:"censored,omitempty"`
 	WarmUp       bool    `json:"warmup,omitempty"`
 }
@@ -48,15 +45,14 @@ type ArmRegretStats struct {
 // and sliding-window regret totals, per-arm aggregates, and the raw
 // window entries (newest first) for drill-down.
 type RegretSnapshot struct {
-	Decisions             uint64           `json:"decisions"`
-	TrueBaselineDecisions uint64           `json:"true_baseline_decisions"`
-	CumVsDefaultSecs      float64          `json:"cum_vs_default_secs"`
-	CumVsBestSecs         float64          `json:"cum_vs_best_secs"`
-	WindowLen             int              `json:"window_len"`
-	WindowVsDefaultSecs   float64          `json:"window_vs_default_secs"`
-	WindowVsBestSecs      float64          `json:"window_vs_best_secs"`
-	PerArm                []ArmRegretStats `json:"per_arm"`
-	Window                []RegretEntry    `json:"window"`
+	Decisions           uint64           `json:"decisions"`
+	CumVsDefaultSecs    float64          `json:"cum_vs_default_secs"`
+	CumVsBestSecs       float64          `json:"cum_vs_best_secs"`
+	WindowLen           int              `json:"window_len"`
+	WindowVsDefaultSecs float64          `json:"window_vs_default_secs"`
+	WindowVsBestSecs    float64          `json:"window_vs_best_secs"`
+	PerArm              []ArmRegretStats `json:"per_arm"`
+	Window              []RegretEntry    `json:"window"`
 }
 
 // RegretLedger keeps cumulative regret totals, per-arm aggregates, and a
@@ -66,7 +62,6 @@ type RegretLedger struct {
 	mu        sync.Mutex
 	win       ring[RegretEntry]
 	decisions uint64
-	trueBase  uint64
 	cumDef    float64
 	cumBest   float64
 	winDef    float64 // running sums over the current window contents
@@ -95,9 +90,6 @@ func (l *RegretLedger) Record(e RegretEntry) (cumVsDefault, winVsDefault float64
 		l.winBest -= old.VsBest()
 	}
 	l.decisions++
-	if e.TrueBaseline {
-		l.trueBase++
-	}
 	l.cumDef += e.VsDefault()
 	l.cumBest += e.VsBest()
 	l.winDef += e.VsDefault()
@@ -127,7 +119,6 @@ func (l *RegretLedger) Snapshot() RegretSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s.Decisions = l.decisions
-	s.TrueBaselineDecisions = l.trueBase
 	s.CumVsDefaultSecs = l.cumDef
 	s.CumVsBestSecs = l.cumBest
 	s.WindowVsDefaultSecs = l.winDef

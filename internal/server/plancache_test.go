@@ -101,8 +101,11 @@ func TestServerPlanCacheModelPostFlushes(t *testing.T) {
 	base := "http://" + s.Addr()
 
 	// Train through the serving loop first (GET /v1/model 409s untrained);
-	// the retrain flushes whatever these selections cached.
-	for i := 0; i < 20; i++ {
+	// the retrain flushes whatever these selections cached. Exactly
+	// RetrainEvery observations raise exactly one retrain signal: one
+	// more, landing while the first fit runs, would schedule a second
+	// retrain that could publish between the two status reads below.
+	for i := 0; i < s.bao.Cfg.RetrainEvery; i++ {
 		var sel selectResponse
 		if code := postJSON(t, base+"/v1/select", selectRequest{SQL: testSQL}, &sel); code != http.StatusOK {
 			t.Fatalf("warm-up select %d: status %d", i, code)
