@@ -1,11 +1,12 @@
 package bao_test
 
-// Sequential-vs-parallel pairs for the TCNN hot path: training
-// (data-parallel mini-batches), inference (tree fan-out), and Select
-// (plan deduplication). Each pair lands in BENCH_results.json with the
-// cores its workers could use in the cores field — min(workers,
-// GOMAXPROCS) — so a workers=4 row recorded on one core says so
-// (results are bit-identical either way; speedups require GOMAXPROCS > 1).
+// The TCNN hot path: training as sequential-vs-parallel pairs
+// (data-parallel mini-batches), inference (one caller's goroutine), and
+// Select (plan deduplication). Each training pair lands in
+// BENCH_results.json with the cores its workers could use in the cores
+// field — min(workers, GOMAXPROCS) — so a workers=4 row recorded on one
+// core says so (results are bit-identical either way; speedups require
+// GOMAXPROCS > 1).
 
 import (
 	"bytes"
@@ -84,19 +85,14 @@ func BenchmarkPredict(b *testing.B) {
 	m := model.NewTCNN(core.FeatureDim, tc, 7)
 	m.Fit(trees, ys)
 	batch := trees[:49] // one prediction fan per arm family
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			m.SetWorkers(workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			meter := startAllocMeter()
-			for i := 0; i < b.N; i++ {
-				m.Predict(batch)
-			}
-			b.StopTimer()
-			recordBenchAllocs(b, 0, min(workers, runtime.GOMAXPROCS(0)), 0, &meter)
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	meter := startAllocMeter()
+	for i := 0; i < b.N; i++ {
+		m.Predict(batch)
 	}
+	b.StopTimer()
+	recordBenchAllocs(b, 0, 1, 0, &meter) // Predict runs on the caller's goroutine
 }
 
 func BenchmarkSelect(b *testing.B) {

@@ -407,7 +407,7 @@ func BenchmarkServerQueryConcurrent(b *testing.B) { benchServer(b, 8) }
 // benchSelectRepeated measures the selection fast path under a
 // repeated-shape workload: a trained server answering POST /v1/select for
 // a small rotating set of query shapes from concurrent clients — the
-// regime the plan cache and the cross-request inference batcher target.
+// regime the plan cache targets.
 // No observes are sent during measurement, so the model (and therefore
 // the cache) stays fixed; the cache=off/cache=on qps pair in
 // BENCH_results.json is the speedup claim, with the hit rate alongside.
@@ -425,7 +425,6 @@ func benchSelectRepeated(b *testing.B, cache bool) {
 	if cache {
 		cfg.PlanCache = true
 		cfg.PlanCacheSize = 512
-		cfg.InferBatch = 64
 	}
 	opt := bao.New(eng, cfg)
 	// Train in place so measured selections run the model-guided path; the
@@ -501,8 +500,8 @@ func benchSelectRepeated(b *testing.B, cache bool) {
 }
 
 // BenchmarkServerQueryConcurrentRepeated is the plan-cache acceptance
-// benchmark: the same repeated-shape serving workload with the cache and
-// inference batcher off, then on.
+// benchmark: the same repeated-shape serving workload with the cache
+// off, then on.
 func BenchmarkServerQueryConcurrentRepeated(b *testing.B) {
 	b.Run("cache=off", func(b *testing.B) { benchSelectRepeated(b, false) })
 	b.Run("cache=on", func(b *testing.B) { benchSelectRepeated(b, true) })

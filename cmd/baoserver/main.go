@@ -47,7 +47,6 @@ func main() {
 	planCache := flag.Bool("plan-cache", true, "cache analyzed queries, planned arm sets and featurized tensors per SQL text (invalidated on retrain, DDL, and ANALYZE)")
 	planCacheSize := flag.Int("plan-cache-size", 512, "plan-cache entry bound")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "plan-cache resident byte bound (0 = 64 MiB)")
-	inferBatch := flag.Int("infer-batch", 64, "coalesce concurrent predictions into shared forward passes of at most this many plan tensors (0 = off)")
 	ckptDir := flag.String("checkpoint-dir", "", "versioned model checkpoint directory: every accepted retrain is saved there, the newest valid generation is restored on startup")
 	guardOn := cli.Guard(true)
 	eventLog := flag.String("eventlog", "", "rotating JSONL file for the structured event journal (swaps, breaker transitions, checkpoints; /debug/events serves it in-memory regardless)")
@@ -58,7 +57,6 @@ func main() {
 	cfg.PlanCache = *planCache
 	cfg.PlanCacheSize = *planCacheSize
 	cfg.PlanCacheBytes = *planCacheBytes
-	cfg.InferBatch = *inferBatch
 	cfg.QueryTimeout = *queryTimeout
 	if *guardOn {
 		cfg.Breaker = bao.BreakerConfig{Enabled: true}

@@ -18,9 +18,9 @@ import (
 // and TestDocumentedInvocations holds the docs to it.
 var flagSurface = map[string][]string{
 	"baobench": {"exp", "list", "listen", "queries", "query-timeout", "scale", "seed"},
-	"baoserver": {"checkpoint-dir", "eventlog", "explog", "explog-segment-bytes", "guard", "infer-batch",
-		"listen", "max-inflight", "plan-cache", "plan-cache-bytes", "plan-cache-size", "query-timeout",
-		"scale", "timeout", "train", "workload"},
+	"baoserver": {"checkpoint-dir", "eventlog", "explog", "explog-segment-bytes", "guard", "listen",
+		"max-inflight", "plan-cache", "plan-cache-bytes", "plan-cache-size", "query-timeout", "scale",
+		"timeout", "train", "workload"},
 	"baoshell": {"explog", "explog-segment-bytes", "guard", "listen", "query-timeout", "scale", "train", "workload"},
 	"baorouter": {"default-tenant", "explog-segment-bytes", "health-interval", "listen", "local",
 		"max-resident", "max-resident-bytes", "shards", "tenant-dir"},

@@ -76,13 +76,14 @@ type Config struct {
 	// curriculum: new arms join once the model has matured enough to
 	// judge them. Zero disables the warm-up.
 	ArmWarmup int
-	// Workers bounds the goroutines used by every parallel stage of the
-	// decision loop: TCNN inference and model training. (Arm planning is
-	// one join enumeration costing every arm on the calling goroutine; the
-	// time the paper's parallel planners would take is modelled
-	// analytically by cloud.BaoPlanSeconds.) Zero or negative means one
-	// worker per CPU; one forces fully sequential execution. Results are
-	// bit-identical at every worker count.
+	// Workers bounds the goroutines model training splits mini-batches
+	// across (it fills Train.Workers when that is unset). A selection —
+	// one join enumeration for every arm, dedup, featurization, TCNN
+	// inference — runs on the caller's goroutine; the time the paper's
+	// parallel planners would take is modelled analytically by
+	// cloud.BaoPlanSeconds. Zero or negative means one worker per CPU; one
+	// forces fully sequential training. Results are bit-identical at every
+	// worker count.
 	Workers int
 	// PlanCache enables the text-keyed plan cache: the work of a selection
 	// — analyzed query, planned arm set, dedup groups, featurized tensors,
@@ -101,12 +102,9 @@ type Config struct {
 	// bounds hold.
 	PlanCacheSize  int
 	PlanCacheBytes int64
-	// InferBatch, when positive, coalesces concurrent predictions against
-	// the same model into shared forward passes bounded by this many trees
-	// (cross-request micro-batching; see nn.Batcher). Zero disables
-	// batching. The first caller per model runs immediately — no gather
-	// timer — so low-concurrency latency is unchanged, and per-tree
-	// independence keeps batched predictions byte-identical to unbatched.
+	// Deprecated: InferBatch is read by nothing; TCNN inference always
+	// runs on the selecting goroutine. It stays only because
+	// benchmark/miss_select.go:50 still sets it, and goes with that line.
 	InferBatch int
 	// Breaker configures the default-plan circuit breaker: when the
 	// learned path repeatedly regresses against the default arm, a
@@ -297,10 +295,6 @@ type Bao struct {
 	// Cfg.PlanCache. It has its own lock (never held together with mu
 	// except briefly inside model-publication flushes, b.mu → pcache.mu).
 	pcache *planCache
-	// batcher coalesces concurrent TCNN forward passes; nil unless
-	// Cfg.InferBatch > 0.
-	batcher *nn.Batcher
-
 	// breaker is the default-plan circuit breaker; nil unless
 	// Cfg.Breaker.Enabled (every guard call is nil-safe).
 	breaker *guard.Breaker
@@ -408,13 +402,6 @@ func New(eng *engine.Engine, cfg Config) *Bao {
 	}
 	if cfg.PlanCache {
 		b.pcache = newPlanCache(cfg.PlanCacheSize, cfg.PlanCacheBytes, b.observer)
-	}
-	if cfg.InferBatch > 0 {
-		o := b.observer
-		b.batcher = nn.NewBatcher(cfg.InferBatch)
-		b.batcher.OnBatch = func(trees, calls int) {
-			o.InferBatchSize.Observe(float64(trees))
-		}
 	}
 	b.allArms = make([]int, len(cfg.Arms))
 	b.hints = make([]planner.Hints, len(cfg.Arms))

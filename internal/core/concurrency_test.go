@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -287,4 +288,56 @@ func TestConcurrentBanditStateAddsUp(t *testing.T) {
 	if attributed.Load() == 0 {
 		t.Error("no selection could be attributed to a published model")
 	}
+}
+
+// TestConcurrentMissesMatchSequential: each selection forwards its plans
+// on its own goroutine, through a pooled replica of the shared model.
+// Plan-cache misses on distinct texts sent from several goroutines at
+// once must get predictions bit-identical to the same selections made
+// one at a time: how calls interleave never reaches the arithmetic.
+func TestConcurrentMissesMatchSequential(t *testing.T) {
+	const goroutines = 4
+	cfg := FastConfig()
+	cfg.Observer = obs.Disabled()
+	b := trainedBao(t, cfg)
+	queries := workload.IMDb(workload.Config{Scale: 0.12, Queries: 24, Seed: 7}).Queries
+	want := make([][]float64, len(queries))
+	for i, q := range queries {
+		sel, err := b.Select(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sel.UsedModel {
+			t.Fatalf("%s: sequential selection did not use the model", q.Template)
+		}
+		want[i] = sel.Preds
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range queries {
+				i := (k + g*len(queries)/goroutines) % len(queries) // each goroutine starts elsewhere
+				sel, err := b.Select(queries[i].SQL)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(sel.Preds) != len(want[i]) {
+					t.Errorf("%s: %d predictions, sequential pass had %d", queries[i].Template, len(sel.Preds), len(want[i]))
+					return
+				}
+				for a, p := range sel.Preds {
+					if math.Float64bits(p) != math.Float64bits(want[i][a]) {
+						t.Errorf("%s arm %d: concurrent pred %x != sequential %x",
+							queries[i].Template, a, math.Float64bits(p), math.Float64bits(want[i][a]))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

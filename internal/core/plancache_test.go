@@ -29,9 +29,9 @@ func cachedWorkload() []string {
 	return out
 }
 
-// The determinism contract: with the plan cache and micro-batching on,
-// repeated selects must produce byte-identical predictions and arm
-// choices to an uncached Bao, at any worker count.
+// The determinism contract: with the plan cache on, repeated selects
+// must produce byte-identical predictions and arm choices to an uncached
+// Bao, at any worker count.
 func TestPlanCacheDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -41,7 +41,6 @@ func TestPlanCacheDeterminism(t *testing.T) {
 				cfg.Workers = workers
 				if cache {
 					cfg.PlanCache = true
-					cfg.InferBatch = 64
 				}
 				return trainedBao(t, cfg), cfg.Observer
 			}

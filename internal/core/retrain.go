@@ -277,14 +277,8 @@ func (b *Bao) finishRetrainLocked(m model.Model, samples int, fit fitResult) {
 // newDetachedModel builds an unpublished value model of the configured
 // kind, seeded for one draw.
 func (b *Bao) newDetachedModel(seed int64) model.Model {
-	var m model.Model
 	if b.Cfg.NewModel != nil {
-		m = b.Cfg.NewModel(seed)
-	} else {
-		m = model.NewTCNN(FeatureDim, b.Cfg.Train, seed)
+		return b.Cfg.NewModel(seed)
 	}
-	if w, ok := m.(interface{ SetWorkers(int) }); ok {
-		w.SetWorkers(b.Cfg.Workers)
-	}
-	return m
+	return model.NewTCNN(FeatureDim, b.Cfg.Train, seed)
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bao/internal/guard"
-	"bao/internal/model"
 	"bao/internal/nn"
 	"bao/internal/obs"
 	"bao/internal/planner"
@@ -253,7 +252,7 @@ func (r *selectReq) predict() {
 		if r.verdict == "hit" {
 			r.verdict = "hit-repredict" // tensors reused, model moved on
 		}
-		uniqPreds = b.predictTrees(r.st.model, r.uniqTrees)
+		uniqPreds = r.st.model.Predict(r.uniqTrees)
 		// Clamp non-finite predictions: one NaN must not poison the argmin
 		// (every comparison against NaN is false), so a degenerate arm is
 		// priced at +infinity-in-practice and loses to any finite one.
@@ -280,20 +279,6 @@ func (r *selectReq) predict() {
 		r.breakerNote = "degenerate-predictions"
 		sel.UsedModel = false
 	}
-}
-
-// predictTrees runs a forward pass over trees, coalescing with concurrent
-// selections through the micro-batcher when one is configured and the
-// model is the batchable TCNN. The batch key is the model instance, so
-// selections that snapshotted different models — e.g. across a hot-swap —
-// never share a pass.
-func (b *Bao) predictTrees(mdl model.Model, trees []*nn.Tree) []float64 {
-	if b.batcher != nil {
-		if tm, ok := mdl.(*model.TCNNModel); ok {
-			return b.batcher.Predict(tm, tm.Predict, trees)
-		}
-	}
-	return mdl.Predict(trees)
 }
 
 // storeCacheEntry publishes this selection's reusable work into the plan

@@ -35,14 +35,18 @@ func (m *TCNNModel) Save(w io.Writer) error {
 }
 
 // Load restores a model saved with Save. The snapshot is decoded, built,
-// and validated fully detached — shape compatibility, finite weights,
-// finite normalization — before anything on m changes, so a truncated or
-// corrupt snapshot (a crash mid-save, bit rot) returns an error and
-// leaves the live model exactly as it was, never half-applied.
+// and validated fully detached — the input width m was built for, shape
+// compatibility, finite weights, finite normalization — before anything
+// on m changes, so a truncated, corrupt or foreign snapshot (a crash
+// mid-save, bit rot, a model of another feature width) returns an error
+// and leaves the live model exactly as it was, never half-applied.
 func (m *TCNNModel) Load(r io.Reader) error {
 	var st tcnnState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return fmt.Errorf("model: load: %w", err)
+	}
+	if st.Cfg.InDim != m.cfg.InDim {
+		return fmt.Errorf("model: load: snapshot input width %d, model expects %d", st.Cfg.InDim, m.cfg.InDim)
 	}
 	net := nn.NewTCNN(st.Cfg)
 	params := net.Params()

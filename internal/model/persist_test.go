@@ -153,6 +153,39 @@ func TestLoadShapeMismatchRejected(t *testing.T) {
 	assertUnchanged(t, m, probe, want)
 }
 
+// TestLoadForeignInputWidthRejected: a well-formed snapshot of a model
+// built for another feature width is as unusable as a corrupt one —
+// every later Predict would index past its rows — so Load must reject it
+// and leave the live model predicting as before.
+func TestLoadForeignInputWidthRejected(t *testing.T) {
+	_, _, _, narrow := trainedModelAndSnapshot(t) // a model of width 4
+	trees, secs := syntheticData(40, 17)
+	for i, tr := range trees {
+		trees[i] = widen(tr, 14)
+	}
+	cfg := nn.DefaultTrainConfig()
+	cfg.MaxEpochs = 3
+	m := NewTCNN(14, cfg, 3)
+	m.Fit(trees, secs)
+	want := m.Predict(trees[:10])
+	if err := m.Load(bytes.NewReader(narrow)); err == nil {
+		t.Fatal("snapshot of a width-4 model loaded into a width-14 model")
+	}
+	assertUnchanged(t, m, trees[:10], want)
+}
+
+// widen copies t into a tree of feature width d, zero-filling the extra
+// columns.
+func widen(t *nn.Tree, d int) *nn.Tree {
+	w := nn.NewTree(t.N, d)
+	copy(w.Left, t.Left)
+	copy(w.Right, t.Right)
+	for j := 0; j < t.N; j++ {
+		copy(w.Row(j), t.Row(j))
+	}
+	return w
+}
+
 // snapshotState decodes a model's own snapshot back into its state
 // struct so tests can corrupt individual fields surgically.
 func snapshotState(t *testing.T, m *TCNNModel) tcnnState {

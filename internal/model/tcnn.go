@@ -14,8 +14,8 @@ func expm1(x float64) float64 { return math.Expm1(x) }
 // TCNNModel is Bao's value model: the tree convolutional network of
 // Figure 5, trained with Adam on log-space targets.
 //
-// Predict is safe for concurrent callers: forward passes run on
-// weight-sharing replicas checked out of a pool, so each in-flight call
+// Predict is safe for concurrent callers: each call forwards on a
+// weight-sharing replica checked out of a pool, so every in-flight call
 // owns private per-layer scratch state. Fit and Load are NOT safe to run
 // concurrently with Predict — callers that retrain while serving (the Bao
 // server) fit a detached model instance and swap it in whole.
@@ -28,7 +28,6 @@ type TCNNModel struct {
 	yMin, yMax float64 // observed target range, in log space
 	fit        bool
 	lastFit    nn.TrainResult
-	workers    int // inference fan-out; 0 = one per CPU
 
 	repMu    sync.Mutex // guards replicas (the idle-replica pool)
 	replicas []*nn.TCNN // idle weight-sharing inference replicas of net
@@ -89,102 +88,55 @@ func (m *TCNNModel) Fit(trees []*nn.Tree, secs []float64) int {
 	return res.Epochs
 }
 
-// SetWorkers caps the goroutines Predict fans trees across (and, when the
-// training config leaves Workers unset, the training data parallelism).
-// Zero or negative means one worker per CPU; results are identical at any
-// worker count.
-func (m *TCNNModel) SetWorkers(n int) {
-	m.workers = n
-	if m.train.Workers == 0 {
-		m.train.Workers = n
-	}
-}
-
 // LastFit returns the training summary (epochs, final loss, wall time) of
 // the most recent Fit. The observability layer reads it to export the
 // bao_train_loss gauge.
 func (m *TCNNModel) LastFit() nn.TrainResult { return m.lastFit }
 
-// parallelPredictMin is the tree count below which Predict stays on the
-// sequential path: with only a handful of trees the goroutine fan-out
-// costs more than the forward passes it would overlap.
-const parallelPredictMin = 8
-
-// Predict implements Model. Trees are split across weight-sharing
-// network replicas checked out of a pool (and returned afterwards):
-// replica k forwards trees k, k+w, k+2w, …, so every output index is
-// computed by exactly one worker from read-only weights and the result is
-// identical to the sequential loop at any worker count. The split is
-// fixed rather than claimed from a shared cursor so that each replica
-// sees the same trees on every call: its scratch, sized by the largest
-// tree it has forwarded, then stops growing once warm, whatever the
-// scheduler does. Because each call forwards only on checked-out replicas
-// — never on the master network directly — any number of Predict calls
-// may run concurrently against the same trained model.
+// Predict implements Model. Every tree is forwarded on the calling
+// goroutine through one weight-sharing replica checked out of a pool and
+// returned afterwards. Weights are read-only during inference and each
+// replica owns its layer scratch, so any number of Predict calls may run
+// concurrently against the same trained model — one replica per
+// concurrent caller — and each gets exactly the master network's
+// predictions.
 func (m *TCNNModel) Predict(trees []*nn.Tree) []float64 {
 	out := make([]float64, len(trees))
 	if !m.fit {
 		return out
 	}
-	w := nn.Workers(m.workers)
-	if w > len(trees) {
-		w = len(trees)
+	owner, net := m.checkout()
+	defer m.release(owner, net)
+	for i, t := range trees {
+		out[i] = m.postprocess(net.Forward(t))
 	}
-	if len(trees) < parallelPredictMin {
-		w = 1
-	}
-	owner, nets := m.checkout(w)
-	defer m.release(owner, nets)
-	if w <= 1 {
-		for i, t := range trees {
-			out[i] = m.postprocess(nets[0].Forward(t))
-		}
-		return out
-	}
-	run := func(k int) {
-		for i := k; i < len(trees); i += w {
-			out[i] = m.postprocess(nets[k].Forward(trees[i]))
-		}
-	}
-	var wg sync.WaitGroup
-	for k := 1; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(k)
-		}()
-	}
-	run(0)
-	wg.Wait()
 	return out
 }
 
-// checkout takes n idle replicas from the pool, building fresh ones when
-// the pool runs dry. The returned owner is the master network the replicas
-// alias; release uses it to discard replicas of a since-replaced network.
-func (m *TCNNModel) checkout(n int) (owner *nn.TCNN, nets []*nn.TCNN) {
+// checkout takes an idle replica from the pool, building a fresh one when
+// the pool is empty. The returned owner is the master network the replica
+// aliases; release uses it to discard a replica of a since-replaced
+// network.
+func (m *TCNNModel) checkout() (owner, net *nn.TCNN) {
 	m.repMu.Lock()
 	owner = m.net
-	take := len(m.replicas)
-	if take > n {
-		take = n
+	if n := len(m.replicas); n > 0 {
+		net = m.replicas[n-1]
+		m.replicas = m.replicas[:n-1]
 	}
-	nets = make([]*nn.TCNN, 0, n)
-	nets = append(nets, m.replicas[len(m.replicas)-take:]...)
-	m.replicas = m.replicas[:len(m.replicas)-take]
 	m.repMu.Unlock()
-	for len(nets) < n {
-		nets = append(nets, owner.SharedReplica())
+	if net == nil {
+		net = owner.SharedReplica()
 	}
-	return owner, nets
+	return owner, net
 }
 
-// release returns replicas to the pool, dropping them when the master
-// network changed while they were out (their weights alias the old one).
-func (m *TCNNModel) release(owner *nn.TCNN, nets []*nn.TCNN) {
+// release returns a replica to the pool, dropping it when the master
+// network changed while it was out (its weights alias the old one).
+func (m *TCNNModel) release(owner, net *nn.TCNN) {
 	m.repMu.Lock()
 	if m.net == owner {
-		m.replicas = append(m.replicas, nets...)
+		m.replicas = append(m.replicas, net)
 	}
 	m.repMu.Unlock()
 }

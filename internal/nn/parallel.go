@@ -7,9 +7,9 @@ import (
 )
 
 // Workers resolves a configured worker count: any value below one means
-// one worker per available CPU (GOMAXPROCS). The parallel training and
-// inference paths are bit-identical across worker counts, so "auto" is
-// always a safe default.
+// one worker per available CPU (GOMAXPROCS). Parallel training is
+// bit-identical across worker counts, so "auto" is always a safe
+// default.
 func Workers(n int) int {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)

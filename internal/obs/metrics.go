@@ -277,9 +277,3 @@ func LatencyBuckets() []float64 {
 func RatioBuckets() []float64 {
 	return []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.25, 1.5, 2, 4, 8, 16}
 }
-
-// CountBuckets are power-of-two bounds for small-count histograms (batch
-// sizes, fan-outs): 1 up through 256.
-func CountBuckets() []float64 {
-	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-}

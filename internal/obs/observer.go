@@ -27,14 +27,12 @@ type Observer struct {
 	// plan this query and therefore skipped featurization and inference.
 	PlansDeduped *Counter // bao_plans_deduped_total
 
-	// Plan cache (text-keyed select cache) and the cross-request
-	// inference micro-batcher.
-	PlanCacheHits      *Counter   // bao_plancache_hits_total
-	PlanCacheMisses    *Counter   // bao_plancache_misses_total
-	PlanCacheEvictions *Counter   // bao_plancache_evictions_total
-	PlanCacheEntries   *Gauge     // bao_plancache_entries
-	PlanCacheBytes     *Gauge     // bao_plancache_bytes
-	InferBatchSize     *Histogram // bao_infer_batch_size
+	// Plan cache (text-keyed select cache).
+	PlanCacheHits      *Counter // bao_plancache_hits_total
+	PlanCacheMisses    *Counter // bao_plancache_misses_total
+	PlanCacheEvictions *Counter // bao_plancache_evictions_total
+	PlanCacheEntries   *Gauge   // bao_plancache_entries
+	PlanCacheBytes     *Gauge   // bao_plancache_bytes
 
 	// Selection latency: per stage of SelectCtx (parse, plancache,
 	// plan_arms, featurize, infer, select_arm — the stages tile the
@@ -164,7 +162,6 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		PlanCacheEvictions: reg.Counter("bao_plancache_evictions_total", "Plan-cache entries evicted to respect the entry or byte bound."),
 		PlanCacheEntries:   reg.Gauge("bao_plancache_entries", "Entries currently resident in the plan cache."),
 		PlanCacheBytes:     reg.Gauge("bao_plancache_bytes", "Approximate resident bytes of cached plan tensors and predictions."),
-		InferBatchSize:     reg.Histogram("bao_infer_batch_size", "Trees per TCNN forward pass issued by the cross-request inference batcher.", CountBuckets()),
 
 		SelectStage:   reg.HistogramVec("bao_select_stage_seconds", "Wall time per stage of one selection; the stages tile it.", "stage", lat),
 		SelectSeconds: reg.Histogram("bao_selection_seconds", "End-to-end Select (optimization overhead) wall time per query.", lat),

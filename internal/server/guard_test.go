@@ -1,18 +1,22 @@
 package baoserver
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"bao/internal/core"
 	"bao/internal/guard"
+	"bao/internal/model"
+	"bao/internal/nn"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -49,6 +53,74 @@ func newestCheckpoint(t *testing.T, st *guard.CheckpointStore) uint64 {
 		return 0
 	}
 	return gens[len(gens)-1]
+}
+
+// TestModelUploadForeignWidthRejected: POST /v1/model with a well-formed
+// snapshot of a model built for another feature width must answer 400,
+// publish nothing and checkpoint nothing — installed, it would fail every
+// plan-cache miss, and its checkpoint would bring it back on restart —
+// while /v1/select keeps answering with the incumbent model.
+func TestModelUploadForeignWidthRejected(t *testing.T) {
+	s := newTestServer(t, Config{CheckpointDir: t.TempDir()}, nil)
+	base := "http://" + s.Addr()
+	driveQueries(t, base, 16)
+	waitFor(t, "first checkpoint", func() bool { return newestCheckpoint(t, s.Checkpoints()) >= 1 })
+
+	trees := make([]*nn.Tree, 20)
+	secs := make([]float64, len(trees))
+	for i := range trees {
+		tr := nn.NewTree(3, 4)
+		tr.Left[0], tr.Right[0] = 1, 2
+		for j := range tr.Feat {
+			tr.Feat[j] = float64((i*7+j)%10) / 10
+		}
+		trees[i], secs[i] = tr, 0.01*float64(1+i%5)
+	}
+	tc := nn.DefaultTrainConfig()
+	tc.MaxEpochs = 2
+	narrow := model.NewTCNN(4, tc, 1)
+	narrow.Fit(trees, secs)
+	var snap bytes.Buffer
+	if err := narrow.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	gensBefore, err := s.Checkpoints().Generations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before statusResponse
+	getJSON(t, base+"/v1/status", &before)
+	resp, err := http.Post(base+"/v1/model", "application/octet-stream", &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("foreign-width model upload: status %d, want 400", resp.StatusCode)
+	}
+	gensAfter, err := s.Checkpoints().Generations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gensAfter, gensBefore) {
+		t.Fatalf("rejected upload changed the checkpoint generations: %v -> %v", gensBefore, gensAfter)
+	}
+	var after statusResponse
+	getJSON(t, base+"/v1/status", &after)
+	if after.ModelVersion != before.ModelVersion || after.ModelGeneration != before.ModelGeneration {
+		t.Fatalf("rejected upload moved the model: version %d -> %d, generation %d -> %d",
+			before.ModelVersion, after.ModelVersion, before.ModelGeneration, after.ModelGeneration)
+	}
+	for _, sql := range []string{testSQL, strings.Replace(testSQL, "1990", "1975", 1)} {
+		var sel selectResponse
+		if code := postJSON(t, base+"/v1/select", selectRequest{SQL: sql}, &sel); code != http.StatusOK {
+			t.Fatalf("select after rejected upload: status %d", code)
+		}
+		if !sel.UsedModel {
+			t.Fatal("select after rejected upload did not use the model")
+		}
+	}
 }
 
 // TestCheckpointRestartRollback is the crash-restart test over the

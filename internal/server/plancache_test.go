@@ -11,15 +11,14 @@ import (
 	"bao/internal/core"
 )
 
-// Concurrent selects with the plan cache and micro-batching enabled,
-// racing the trainer's hot-swaps: every response must stay well-formed,
-// the cache must both hit and invalidate (model publications flush it),
-// and the generation/version linkage must hold — run under -race in CI.
+// Concurrent selects with the plan cache enabled, racing the trainer's
+// hot-swaps: every response must stay well-formed, the cache must both
+// hit and invalidate (model publications flush it), and the
+// generation/version linkage must hold — run under -race in CI.
 func TestServerPlanCacheConcurrentHotSwap(t *testing.T) {
 	s := newTestServer(t, Config{CheckpointDir: t.TempDir()}, func(c *core.Config) {
 		c.PlanCache = true
 		c.PlanCacheSize = 64
-		c.InferBatch = 32
 		c.RetrainEvery = 12
 	})
 	base := "http://" + s.Addr()
