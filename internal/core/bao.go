@@ -98,8 +98,9 @@ type Config struct {
 	PlanCache bool
 	// PlanCacheSize bounds the cache's entry count (0 = 512). The cache is
 	// additionally bounded by PlanCacheBytes (0 = 64 MiB), the approximate
-	// resident bytes of the cached tensors; the LRU evicts until both
-	// bounds hold.
+	// resident bytes of the cached entries — plan nodes, tensors, per-arm
+	// slices and analyzed queries, about 39 KiB per IMDb text with 49 arms;
+	// the LRU evicts until both bounds hold.
 	PlanCacheSize  int
 	PlanCacheBytes int64
 	// Deprecated: InferBatch is read by nothing; TCNN inference always
@@ -193,6 +194,8 @@ type TrainEvent struct {
 // Selection is the outcome of Bao's per-query arm choice. Query, Plans
 // and Candidates may be shared with the plan cache, and through it with
 // every other selection of the same SQL text: they are read-only.
+// Observing a selection reads only its Ticket, and a caller that reports
+// the execution's cost later keeps that rather than the Selection.
 type Selection struct {
 	SQL        string
 	Query      *planner.Query
@@ -210,8 +213,8 @@ type Selection struct {
 	// drove this choice; the calibration telemetry splits ratios on it.
 	WarmUp bool
 	// Trace is the in-flight decision trace for this query; nil unless
-	// the observer has tracing enabled. Observe/ObserveValue finish and
-	// publish it.
+	// the observer has tracing enabled. Observing or abandoning the
+	// selection finishes and publishes it.
 	Trace *obs.Trace
 }
 

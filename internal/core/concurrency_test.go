@@ -163,7 +163,7 @@ func TestConcurrentBanditStateAddsUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.ObserveLatency(sel, 0.01+0.001*float64(i))
+		b.ObserveLatency(sel.Ticket(), 0.01+0.001*float64(i))
 	}
 	b.Retrain()
 	var checkpoint bytes.Buffer
@@ -221,7 +221,7 @@ func TestConcurrentBanditStateAddsUp(t *testing.T) {
 		var last uint64
 		for i := 0; i < observes; i++ {
 			if sel := selectOnce(sqls[(g+i)%len(sqls)], &last); sel != nil {
-				b.ObserveLatency(sel, 0.02+0.001*float64(i))
+				b.ObserveLatency(sel.Ticket(), 0.02+0.001*float64(i))
 			}
 		}
 	})

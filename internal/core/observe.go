@@ -10,6 +10,47 @@ import (
 	"bao/internal/planner"
 )
 
+// Ticket is everything observing a selection reads: the SQL text (the
+// experience key), the chosen arm and its tree, three predictions and the
+// decision trace. A caller that executes the chosen plan itself and
+// reports its cost later keeps a Ticket, not the Selection, so the
+// analyzed query, the per-arm plans and predictions and every tree but
+// the chosen one can be collected in between — the serving layer parks
+// one per /v1/select until its /v1/observe. Build one with
+// (*Selection).Ticket; the zero Ticket observes nothing meaningful.
+type Ticket struct {
+	sql    string
+	arm    int
+	tree   *nn.Tree
+	warmUp bool
+	// predicted: the model chose the arm (Selection.UsedModel) and priced
+	// every arm. Only then do the predictions mean anything: the chosen
+	// arm's and the default arm's as Select left them (non-finite ones
+	// clamped to MaxFloat64), and the smallest prediction that is finite
+	// and below MaxFloat64, +Inf when none is.
+	predicted               bool
+	pred, defPred, bestPred float64
+	trace                   *obs.Trace
+}
+
+// Ticket returns what observing sel reads. The tree and the trace are
+// shared with sel, not copied.
+func (sel *Selection) Ticket() Ticket {
+	t := Ticket{sql: sel.SQL, arm: sel.ArmID, tree: sel.Trees[sel.ArmID], warmUp: sel.WarmUp, trace: sel.Trace}
+	if !sel.UsedModel || len(sel.Preds) == 0 {
+		return t
+	}
+	t.predicted = true
+	t.pred, t.defPred, t.bestPred = sel.Preds[sel.ArmID], sel.Preds[0], math.Inf(1)
+	for _, v := range sel.Preds {
+		// MaxFloat64 is the clamp for degenerate predictions, not a price.
+		if isFinite(v) && v < math.MaxFloat64 && v < t.bestPred {
+			t.bestPred = v
+		}
+	}
+	return t
+}
+
 // Observe records the outcome of executing the selected plan and retrains
 // on schedule. A grossly mispredicted execution (observed an order of
 // magnitude over the prediction, and slow in absolute terms) triggers an
@@ -22,7 +63,7 @@ func (b *Bao) Observe(sel *Selection, c executor.Counters) {
 	o.ExecPageMisses.Add(float64(c.PageMisses))
 	o.ExecRandReads.Add(float64(c.RandReads))
 	o.ExecRowsOut.Add(float64(c.RowsOut))
-	b.observe(sel, b.Cfg.Metric.Value(c), true, false)
+	b.observe(sel.Ticket(), b.Cfg.Metric.Value(c), true, false)
 }
 
 // ObserveValue records an already-measured metric value for the selected
@@ -32,15 +73,16 @@ func (b *Bao) Observe(sel *Selection, c executor.Counters) {
 // caller's measurement may deliberately be off-policy (cold caches,
 // foreign hardware profiles).
 func (b *Bao) ObserveValue(sel *Selection, secs float64) {
-	b.observe(sel, secs, false, false)
+	b.observe(sel.Ticket(), secs, false, false)
 }
 
-// ObserveLatency records an externally measured metric value with the full
-// on-policy semantics of Observe, including the gross-misprediction early
-// retrain. The serving layer's /v1/observe endpoint uses it: the client
-// executed the selected plan for real and reports what it cost.
-func (b *Bao) ObserveLatency(sel *Selection, secs float64) {
-	b.observe(sel, secs, true, false)
+// ObserveLatency records an externally measured metric value for a
+// selection's ticket with the full on-policy semantics of Observe,
+// including the gross-misprediction early retrain. The serving layer's
+// /v1/observe endpoint uses it: the client executed the selected plan for
+// real and reports what it cost.
+func (b *Bao) ObserveLatency(t Ticket, secs float64) {
+	b.observe(t, secs, true, false)
 }
 
 // ObserveTimeout records a censored experience for a selection whose
@@ -55,7 +97,7 @@ func (b *Bao) ObserveLatency(sel *Selection, secs float64) {
 // over the prediction the model retrains exactly as it would for a
 // completed catastrophic plan.
 func (b *Bao) ObserveTimeout(sel *Selection, budgetSecs float64) {
-	b.observe(sel, budgetSecs, true, true)
+	b.observe(sel.Ticket(), budgetSecs, true, true)
 }
 
 // regretEntry books one decision's regret accounting: observed cost of
@@ -64,38 +106,31 @@ func (b *Bao) ObserveTimeout(sel *Selection, budgetSecs float64) {
 // observation and the entry contributes zero regret (it still counts the
 // decision). Measured per-arm regret is the experiment harness's job
 // (Figure 16), not the ledger's.
-func (b *Bao) regretEntry(sel *Selection, secs float64, censored bool) obs.RegretEntry {
-	cause := sel.Trace.Cause()
+func (b *Bao) regretEntry(t Ticket, secs float64, censored bool) obs.RegretEntry {
+	cause := t.trace.Cause()
 	e := obs.RegretEntry{
 		TraceID:      cause.TraceID,
 		RequestID:    cause.RequestID,
-		ArmID:        sel.ArmID,
-		Arm:          b.Cfg.Arms[sel.ArmID].Name,
+		ArmID:        t.arm,
+		Arm:          b.Cfg.Arms[t.arm].Name,
 		ObservedSecs: secs,
 		DefaultSecs:  secs,
 		BestSecs:     secs,
 		Censored:     censored,
-		WarmUp:       sel.WarmUp,
+		WarmUp:       t.warmUp,
 	}
-	if !sel.UsedModel || len(sel.Preds) == 0 {
+	if !t.predicted {
 		return e
 	}
-	if sel.ArmID != 0 {
+	if t.arm != 0 {
 		// Serving the default arm has zero regret vs default by
-		// definition. MaxFloat64 is the clamp for degenerate
-		// predictions, not a price.
-		if d := sel.Preds[0]; isFinite(d) && d < math.MaxFloat64 {
+		// definition.
+		if d := t.defPred; isFinite(d) && d < math.MaxFloat64 {
 			e.DefaultSecs = d
 		}
 	}
-	best := math.Inf(1)
-	for _, v := range sel.Preds {
-		if isFinite(v) && v < best {
-			best = v
-		}
-	}
-	if isFinite(best) && best < math.MaxFloat64 {
-		e.BestSecs = best
+	if isFinite(t.bestPred) {
+		e.BestSecs = t.bestPred
 	}
 	return e
 }
@@ -150,22 +185,20 @@ func (b *Bao) RestoreExperiences(exps []Experience) {
 // observe is the one place a decision is booked: record metrics and
 // regret, admit the experience, and retrain on schedule (or early, when
 // allowEarly and the prediction was grossly wrong). It finishes and
-// publishes sel.Trace. A censored observation is a lower bound — the
-// execution was cancelled at its deadline and secs is the budget — so it
-// is counted and journalled as such and yields no calibration sample. A
+// publishes the ticket's trace. A censored observation is a lower bound —
+// the execution was cancelled at its deadline and secs is the budget — so
+// it is counted and journalled as such and yields no calibration sample. A
 // non-finite observation is admitted (and counted, by
 // bao_nonfinite_targets_total) but books no metric, regret or trace
 // value: one NaN in a running sum stays there for good.
-func (b *Bao) observe(sel *Selection, secs float64, allowEarly, censored bool) {
+func (b *Bao) observe(t Ticket, secs float64, allowEarly, censored bool) {
 	obsStart := time.Now()
 	o := b.observer
 	o.Queries.Inc()
-	cause := sel.Trace.Cause()
-	armName := b.Cfg.Arms[sel.ArmID].Name
-	var pred, ratio float64
-	if sel.UsedModel && sel.Preds != nil {
-		pred = sel.Preds[sel.ArmID]
-	}
+	cause := t.trace.Cause()
+	armName := b.Cfg.Arms[t.arm].Name
+	pred := t.pred // zero unless predicted
+	var ratio float64
 	finite := isFinite(secs)
 	if finite {
 		o.ExecSeconds.ObserveEx(secs, cause.TraceID, cause.RequestID)
@@ -184,7 +217,7 @@ func (b *Bao) observe(sel *Selection, secs float64, allowEarly, censored bool) {
 		// The ledger books a censored observation at its budget: a lower
 		// bound on the regret actually suffered, flagged so readers know
 		// it understates.
-		o.RecordRegret(b.regretEntry(sel, secs, censored))
+		o.RecordRegret(b.regretEntry(t, secs, censored))
 	}
 	if censored {
 		o.QueryTimeouts.Inc()
@@ -203,18 +236,18 @@ func (b *Bao) observe(sel *Selection, secs float64, allowEarly, censored bool) {
 		o.PoolMisses.Set(float64(st.Misses))
 		o.PoolHitRate.Set(st.HitRate())
 	}
-	sel.Trace.AddSpan("observe", obsStart, time.Since(obsStart), "")
+	t.trace.AddSpan("observe", obsStart, time.Since(obsStart), "")
 	if allowEarly {
-		b.reportBreakerOutcome(sel, secs)
+		b.reportBreakerOutcome(t, secs)
 	}
 	b.record(Experience{
-		Tree:     sel.Trees[sel.ArmID],
+		Tree:     t.tree,
 		Secs:     secs,
-		ArmID:    sel.ArmID,
-		Key:      sel.SQL,
+		ArmID:    t.arm,
+		Key:      t.sql,
 		Censored: censored,
-	}, pred, allowEarly, true, sel.Trace)
-	if tr := sel.Trace; tr != nil {
+	}, pred, allowEarly, true, t.trace)
+	if tr := t.trace; tr != nil {
 		if finite {
 			tr.ObservedSecs = secs
 		}
@@ -237,13 +270,13 @@ func (b *Bao) observe(sel *Selection, secs float64, allowEarly, censored bool) {
 // (cold start, warm-up, breaker open) carry no learned-vs-default signal
 // and report nothing; a censored observation reports its budget — a
 // lower bound that can only under-report the regression.
-func (b *Bao) reportBreakerOutcome(sel *Selection, secs float64) {
-	if b.breaker == nil || !sel.UsedModel || sel.Preds == nil {
+func (b *Bao) reportBreakerOutcome(t Ticket, secs float64) {
+	if b.breaker == nil || !t.predicted {
 		return
 	}
 	c := b.Cfg.Breaker
-	defPred := sel.Preds[0]
-	failure := sel.ArmID != 0 && isFinite(defPred) && defPred > 0 &&
+	defPred := t.defPred
+	failure := t.arm != 0 && isFinite(defPred) && defPred > 0 &&
 		secs > c.RegretRatio*defPred && secs > grossMispredFloorSecs
 	b.breaker.ReportOutcome(failure)
 }

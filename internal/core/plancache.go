@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"sync"
+	"unsafe"
 
 	"bao/internal/nn"
 	"bao/internal/obs"
@@ -45,10 +46,10 @@ type planCacheEntry struct {
 }
 
 // planCache is the text-keyed plan cache: an LRU bounded by entry count
-// and by the approximate resident bytes of the cached tensors. The key is
-// the exact SQL text, so a hit is one map lookup and never runs the
-// lexer, parser or analyzer; it additionally requires matching catalog
-// and statistics epochs. All methods are safe for concurrent use.
+// and by the approximate resident bytes of its entries (entryBytes). The
+// key is the exact SQL text, so a hit is one map lookup and never runs
+// the lexer, parser or analyzer; it additionally requires matching
+// catalog and statistics epochs. All methods are safe for concurrent use.
 type planCache struct {
 	maxEntries int
 	maxBytes   int64
@@ -171,16 +172,52 @@ func (c *planCache) publishLocked() {
 	c.o.PlanCacheBytes.Set(float64(c.bytes))
 }
 
-// entryBytes approximates an entry's resident footprint: the featurized
-// tensors dominate (N nodes × feature-dim float64s per unique plan), so
-// the estimate counts tensor and prediction payloads plus a small fixed
-// overhead for the plan skeletons, analyzed query and bookkeeping.
+// Struct sizes entryBytes charges; strings inside them (table, alias and
+// column names) are shared with the catalog and not counted.
+const (
+	nodeBytes    = int64(unsafe.Sizeof(planner.Node{}))
+	filterBytes  = int64(unsafe.Sizeof(planner.Filter{}))
+	outColBytes  = int64(unsafe.Sizeof(planner.OutCol{}))
+	aggSpecBytes = int64(unsafe.Sizeof(planner.AggSpec{}))
+	treeBytes    = int64(unsafe.Sizeof(nn.Tree{}))
+	// The entry itself, its LRU element and its map slot.
+	entryOverhead = int64(unsafe.Sizeof(planCacheEntry{})) + 128
+	// queryBytesPerSQLByte prices the analyzed query (statement, scans,
+	// edges, outputs) per byte of its SQL text: about 4 over the IMDb
+	// templates.
+	queryBytesPerSQLByte = 4
+)
+
+// entryBytes approximates an entry's resident footprint. The plan nodes
+// weigh most, then the tensors. The arms' plans share subtrees (the
+// planner hash-conses them), so each distinct node is counted once, at
+// its struct size plus its slices' payloads. The per-arm and per-group
+// slices, the SQL text and, roughly, the analyzed query make up the rest
+// (TestPlanCacheEntryBytes holds the estimate to a heap measurement).
 func entryBytes(e *planCacheEntry) int64 {
-	const overhead = 512
-	b := int64(overhead)
-	b += int64(len(e.plans))*16 + int64(len(e.cands)+len(e.armGroup)+len(e.uniq)+len(e.preds))*8
+	b := entryOverhead + (1+queryBytesPerSQLByte)*int64(len(e.sql))
+	b += 8 * int64(len(e.plans)+len(e.cands)+len(e.armGroup)+len(e.uniq)+len(e.trees)+len(e.preds))
 	for _, t := range e.trees {
-		b += int64(len(t.Feat))*8 + int64(len(t.Left)+len(t.Right))*8
+		b += treeBytes + 8*int64(len(t.Feat)+len(t.Left)+len(t.Right))
+	}
+	seen := make(map[*planner.Node]struct{}, 64)
+	var walk func(n *planner.Node)
+	walk = func(n *planner.Node) {
+		if _, ok := seen[n]; n == nil || ok {
+			return
+		}
+		seen[n] = struct{}{}
+		b += nodeBytes + filterBytes*int64(len(n.Filters)) + outColBytes*int64(len(n.Cols)) +
+			aggSpecBytes*int64(len(n.Aggs)) + int64(len(n.SortDesc)) +
+			8*int64(len(n.LeftKeys)+len(n.RightKeys)+len(n.SortCols)+len(n.GroupCols)+len(n.Projection))
+		if n.IndexFilter != nil {
+			b += filterBytes
+		}
+		walk(n.Left)
+		walk(n.Right)
+	}
+	for _, p := range e.plans {
+		walk(p)
 	}
 	return b
 }

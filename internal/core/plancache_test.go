@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"bao/internal/catalog"
 	"bao/internal/obs"
 	"bao/internal/planner"
+	"bao/internal/workload"
 )
 
 // cachedWorkload is the repeated-shape select mix the cache tests drive:
@@ -599,5 +601,64 @@ func TestPlanCacheConcurrentVersionOrder(t *testing.T) {
 	wg.Wait()
 	if hits.Load() == 0 {
 		t.Fatal("no lookup hit the cache")
+	}
+}
+
+// TestPlanCacheEntryBytes holds the byte bound to what the cache really
+// keeps: over many distinct texts (49 arms, 2.2 relations per query on
+// average) the estimated bytes per entry must be within 25 % of the live
+// heap the entries add. The estimate once counted only the tensors and
+// read 36 % of the heap, so the byte cap admitted nearly 3× its size.
+func TestPlanCacheEntryBytes(t *testing.T) {
+	const warm, n = 32, 256
+	var texts []string
+	seen := map[string]bool{}
+	for _, q := range workload.IMDbStable(workload.Config{Scale: 0.12, Queries: 4 * (warm + n), Seed: 7}).Queries {
+		if !seen[q.SQL] {
+			seen[q.SQL] = true
+			texts = append(texts, q.SQL)
+		}
+	}
+	if len(texts) < warm+n {
+		t.Fatalf("%d distinct texts, want %d", len(texts), warm+n)
+	}
+	cfg := FastConfig()
+	cfg.PlanCache = true
+	cfg.PlanCacheSize = 2 * n
+	cfg.PlanCacheBytes = 1 << 40
+	cfg.Observer = obs.Disabled()
+	b := New(buildIMDbEngine(t), cfg)
+	if len(cfg.Arms) != 49 {
+		t.Fatalf("%d arms, want the full family of 49", len(cfg.Arms))
+	}
+	// Warm the planner, featurizer and metric series, then start empty.
+	for _, sql := range texts[:warm] {
+		if _, err := b.Select(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.FlushPlanCache()
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for _, sql := range texts[warm : warm+n] {
+		if _, err := b.Select(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measured := (heap() - before) / n
+	entries, bytes := b.PlanCacheStats()
+	runtime.KeepAlive(b)
+	if entries != n {
+		t.Fatalf("%d entries resident, want %d", entries, n)
+	}
+	est := bytes / n
+	t.Logf("per entry: estimated %d B, measured %d B on the heap", est, measured)
+	if r := float64(est) / float64(measured); r < 0.75 || r > 1.25 {
+		t.Fatalf("estimated %d B per entry, measured %d B: ratio %.2f outside [0.75, 1.25]", est, measured, r)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bao/internal/guard"
 	"bao/internal/model"
 	"bao/internal/nn"
 	"bao/internal/obs"
@@ -339,6 +340,98 @@ func TestResidencyMatchesReference(t *testing.T) {
 					check(name, built, built, uniq, bumped, fmt.Sprintf("plan %d row %d bumped", g, n))
 				}
 			}
+		}
+	}
+}
+
+// regretEntryFromSelection and breakerVerdictFromSelection are what
+// observe booked when it read the whole Selection rather than a Ticket:
+// the regret entry, and whether a breaker outcome is reported and is a
+// failure. Kept as the oracle for the ticket's three predictions.
+func regretEntryFromSelection(b *Bao, sel *Selection, secs float64, censored bool) obs.RegretEntry {
+	e := obs.RegretEntry{
+		ArmID:        sel.ArmID,
+		Arm:          b.Cfg.Arms[sel.ArmID].Name,
+		ObservedSecs: secs,
+		DefaultSecs:  secs,
+		BestSecs:     secs,
+		Censored:     censored,
+		WarmUp:       sel.WarmUp,
+	}
+	if !sel.UsedModel || len(sel.Preds) == 0 {
+		return e
+	}
+	if sel.ArmID != 0 {
+		if d := sel.Preds[0]; isFinite(d) && d < math.MaxFloat64 {
+			e.DefaultSecs = d
+		}
+	}
+	best := math.Inf(1)
+	for _, v := range sel.Preds {
+		if isFinite(v) && v < best {
+			best = v
+		}
+	}
+	if isFinite(best) && best < math.MaxFloat64 {
+		e.BestSecs = best
+	}
+	return e
+}
+
+func breakerVerdictFromSelection(b *Bao, sel *Selection, secs float64) (report, failure bool) {
+	if !sel.UsedModel || sel.Preds == nil {
+		return false, false
+	}
+	defPred := sel.Preds[0]
+	return true, sel.ArmID != 0 && isFinite(defPred) && defPred > 0 &&
+		secs > b.Cfg.Breaker.RegretRatio*defPred && secs > grossMispredFloorSecs
+}
+
+// TestTicketMatchesSelectionReference draws selections — arm, model use,
+// warm-up, and predictions with ties, the MaxFloat64 clamp, zero,
+// negative, infinite and NaN values — and requires what observe books
+// from the selection's ticket to match the oracle: the regret entry, the
+// prediction the calibration and misprediction checks read, and the
+// breaker verdict (no report, a success, or a failure).
+func TestTicketMatchesSelectionReference(t *testing.T) {
+	preds := []float64{0, 0.001, 0.001, 0.004, 0.5, -1, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	observed := []float64{0.001, 0.02, 0.05, 2, 1e9}
+	bcfg := guard.BreakerConfig{Enabled: true, RegretFailures: 2}.WithDefaults()
+	b := &Bao{observer: obs.Disabled(), Cfg: Config{Arms: TopArms(6), Breaker: bcfg}}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20000; trial++ {
+		n := len(b.Cfg.Arms)
+		sel := &Selection{ArmID: rng.Intn(n), Trees: make([]*nn.Tree, n), UsedModel: rng.Intn(4) > 0, WarmUp: rng.Intn(2) == 0}
+		if rng.Intn(5) > 0 {
+			sel.Preds = make([]float64, n)
+			for i := range sel.Preds {
+				sel.Preds[i] = preds[rng.Intn(len(preds))]
+			}
+		}
+		secs, censored := observed[rng.Intn(len(observed))], rng.Intn(2) == 0
+		tk := sel.Ticket()
+		if got, want := b.regretEntry(tk, secs, censored), regretEntryFromSelection(b, sel, secs, censored); got != want {
+			t.Fatalf("trial %d: arm %d model %v preds %v: regret entry %+v, the reference booked %+v", trial, sel.ArmID, sel.UsedModel, sel.Preds, got, want)
+		}
+		var wantPred float64
+		if sel.UsedModel && sel.Preds != nil {
+			wantPred = sel.Preds[sel.ArmID]
+		}
+		if math.Float64bits(tk.pred) != math.Float64bits(wantPred) {
+			t.Fatalf("trial %d: ticket prediction %v, want %v", trial, tk.pred, wantPred)
+		}
+		// One failure already counted: a second trips the breaker, a
+		// success resets the count, and no report leaves it at one.
+		b.breaker = guard.NewBreaker(bcfg, nil)
+		b.breaker.ReportOutcome(true)
+		b.reportBreakerOutcome(tk, secs)
+		gotReport, gotFailure := true, b.breaker.State() == guard.Open
+		if !gotFailure {
+			b.breaker.ReportOutcome(true)
+			gotReport = b.breaker.State() == guard.Closed
+		}
+		if report, failure := breakerVerdictFromSelection(b, sel, secs); gotReport != report || gotFailure != failure {
+			t.Fatalf("trial %d: arm %d preds %v secs %v: breaker saw report=%v failure=%v, the reference %v/%v", trial, sel.ArmID, sel.Preds, secs, gotReport, gotFailure, report, failure)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		PlanCacheMisses:    reg.Counter("bao_plancache_misses_total", "Selections that planned all arms because no valid cache entry existed."),
 		PlanCacheEvictions: reg.Counter("bao_plancache_evictions_total", "Plan-cache entries evicted to respect the entry or byte bound."),
 		PlanCacheEntries:   reg.Gauge("bao_plancache_entries", "Entries currently resident in the plan cache."),
-		PlanCacheBytes:     reg.Gauge("bao_plancache_bytes", "Approximate resident bytes of cached plan tensors and predictions."),
+		PlanCacheBytes:     reg.Gauge("bao_plancache_bytes", "Approximate resident bytes of plan-cache entries: plan nodes, tensors, per-arm slices and analyzed queries."),
 
 		SelectStage:   reg.HistogramVec("bao_select_stage_seconds", "Wall time per stage of one selection; the stages tile it.", "stage", lat),
 		SelectSeconds: reg.Histogram("bao_selection_seconds", "End-to-end Select (optimization overhead) wall time per query.", lat),

@@ -36,7 +36,7 @@ func TestObserveRacingKillDoesNotPanic(t *testing.T) {
 	done := make(chan any, 1)
 	go func() {
 		defer func() { done <- recover() }()
-		b.ObserveLatency(sel, 0.02)
+		b.ObserveLatency(sel.Ticket(), 0.02)
 	}()
 	<-entered
 	s.Kill()

@@ -93,48 +93,63 @@ func TestRetrainLinkedTracesUnderLoad(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	traces := s.o.Traces()
-	var retrain, checkpoint *obs.Trace
+	// The journal first: a swap is journalled before its retrain trace is
+	// published, so every swap read here has its trace published by the
+	// time the retrain returns. More than one retrain may have run.
+	var events []obs.Event
+	if code := getJSON(t, base+"/debug/events", &events); code != http.StatusOK {
+		t.Fatalf("/debug/events status %d", code)
+	}
+	var traces []*obs.Trace
+	retrains := map[uint64]*obs.Trace{} // by cause
+	for {
+		traces = s.o.Traces()
+		clear(retrains)
+		for _, tr := range traces {
+			if tr.Kind == "retrain" {
+				retrains[tr.CauseID] = tr
+			}
+		}
+		unpublished := slices.ContainsFunc(events, func(ev obs.Event) bool {
+			return ev.Kind == obs.EventSwapAccepted && retrains[ev.TraceID] == nil
+		})
+		if !unpublished {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a journalled swap's retrain trace was never published")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	byID := map[uint64]*obs.Trace{}
 	for _, tr := range traces {
 		byID[tr.ID] = tr
-		switch tr.Kind {
-		case "retrain":
-			retrain = tr
-		case "checkpoint":
-			checkpoint = tr
-		}
 	}
-	if retrain == nil {
+	if len(retrains) == 0 {
 		t.Fatalf("no retrain trace published; have %d traces", len(traces))
 	}
-	if retrain.CauseID == 0 {
-		t.Fatalf("retrain trace not linked to a cause: %+v", retrain)
-	}
-	// The cause must resolve to a published query decision trace.
-	q := byID[retrain.CauseID]
-	if q == nil || q.Kind != "query" {
-		t.Fatalf("retrain cause %d does not resolve to a query trace", retrain.CauseID)
-	}
-	if retrain.RequestID == "" || q.RequestID != retrain.RequestID {
-		t.Fatalf("request id not propagated: query %q vs retrain %q", q.RequestID, retrain.RequestID)
-	}
-	for _, want := range []string{"sample", "fit", "validate", "swap"} {
-		var seen bool
-		for _, sp := range retrain.Spans {
-			if sp.Name == want {
-				seen = true
+	for cause, retrain := range retrains {
+		if cause == 0 {
+			t.Fatalf("retrain trace not linked to a cause: %+v", retrain)
+		}
+		// The cause must resolve to a published query decision trace.
+		q := byID[cause]
+		if q == nil || q.Kind != "query" {
+			t.Fatalf("retrain cause %d does not resolve to a query trace", cause)
+		}
+		if retrain.RequestID == "" || q.RequestID != retrain.RequestID {
+			t.Fatalf("request id not propagated: query %q vs retrain %q", q.RequestID, retrain.RequestID)
+		}
+		for _, want := range []string{"sample", "fit", "validate", "swap"} {
+			if !slices.ContainsFunc(retrain.Spans, func(sp obs.Span) bool { return sp.Name == want }) {
+				t.Fatalf("retrain trace missing span %q: %+v", want, retrain.Spans)
 			}
 		}
-		if !seen {
-			t.Fatalf("retrain trace missing span %q: %+v", want, retrain.Spans)
+	}
+	for _, tr := range traces {
+		if tr.Kind == "checkpoint" && retrains[tr.CauseID] == nil {
+			t.Fatalf("checkpoint cause %d is no retrain's cause", tr.CauseID)
 		}
-	}
-	if checkpoint == nil {
-		t.Fatal("no checkpoint trace published")
-	}
-	if checkpoint.CauseID != retrain.CauseID {
-		t.Fatalf("checkpoint cause %d != retrain cause %d", checkpoint.CauseID, retrain.CauseID)
 	}
 
 	// The regret ledger and event journal serve live data over HTTP.
@@ -145,17 +160,13 @@ func TestRetrainLinkedTracesUnderLoad(t *testing.T) {
 	if snap.Decisions < 20 || len(snap.Window) == 0 {
 		t.Fatalf("regret snapshot not live: %+v decisions", snap.Decisions)
 	}
-	var events []obs.Event
-	if code := getJSON(t, base+"/debug/events", &events); code != http.StatusOK {
-		t.Fatalf("/debug/events status %d", code)
-	}
 	var sawSwap, sawCkpt bool
 	for _, ev := range events {
 		switch ev.Kind {
 		case obs.EventSwapAccepted:
 			sawSwap = true
-			if ev.TraceID != retrain.CauseID {
-				t.Fatalf("swap event trace %d != cause %d", ev.TraceID, retrain.CauseID)
+			if retrains[ev.TraceID] == nil {
+				t.Fatalf("swap event trace %d is no retrain's cause", ev.TraceID)
 			}
 		case obs.EventCheckpoint:
 			sawCkpt = true

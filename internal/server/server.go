@@ -63,7 +63,7 @@ type Config struct {
 const (
 	// pendingLimit bounds selections awaiting their /v1/observe callback;
 	// the oldest is dropped past it (clients that never report back must
-	// not leak memory).
+	// not leak memory). Each holds only its observation ticket.
 	pendingLimit = 1024
 	// checkpointKeep is how many model checkpoint generations are kept.
 	checkpointKeep   = 5
@@ -87,9 +87,9 @@ type Server struct {
 	admit chan struct{} // admission-control semaphore
 
 	selMu   sync.Mutex
-	pending map[uint64]*core.Selection // selections awaiting /v1/observe
-	nextID  uint64                     // the newest parked ID
-	evicted uint64                     // every ID up to here has left pending
+	pending map[uint64]core.Ticket // selections awaiting /v1/observe
+	nextID  uint64                 // the newest parked ID
+	evicted uint64                 // every ID up to here has left pending
 
 	// retrainCh is never closed: an observation may still hold the retrain
 	// hook after Shutdown or Kill detached it, and its late signal is
@@ -130,7 +130,7 @@ func New(b *core.Bao, cfg Config) (*Server, error) {
 		cfg:         cfg,
 		o:           b.Observer(),
 		admit:       make(chan struct{}, cfg.MaxInFlight),
-		pending:     make(map[uint64]*core.Selection),
+		pending:     make(map[uint64]core.Ticket),
 		retrainCh:   make(chan retrainSignal, 1),
 		stop:        make(chan struct{}),
 		trainerDone: make(chan struct{}),
@@ -439,9 +439,9 @@ type selectResponse struct {
 }
 
 // handleSelect is the model fast path: plan every arm, predict, choose.
-// The selection is parked awaiting the client's /v1/observe with the
-// observed runtime; this is the paper's advisor integration, where the
-// database executes the chosen plan itself.
+// The selection's observation ticket is parked awaiting the client's
+// /v1/observe with the observed runtime; this is the paper's advisor
+// integration, where the database executes the chosen plan itself.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req selectRequest
 	if !decodeJSON(w, r, &req) {
@@ -463,7 +463,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.bao.Abandon(sel, "selection dropped before park: "+cerr.Error())
 		return
 	}
-	id := s.park(sel)
+	id := s.park(sel.Ticket())
 	resp := selectResponse{
 		SelectionID: id,
 		ArmID:       sel.ArmID,
@@ -477,15 +477,16 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// park stores a selection awaiting feedback, evicting the oldest when the
-// pending table is full. IDs ascend, so the oldest pending selection is
-// the lowest ID: the low-water mark advances past IDs already observed
-// and evicts until the table is back at its bound, passing each ID once.
-func (s *Server) park(sel *core.Selection) uint64 {
+// park stores a selection's ticket awaiting feedback, evicting the oldest
+// when the pending table is full. IDs ascend, so the oldest pending
+// selection is the lowest ID: the low-water mark advances past IDs
+// already observed and evicts until the table is back at its bound,
+// passing each ID once.
+func (s *Server) park(t core.Ticket) uint64 {
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
 	s.nextID++
-	s.pending[s.nextID] = sel
+	s.pending[s.nextID] = t
 	for len(s.pending) > pendingLimit {
 		s.evicted++
 		delete(s.pending, s.evicted)
@@ -493,13 +494,14 @@ func (s *Server) park(sel *core.Selection) uint64 {
 	return s.nextID
 }
 
-// take removes and returns a parked selection.
-func (s *Server) take(id uint64) *core.Selection {
+// take removes and returns a parked ticket; ok is false when id is not
+// pending (never issued, already observed, or evicted).
+func (s *Server) take(id uint64) (t core.Ticket, ok bool) {
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
-	sel := s.pending[id]
+	t, ok = s.pending[id]
 	delete(s.pending, id)
-	return sel
+	return t, ok
 }
 
 type observeRequest struct {
@@ -527,12 +529,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.bao.Abandon(nil, "observe abandoned: "+cerr.Error())
 		return
 	}
-	sel := s.take(req.SelectionID)
-	if sel == nil {
+	t, ok := s.take(req.SelectionID)
+	if !ok {
 		http.Error(w, "unknown or expired selection_id", http.StatusNotFound)
 		return
 	}
-	s.bao.ObserveLatency(sel, req.Secs)
+	s.bao.ObserveLatency(t, req.Secs)
 	writeJSON(w, observeResponse{Experience: s.bao.ExperienceSize(), Trained: s.bao.Trained()})
 }
 

@@ -479,10 +479,10 @@ func TestPendingEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := s.park(sel)
+	first := s.park(sel.Ticket())
 	last := first
 	for i := 0; i < pendingLimit; i++ {
-		last = s.park(sel)
+		last = s.park(sel.Ticket())
 	}
 	if got := len(s.pending); got != pendingLimit {
 		t.Fatalf("pending table holds %d selections, want the bound %d", got, pendingLimit)
@@ -505,8 +505,12 @@ func TestPendingOrderBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pending := func(id uint64) bool {
+		_, ok := s.take(id)
+		return ok
+	}
 	for i := 0; i < 3*pendingLimit; i++ {
-		if s.take(s.park(sel)) == nil {
+		if !pending(s.park(sel.Ticket())) {
 			t.Fatal("a parked selection was not pending")
 		}
 	}
@@ -515,9 +519,9 @@ func TestPendingOrderBounded(t *testing.T) {
 	}
 	unobserved := make([]uint64, pendingLimit+1)
 	for i := range unobserved {
-		unobserved[i] = s.park(sel)
+		unobserved[i] = s.park(sel.Ticket())
 	}
-	if len(s.pending) != pendingLimit || s.take(unobserved[0]) != nil || s.take(unobserved[1]) == nil {
+	if len(s.pending) != pendingLimit || pending(unobserved[0]) || !pending(unobserved[1]) {
 		t.Fatal("eviction did not drop exactly the oldest unobserved selection")
 	}
 }
