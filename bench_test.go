@@ -561,7 +561,7 @@ func newBenchFleet(b *testing.B, workers int) *benchFleet {
 		// invalidation cadence.
 		cfg.RetrainEvery = 1 << 30
 		cfg.Train.MaxEpochs = 2
-		cfg.Workers = workers
+		cfg.Train.Workers = workers
 		cfg.PlanCache = true
 		cfg.PlanCacheSize = 256
 		o := obs.NewObserver(obs.NewRegistry(), nil)

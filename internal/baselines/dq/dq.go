@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
-	"bao/internal/cloud"
-	"bao/internal/core"
+	"bao/internal/baselines"
 	"bao/internal/engine"
 	"bao/internal/nn"
 	"bao/internal/planner"
@@ -28,12 +26,10 @@ const featDim = 3*MaxRelations + 3 + 2
 
 // Config controls DQ's training loop.
 type Config struct {
-	WindowSize       int
-	RetrainEvery     int
-	Train            nn.TrainConfig
-	Seed             int64
-	Epsilon          float64 // exploration rate while acting
-	BootstrapQueries int
+	baselines.Schedule
+	Train   nn.TrainConfig
+	Seed    int64
+	Epsilon float64 // exploration rate while acting
 }
 
 // DefaultConfig returns laptop-scale DQ parameters.
@@ -41,8 +37,8 @@ func DefaultConfig() Config {
 	t := nn.DefaultTrainConfig()
 	t.MaxEpochs = 25
 	t.Patience = 5
-	return Config{WindowSize: 2000, RetrainEvery: 50, Train: t, Seed: 33,
-		Epsilon: 0.1, BootstrapQueries: 50}
+	return Config{Schedule: baselines.Schedule{WindowSize: 2000, RetrainEvery: 50, BootstrapQueries: 50},
+		Train: t, Seed: 33, Epsilon: 0.1}
 }
 
 type transition struct {
@@ -50,96 +46,61 @@ type transition struct {
 	cost float64 // Monte Carlo return: the episode's final latency
 }
 
-// DQ is the Q-learning join-order optimizer.
+// DQ is the Q-learning join-order optimizer: the shared learning loop
+// over a window of (state, action) transitions, with an ε-greedy episode
+// over an MLP as its policy.
 type DQ struct {
+	*baselines.Loop[transition]
 	Cfg Config
-	Eng *engine.Engine
 	Net *nn.MLP
 
-	exp         []transition
-	queriesSeen int
-	sinceTrain  int
-	trained     bool
-	rng         *rand.Rand
-	TrainEvents []core.TrainEvent
+	rng *rand.Rand
 }
 
 // New constructs DQ over an engine.
 func New(eng *engine.Engine, cfg Config) *DQ {
-	return &DQ{
+	d := &DQ{
 		Cfg: cfg,
-		Eng: eng,
 		Net: nn.NewMLP([]int{featDim, 64, 64, 1}, cfg.Seed),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
+	d.Loop = baselines.NewLoop[transition](eng, cfg.Schedule, d)
+	return d
 }
 
-// Run executes one query under DQ's policy and learns from the outcome.
-func (d *DQ) Run(sql string) (*engine.Result, error) {
-	q, err := d.Eng.AnalyzeSQL(sql)
-	if err != nil {
-		return nil, err
-	}
+// Plan is DQ's policy: one ε-greedy episode, whose transitions await the
+// plan's latency.
+func (d *DQ) Plan(q *planner.Query) (*planner.Node, []transition, error) {
 	if len(q.Scans) > MaxRelations {
-		return nil, fmt.Errorf("dq: query exceeds %d relations", MaxRelations)
+		return nil, nil, fmt.Errorf("dq: query exceeds %d relations", MaxRelations)
 	}
-	var plan *planner.Node
-	var feats [][]float64
-	if !d.trained || d.queriesSeen < d.Cfg.BootstrapQueries {
-		plan, _, err = d.Eng.Plan(q, planner.AllOn())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		plan, feats, err = d.buildPlan(q)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := d.Eng.Execute(plan)
-	if err != nil {
-		return nil, err
-	}
-	d.observe(feats, cloud.ExecSeconds(res.Counters))
-	return res, nil
+	return d.buildPlan(q)
 }
 
-func (d *DQ) observe(feats [][]float64, secs float64) {
-	d.queriesSeen++
-	d.sinceTrain++
+// Record labels the episode's transitions with the query's log latency.
+func (d *DQ) Record(_ *planner.Node, episode []transition, secs float64) []transition {
 	y := math.Log1p(secs * 1000)
-	for _, f := range feats {
-		d.exp = append(d.exp, transition{feat: f, cost: y})
+	if episode == nil {
+		// A native plan (or a one-relation query) has no per-action
+		// features, but still counts toward the retrain floor so training
+		// begins.
+		return []transition{{feat: make([]float64, featDim), cost: y}}
 	}
-	if feats == nil {
-		// Bootstrap phase: no per-action features, but still count toward
-		// the retrain schedule so training begins.
-		d.exp = append(d.exp, transition{feat: make([]float64, featDim), cost: y})
+	for i := range episode {
+		episode[i].cost = y
 	}
-	if over := len(d.exp) - d.Cfg.WindowSize; over > 0 {
-		d.exp = d.exp[over:]
-	}
-	if d.sinceTrain >= d.Cfg.RetrainEvery && len(d.exp) >= 16 {
-		d.retrain()
-	}
+	return episode
 }
 
-func (d *DQ) retrain() {
-	d.sinceTrain = 0
-	xs := make([][]float64, len(d.exp))
-	ys := make([]float64, len(d.exp))
-	for i, t := range d.exp {
+// Fit trains the Q-network on the window.
+func (d *DQ) Fit(window []transition) {
+	xs := make([][]float64, len(window))
+	ys := make([]float64, len(window))
+	for i, t := range window {
 		xs[i] = t.feat
 		ys[i] = t.cost
 	}
-	start := time.Now()
-	res := d.Net.FitScalar(xs, ys, d.Cfg.Train)
-	d.trained = true
-	d.TrainEvents = append(d.TrainEvents, core.TrainEvent{
-		AtQuery: d.queriesSeen, Samples: len(xs), Epochs: res.Epochs,
-		WallSeconds:   time.Since(start).Seconds(),
-		SimGPUSeconds: cloud.GPUTrainSeconds(len(xs), res.Epochs),
-	})
+	d.Net.FitScalar(xs, ys, d.Cfg.Train)
 }
 
 // encode builds the hand-crafted featurization of (state, action).
@@ -160,7 +121,7 @@ func encode(joined uint32, li, ri int, op int, lRows, rRows float64) []float64 {
 
 // buildPlan greedily applies the argmin-Q action per step (ε-greedy for
 // exploration), returning the plan and the featurized episode.
-func (d *DQ) buildPlan(q *planner.Query) (*planner.Node, [][]float64, error) {
+func (d *DQ) buildPlan(q *planner.Query) (*planner.Node, []transition, error) {
 	space, err := d.Eng.Opt.NewSpace(q)
 	if err != nil {
 		return nil, nil, err
@@ -177,7 +138,7 @@ func (d *DQ) buildPlan(q *planner.Query) (*planner.Node, [][]float64, error) {
 		subs[i], masks[i], rels[i] = s, 1<<uint(i), i
 	}
 	var joined uint32
-	var episode [][]float64
+	var episode []transition
 	ops := []planner.Op{planner.OpHashJoin, planner.OpMergeJoin, planner.OpNestLoop}
 	for len(subs) > 1 {
 		type action struct {
@@ -219,7 +180,7 @@ func (d *DQ) buildPlan(q *planner.Query) (*planner.Node, [][]float64, error) {
 			}
 			pick = acts[best]
 		}
-		episode = append(episode, pick.feat)
+		episode = append(episode, transition{feat: pick.feat})
 		var ns []*planner.Node
 		var nm []uint32
 		var nr []int

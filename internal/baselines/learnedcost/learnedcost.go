@@ -14,25 +14,18 @@ package learnedcost
 
 import (
 	"math/bits"
-	"time"
 
-	"bao/internal/cloud"
-	"bao/internal/core"
+	"bao/internal/baselines"
 	"bao/internal/engine"
-	"bao/internal/model"
 	"bao/internal/nn"
 	"bao/internal/planner"
 )
 
 // Config controls the learned-cost planner's training loop.
 type Config struct {
-	WindowSize   int
-	RetrainEvery int
-	Train        nn.TrainConfig
-	Seed         int64
-	// BootstrapQueries executes with the native optimizer while the first
-	// experience accumulates.
-	BootstrapQueries int
+	baselines.Schedule
+	Train nn.TrainConfig
+	Seed  int64
 }
 
 // DefaultConfig returns laptop-scale parameters.
@@ -40,91 +33,30 @@ func DefaultConfig() Config {
 	t := nn.DefaultTrainConfig()
 	t.MaxEpochs = 25
 	t.Patience = 8
-	return Config{WindowSize: 500, RetrainEvery: 50, Train: t, Seed: 37, BootstrapQueries: 50}
+	return Config{Schedule: baselines.Schedule{WindowSize: 500, RetrainEvery: 50, BootstrapQueries: 50},
+		Train: t, Seed: 37}
 }
 
-type experience struct {
-	tree *nn.Tree
-	secs float64
-}
-
-// Planner is the learned-cost-model optimizer.
+// Planner is the learned-cost-model optimizer: the shared learning loop
+// over a tree value network, with the model-scored dynamic program as
+// its policy.
 type Planner struct {
-	Cfg   Config
-	Eng   *engine.Engine
-	Model *model.TCNNModel
-	Feat  core.Featurizer
-
-	exp         []experience
-	queriesSeen int
-	sinceTrain  int
-	trained     bool
-	TrainEvents []core.TrainEvent
+	*baselines.Loop[baselines.TreeExp]
+	baselines.TreeModel
+	Cfg Config
 }
 
 // New constructs the planner over an engine.
 func New(eng *engine.Engine, cfg Config) *Planner {
-	return &Planner{Cfg: cfg, Eng: eng,
-		Model: model.NewTCNN(core.FeatureDim, cfg.Train, cfg.Seed)}
+	p := &Planner{TreeModel: baselines.NewTreeModel(cfg.Train, cfg.Seed), Cfg: cfg}
+	p.Loop = baselines.NewLoop[baselines.TreeExp](eng, cfg.Schedule, p)
+	return p
 }
 
-// Run plans (with the learned cost model once trained), executes, and
-// learns from the observation.
-func (p *Planner) Run(sql string) (*engine.Result, error) {
-	q, err := p.Eng.AnalyzeSQL(sql)
-	if err != nil {
-		return nil, err
-	}
-	var plan *planner.Node
-	if !p.trained || p.queriesSeen < p.Cfg.BootstrapQueries {
-		plan, _, err = p.Eng.Plan(q, planner.AllOn())
-	} else {
-		plan, err = p.dpPlan(q)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.Eng.Execute(plan)
-	if err != nil {
-		return nil, err
-	}
-	p.observe(plan, cloud.ExecSeconds(res.Counters))
-	return res, nil
-}
-
-func (p *Planner) observe(plan *planner.Node, secs float64) {
-	p.queriesSeen++
-	p.sinceTrain++
-	p.exp = append(p.exp, experience{tree: p.Feat.Vectorize(plan), secs: secs})
-	if over := len(p.exp) - p.Cfg.WindowSize; over > 0 {
-		p.exp = p.exp[over:]
-	}
-	if p.sinceTrain >= p.Cfg.RetrainEvery && len(p.exp) >= 16 {
-		p.retrain()
-	}
-}
-
-func (p *Planner) retrain() {
-	p.sinceTrain = 0
-	trees := make([]*nn.Tree, len(p.exp))
-	secs := make([]float64, len(p.exp))
-	for i, e := range p.exp {
-		trees[i] = e.tree
-		secs[i] = e.secs
-	}
-	start := time.Now()
-	epochs := p.Model.Fit(trees, secs)
-	p.trained = true
-	p.TrainEvents = append(p.TrainEvents, core.TrainEvent{
-		AtQuery: p.queriesSeen, Samples: len(trees), Epochs: epochs,
-		WallSeconds:   time.Since(start).Seconds(),
-		SimGPUSeconds: cloud.GPUTrainSeconds(len(trees), epochs),
-	})
-}
-
-// score predicts a subplan's latency with the value network.
-func (p *Planner) score(n *planner.Node) float64 {
-	return p.Model.Predict([]*nn.Tree{p.Feat.Vectorize(n)})[0]
+// Plan is the planner's policy: the model-scored dynamic program.
+func (p *Planner) Plan(q *planner.Query) (*planner.Node, []baselines.TreeExp, error) {
+	plan, err := p.dpPlan(q)
+	return plan, nil, err
 }
 
 // dpPlan runs the Selinger dynamic program with the learned model as the
@@ -144,7 +76,7 @@ func (p *Planner) dpPlan(q *planner.Query) (*planner.Node, error) {
 			return nil, err
 		}
 		best[1<<i] = s
-		scores[1<<i] = p.score(s)
+		scores[1<<i] = p.Score(s)
 	}
 	ops := []planner.Op{planner.OpHashJoin, planner.OpMergeJoin, planner.OpNestLoop}
 	full := uint32(1<<k) - 1
@@ -163,7 +95,7 @@ func (p *Planner) dpPlan(q *planner.Query) (*planner.Node, error) {
 				if jn == nil {
 					continue
 				}
-				sc := p.score(jn)
+				sc := p.Score(jn)
 				if best[mask] == nil || sc < scores[mask] {
 					best[mask] = jn
 					scores[mask] = sc

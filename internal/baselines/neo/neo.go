@@ -12,26 +12,18 @@ package neo
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
-	"bao/internal/cloud"
-	"bao/internal/core"
+	"bao/internal/baselines"
 	"bao/internal/engine"
-	"bao/internal/model"
 	"bao/internal/nn"
 	"bao/internal/planner"
 )
 
 // Config controls Neo's training loop.
 type Config struct {
-	WindowSize   int
-	RetrainEvery int
-	Train        nn.TrainConfig
-	Seed         int64
-	// BootstrapQueries: how many initial queries use the native optimizer
-	// while collecting experience (Neo's "expert demonstration" phase).
-	BootstrapQueries int
+	baselines.Schedule
+	Train nn.TrainConfig
+	Seed  int64
 	// SearchWidth caps how many states best-first search expands per query.
 	SearchWidth int
 }
@@ -41,95 +33,29 @@ func DefaultConfig() Config {
 	t := nn.DefaultTrainConfig()
 	t.MaxEpochs = 20
 	t.Patience = 5
-	return Config{WindowSize: 500, RetrainEvery: 50, Train: t, Seed: 31,
-		BootstrapQueries: 50, SearchWidth: 64}
+	return Config{Schedule: baselines.Schedule{WindowSize: 500, RetrainEvery: 50, BootstrapQueries: 50},
+		Train: t, Seed: 31, SearchWidth: 64}
 }
 
-type experience struct {
-	tree *nn.Tree
-	secs float64
-}
-
-// Neo is the learned optimizer.
+// Neo is the learned optimizer: the shared learning loop over a tree
+// value network, with best-first plan search as its policy.
 type Neo struct {
-	Cfg   Config
-	Eng   *engine.Engine
-	Model *model.TCNNModel
-	Feat  core.Featurizer
-
-	exp         []experience
-	queriesSeen int
-	sinceTrain  int
-	trained     bool
-	rng         *rand.Rand
-	TrainEvents []core.TrainEvent
+	*baselines.Loop[baselines.TreeExp]
+	baselines.TreeModel
+	Cfg Config
 }
 
 // New constructs Neo over an engine.
 func New(eng *engine.Engine, cfg Config) *Neo {
-	return &Neo{
-		Cfg:   cfg,
-		Eng:   eng,
-		Model: model.NewTCNN(core.FeatureDim, cfg.Train, cfg.Seed),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
+	n := &Neo{TreeModel: baselines.NewTreeModel(cfg.Train, cfg.Seed), Cfg: cfg}
+	n.Loop = baselines.NewLoop[baselines.TreeExp](eng, cfg.Schedule, n)
+	return n
 }
 
-// Run executes one query with Neo's current policy and learns from it.
-func (n *Neo) Run(sql string) (*engine.Result, error) {
-	q, err := n.Eng.AnalyzeSQL(sql)
-	if err != nil {
-		return nil, err
-	}
-	var plan *planner.Node
-	if !n.trained || n.queriesSeen < n.Cfg.BootstrapQueries {
-		// Demonstration phase: native optimizer plans, Neo observes.
-		plan, _, err = n.Eng.Plan(q, planner.AllOn())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		plan, err = n.search(q)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := n.Eng.Execute(plan)
-	if err != nil {
-		return nil, err
-	}
-	n.observe(plan, cloud.ExecSeconds(res.Counters))
-	return res, nil
-}
-
-func (n *Neo) observe(plan *planner.Node, secs float64) {
-	n.queriesSeen++
-	n.sinceTrain++
-	n.exp = append(n.exp, experience{tree: n.Feat.Vectorize(plan), secs: secs})
-	if over := len(n.exp) - n.Cfg.WindowSize; over > 0 {
-		n.exp = n.exp[over:]
-	}
-	if n.sinceTrain >= n.Cfg.RetrainEvery && len(n.exp) >= 16 {
-		n.retrain()
-	}
-}
-
-func (n *Neo) retrain() {
-	n.sinceTrain = 0
-	trees := make([]*nn.Tree, len(n.exp))
-	secs := make([]float64, len(n.exp))
-	for i, e := range n.exp {
-		trees[i] = e.tree
-		secs[i] = e.secs
-	}
-	start := time.Now()
-	epochs := n.Model.Fit(trees, secs)
-	n.trained = true
-	n.TrainEvents = append(n.TrainEvents, core.TrainEvent{
-		AtQuery: n.queriesSeen, Samples: len(trees), Epochs: epochs,
-		WallSeconds:   time.Since(start).Seconds(),
-		SimGPUSeconds: cloud.GPUTrainSeconds(len(trees), epochs),
-	})
+// Plan is Neo's policy: value-network-guided plan search.
+func (n *Neo) Plan(q *planner.Query) (*planner.Node, []baselines.TreeExp, error) {
+	plan, err := n.search(q)
+	return plan, nil, err
 }
 
 // state is a forest of subplans during search.
@@ -181,7 +107,7 @@ func (n *Neo) search(q *planner.Query) (*planner.Node, error) {
 						continue
 					}
 					evaluated++
-					score := n.Model.Predict([]*nn.Tree{n.Feat.Vectorize(jn)})[0]
+					score := n.Score(jn)
 					if best == nil || score < bestScore {
 						best = &action{i: i, j: j, node: jn}
 						bestScore = score

@@ -76,15 +76,6 @@ type Config struct {
 	// curriculum: new arms join once the model has matured enough to
 	// judge them. Zero disables the warm-up.
 	ArmWarmup int
-	// Workers bounds the goroutines model training splits mini-batches
-	// across (it fills Train.Workers when that is unset). A selection —
-	// one join enumeration for every arm, dedup, featurization, TCNN
-	// inference — runs on the caller's goroutine; the time the paper's
-	// parallel planners would take is modelled analytically by
-	// cloud.BaoPlanSeconds. Zero or negative means one worker per CPU; one
-	// forces fully sequential training. Results are bit-identical at every
-	// worker count.
-	Workers int
 	// PlanCache enables the text-keyed plan cache: the work of a selection
 	// — analyzed query, planned arm set, dedup groups, featurized tensors,
 	// and predictions — is cached keyed by the exact SQL text and checked
@@ -372,9 +363,6 @@ func New(eng *engine.Engine, cfg Config) *Bao {
 	if cfg.RetrainEvery <= 0 {
 		cfg.RetrainEvery = 100
 	}
-	if cfg.Train.Workers == 0 {
-		cfg.Train.Workers = cfg.Workers
-	}
 	if cfg.Breaker.Enabled {
 		cfg.Breaker = cfg.Breaker.WithDefaults()
 	}
@@ -596,13 +584,13 @@ func (b *Bao) RunCtx(ctx context.Context, sql string) (*engine.Result, *Selectio
 	sel, err := b.SelectCtx(ctx, sql)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			b.Abandon(nil, "select abandoned: "+cerr.Error())
+			b.Abandon(Ticket{}, "select abandoned: "+cerr.Error())
 		}
 		return nil, nil, err
 	}
 	// Don't take the execution lane for a caller that is already gone.
 	if cerr := ctx.Err(); cerr != nil {
-		b.Abandon(sel, "abandoned before execute: "+cerr.Error())
+		b.Abandon(sel.Ticket(), "abandoned before execute: "+cerr.Error())
 		return nil, sel, cerr
 	}
 	budget := cloud.DeadlineBudgetSecs(b.Cfg.QueryTimeout)
@@ -622,7 +610,7 @@ func (b *Bao) RunCtx(ctx context.Context, sql string) (*engine.Result, *Selectio
 		if err != nil {
 			reason = "execution abandoned: "
 		}
-		b.Abandon(sel, reason+cerr.Error())
+		b.Abandon(sel.Ticket(), reason+cerr.Error())
 		return nil, sel, cerr
 	}
 	var de *executor.DeadlineExceededError
@@ -632,7 +620,7 @@ func (b *Bao) RunCtx(ctx context.Context, sql string) (*engine.Result, *Selectio
 		b.ObserveTimeout(sel, budget)
 		return nil, sel, err
 	case err != nil:
-		b.Abandon(sel, "execute failed: "+err.Error())
+		b.Abandon(sel.Ticket(), "execute failed: "+err.Error())
 		return nil, sel, err
 	}
 	b.Observe(sel, res.Counters)

@@ -85,8 +85,8 @@ func TestAbandonRecordsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Abandon(sel, "client went away")
-	b.Abandon(nil, "no selection to speak of") // must be nil-safe
+	b.Abandon(sel.Ticket(), "client went away")
+	b.Abandon(Ticket{}, "no selection to speak of") // no selection: count only
 	if n := b.ExperienceSize(); n != 0 {
 		t.Fatalf("abandon leaked %d experiences into the window", n)
 	}
@@ -120,7 +120,7 @@ func stalledBao(t *testing.T, workers int, timeout time.Duration) *Bao {
 	}
 	cfg := FastConfig()
 	cfg.Arms = TopArms(3)
-	cfg.Workers = workers
+	cfg.Train.Workers = workers
 	cfg.RetrainEvery = 1000
 	cfg.QueryTimeout = timeout
 	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)

@@ -272,7 +272,7 @@ func TestCriticalRetrainDeterministic(t *testing.T) {
 		cfg := FastConfig()
 		cfg.Arms = TopArms(6)
 		cfg.Train.MaxEpochs = 5
-		cfg.Workers = 1
+		cfg.Train.Workers = 1
 		cfg.Observer = obs.Disabled()
 		b := New(buildIMDbEngine(t), cfg)
 		for _, q := range stream[:4] {

@@ -26,7 +26,7 @@ func guardTestConfig(workers int, fault *guard.Fault) Config {
 	cfg.RetrainEvery = 16
 	cfg.Train.MaxEpochs = 3
 	cfg.Train.Patience = 2
-	cfg.Workers = workers
+	cfg.Train.Workers = workers
 	cfg.Seed = 7
 	cfg.Breaker = guard.BreakerConfig{
 		Enabled:       true,

@@ -114,7 +114,7 @@ func TestCalibrationTelemetryAndCensoredEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := o.RegretSnapshot().Decisions
-	b.Abandon(sel4, "client disconnected")
+	b.Abandon(sel4.Ticket(), "client disconnected")
 	if got := o.Events()[0]; got.Kind != obs.EventAbandoned || got.Detail != "client disconnected" {
 		t.Fatalf("abandon event = %+v", got)
 	}

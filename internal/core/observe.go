@@ -135,28 +135,30 @@ func (b *Bao) regretEntry(t Ticket, secs float64, censored bool) obs.RegretEntry
 	return e
 }
 
-// Abandon discards a selection without recording anything: no experience,
-// no explog append, no retrain signal. The serving layer calls it for
-// requests whose client is gone (HTTP timeout or disconnect) and for
-// executions that failed outright — an abandoned request must leave the
-// learning state exactly as it found it. The decision trace, if any, is
-// finished and published flagged with the reason so dropped work stays
-// visible in /debug/traces. Every call counts in
-// bao_server_abandoned_total, with or without a selection.
-func (b *Bao) Abandon(sel *Selection, reason string) {
+// Abandon discards a selection's ticket without recording anything: no
+// experience, no explog append, no retrain signal. The serving layer calls
+// it for requests whose client is gone (HTTP timeout or disconnect), for
+// executions that failed outright, and for parked tickets evicted or still
+// pending at shutdown — an abandoned request must leave the learning state
+// exactly as it found it. The decision trace, if any, is finished and
+// published flagged with the reason so dropped work stays visible in
+// /debug/traces. Every call counts in bao_server_abandoned_total; the zero
+// Ticket stands for a request that never had a selection, and counts
+// without an event or a trace.
+func (b *Bao) Abandon(t Ticket, reason string) {
 	b.observer.ServeAbandoned.Inc()
-	if sel == nil {
+	if t == (Ticket{}) {
 		return
 	}
-	cause := sel.Trace.Cause()
+	cause := t.trace.Cause()
 	b.observer.Emit(obs.Event{
 		Kind:      obs.EventAbandoned,
 		Detail:    reason,
 		TraceID:   cause.TraceID,
 		RequestID: cause.RequestID,
-		Arm:       b.Cfg.Arms[sel.ArmID].Name,
+		Arm:       b.Cfg.Arms[t.arm].Name,
 	})
-	if tr := sel.Trace; tr != nil {
+	if tr := t.trace; tr != nil {
 		tr.AddSpan("abandon", time.Now(), 0, reason)
 		b.observer.FinishTrace(tr)
 	}

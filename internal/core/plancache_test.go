@@ -40,7 +40,7 @@ func TestPlanCacheDeterminism(t *testing.T) {
 			mk := func(cache bool) (*Bao, *obs.Observer) {
 				cfg := FastConfig()
 				cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
-				cfg.Workers = workers
+				cfg.Train.Workers = workers
 				if cache {
 					cfg.PlanCache = true
 				}

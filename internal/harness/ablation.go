@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"bao/internal/baselines/learnedcost"
 	"bao/internal/cloud"
 	"bao/internal/core"
 	"bao/internal/engine"
@@ -47,24 +46,11 @@ func (s *Session) Ablation() error {
 	rows = append(rows, []string{"Bao (cache-oblivious)", fmtSecs(oblivious.TotalSeconds())})
 
 	// Learned-cost-model DP (§7 future work).
-	eng := engine.New(engine.GradePostgreSQL, cloud.PagesForVM(cloud.N1_16))
-	if err := inst.Setup(eng); err != nil {
+	lc, err := s.Run("IMDb", cloud.N1_16, engine.GradePostgreSQL, SysLearnedCost)
+	if err != nil {
 		return err
 	}
-	lc := learnedcost.New(eng, learnedcost.DefaultConfig())
-	total := 0.0
-	events := eventReplay(eng, inst)
-	for i, q := range inst.Queries {
-		if err := events(i); err != nil {
-			return err
-		}
-		res, err := lc.Run(q.SQL)
-		if err != nil {
-			return err
-		}
-		total += cloud.ExecSeconds(res.Counters) + cloud.PlanSeconds(res.PlanCandidates) + 2e-3
-	}
-	rows = append(rows, []string{"learned-cost DP (§7)", fmtSecs(total)})
+	rows = append(rows, []string{"learned-cost DP (§7)", fmtSecs(lc.TotalSeconds())})
 
 	table(s.Opts.Out, []string{"Variant", "WorkloadTime"}, rows)
 	fmt.Fprintf(s.Opts.Out, "(Bao variants use %d arms; learned-cost DP plans one model-scored plan per query)\n",

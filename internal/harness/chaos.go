@@ -28,7 +28,7 @@ func chaosFault() *guard.Fault {
 // disabled so the breaker walks exactly the scripted model-failure path.
 func (s *Session) chaosConfig(workers int) core.Config {
 	cfg := s.BaoConfig()
-	cfg.Workers = workers
+	cfg.Train.Workers = workers
 	cfg.ArmWarmup = 0
 	cfg.RetrainEvery = 16
 	cfg.Train.MaxEpochs = 5

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"bao/internal/baselines/dq"
-	"bao/internal/baselines/neo"
 	"bao/internal/cloud"
 	"bao/internal/core"
 	"bao/internal/engine"
@@ -115,78 +113,22 @@ func (s *Session) Figure14() error {
 		if mode == "dynamic" {
 			wl = "IMDb"
 		}
-		inst, err := s.Instance(wl)
-		if err != nil {
-			return err
-		}
-		type curve struct {
-			name string
-			secs []float64 // per-query
-		}
-		var curves []curve
-
-		nat, err := s.Run(wl, cloud.N1_16, engine.GradePostgreSQL, SysNative)
-		if err != nil {
-			return err
-		}
-		curves = append(curves, curve{"PostgreSQL", perQueryTotal(nat)})
-		bao, err := s.Run(wl, cloud.N1_16, engine.GradePostgreSQL, SysBao)
-		if err != nil {
-			return err
-		}
-		curves = append(curves, curve{"Bao", perQueryTotal(bao)})
-
-		// Neo and DQ runs.
-		for _, sys := range []string{"Neo", "DQ"} {
-			eng := engine.New(engine.GradePostgreSQL, cloud.PagesForVM(cloud.N1_16))
-			if err := inst.Setup(eng); err != nil {
-				return err
-			}
-			var runq func(sql string) (float64, error)
-			switch sys {
-			case "Neo":
-				n := neo.New(eng, neo.DefaultConfig())
-				runq = func(sql string) (float64, error) {
-					res, err := n.Run(sql)
-					if err != nil {
-						return 0, err
-					}
-					return cloud.ExecSeconds(res.Counters) + 0.004, nil
-				}
-			default:
-				d := dq.New(eng, dq.DefaultConfig())
-				runq = func(sql string) (float64, error) {
-					res, err := d.Run(sql)
-					if err != nil {
-						return 0, err
-					}
-					return cloud.ExecSeconds(res.Counters) + 0.002, nil
-				}
-			}
-			var secs []float64
-			events := eventReplay(eng, inst)
-			for i, q := range inst.Queries {
-				if err := events(i); err != nil {
-					return err
-				}
-				t, err := runq(q.SQL)
-				if err != nil {
-					return err
-				}
-				secs = append(secs, t)
-			}
-			curves = append(curves, curve{sys, secs})
-		}
-
 		var rows [][]string
 		fractions := []float64{0.25, 0.5, 0.75, 1.0}
-		for _, c := range curves {
+		for _, c := range []struct {
+			name string
+			sys  System
+		}{{"PostgreSQL", SysNative}, {"Bao", SysBao}, {"Neo", SysNeo}, {"DQ", SysDQ}} {
+			r, err := s.Run(wl, cloud.N1_16, engine.GradePostgreSQL, c.sys)
+			if err != nil {
+				return err
+			}
 			row := []string{mode, c.name}
 			cum := 0.0
 			fi := 0
-			for i, v := range c.secs {
-				cum += v
-				for fi < len(fractions) && float64(i+1) >= fractions[fi]*float64(len(c.secs)) {
+			for i, q := range r.Records {
+				cum += q.OptSecs + q.ExecSecs
+				for fi < len(fractions) && float64(i+1) >= fractions[fi]*float64(len(r.Records)) {
 					row = append(row, fmtSecs(cum))
 					fi++
 				}
@@ -198,14 +140,6 @@ func (s *Session) Figure14() error {
 	}
 	fmt.Fprintln(s.Opts.Out, "(lower cumulative time = more queries finished sooner; Neo/DQ pay for their larger action spaces, especially under the dynamic workload)")
 	return nil
-}
-
-func perQueryTotal(r *RunResult) []float64 {
-	out := make([]float64, len(r.Records))
-	for i, q := range r.Records {
-		out[i] = q.OptSecs + q.ExecSecs
-	}
-	return out
 }
 
 // Figure15a reproduces Figure 15a: replacing Bao's TCNN with a random

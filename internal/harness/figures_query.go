@@ -184,36 +184,23 @@ func (s *Session) Figure12() error {
 	}
 	var rows [][]string
 	for _, nArms := range []int{1, 2, 3, 4, 5, 6} {
-		eng := engine.New(engine.GradePostgreSQL, cloud.PagesForVM(cloud.N1_4))
-		if err := inst.Setup(eng); err != nil {
+		cfg := RunConfig{Workload: inst, VM: cloud.N1_4, Grade: engine.GradePostgreSQL, System: SysBao}
+		cfg.BaoCfg = s.BaoConfig()
+		cfg.BaoCfg.Arms = core.TopArms(nArms)
+		r, err := RunWorkload(cfg)
+		if err != nil {
 			return err
 		}
-		cfg := s.BaoConfig()
-		cfg.Arms = core.TopArms(nArms)
-		bao := core.New(eng, cfg)
 		optT, execT := 0.0, 0.0
-		events := eventReplay(eng, inst)
-		for i, q := range inst.Queries {
-			if err := events(i); err != nil {
-				return err
-			}
-			sel, err := bao.Select(q.SQL)
-			if err != nil {
-				return err
-			}
+		for _, q := range r.Records {
 			// Sequential planning: arms one after another on one core.
-			for _, c := range sel.Candidates {
+			for _, c := range q.Candidates {
 				optT += cloud.PlanSeconds(c)
 			}
 			if nArms > 1 {
 				optT += 1.5e-3 // inference
 			}
-			res, err := eng.Execute(sel.Plans[sel.ArmID])
-			if err != nil {
-				return err
-			}
-			bao.Observe(sel, res.Counters)
-			execT += cloud.ExecSeconds(res.Counters)
+			execT += q.ExecSecs
 		}
 		rows = append(rows, []string{fmt.Sprintf("%d", nArms),
 			fmtSecs(optT), fmtSecs(execT), fmtSecs(optT + execT)})

@@ -14,6 +14,9 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"bao/internal/baselines/dq"
+	"bao/internal/baselines/learnedcost"
+	"bao/internal/baselines/neo"
 	"bao/internal/cloud"
 	"bao/internal/core"
 	"bao/internal/engine"
@@ -48,6 +51,9 @@ type System int
 const (
 	SysNative System = iota // the engine's own optimizer
 	SysBao
+	SysNeo         // Figure 14's Neo
+	SysDQ          // Figure 14's DQ
+	SysLearnedCost // §7's learned cost model inside the dynamic program
 )
 
 // RunConfig describes one workload execution.
@@ -78,6 +84,9 @@ type QueryRecord struct {
 	UsedModel bool
 	Censored  bool // ExecSecs clamped to the deadline budget (true latency ≥ it)
 	Counters  executor.Counters
+
+	// Candidates is each arm's planner effort (Bao runs).
+	Candidates []int
 }
 
 // RunResult is a completed workload execution.
@@ -118,9 +127,25 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 	}
 	res := &RunResult{Cfg: cfg, Eng: eng}
 	var bao *core.Bao
-	if cfg.System == SysBao {
+	// Every other system plans and runs a query in one call, charged
+	// opt(result) seconds of optimization: the native planner by its
+	// effort, a comparison optimizer a fixed charge for its search's model
+	// inferences.
+	run := eng.Query
+	opt := func(out *engine.Result) float64 { return cloud.PlanSeconds(out.PlanCandidates) }
+	fixed := func(secs float64) func(*engine.Result) float64 {
+		return func(*engine.Result) float64 { return secs }
+	}
+	switch cfg.System {
+	case SysBao:
 		bao = core.New(eng, cfg.BaoCfg)
 		res.Bao = bao
+	case SysNeo:
+		run, opt = neo.New(eng, neo.DefaultConfig()).Run, fixed(4e-3)
+	case SysDQ:
+		run, opt = dq.New(eng, dq.DefaultConfig()).Run, fixed(2e-3)
+	case SysLearnedCost:
+		run, opt = learnedcost.New(eng, learnedcost.DefaultConfig()).Run, fixed(2.3e-3)
 	}
 	events := eventReplay(eng, cfg.Workload)
 	budget := cloud.DeadlineBudgetSecs(cfg.QueryTimeout)
@@ -135,6 +160,7 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 				return nil, fmt.Errorf("harness: query %d: %w", i, err)
 			}
 			rec.OptSecs = cloud.BaoPlanSeconds(cfg.VM, sel.Candidates)
+			rec.Candidates = sel.Candidates
 			out, err := eng.Execute(sel.Plans[sel.ArmID])
 			if err != nil {
 				return nil, err
@@ -163,11 +189,11 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 				res.TrainCount++
 			}
 		} else {
-			out, err := eng.Query(q.SQL)
+			out, err := run(q.SQL)
 			if err != nil {
 				return nil, fmt.Errorf("harness: query %d: %w", i, err)
 			}
-			rec.OptSecs = cloud.PlanSeconds(out.PlanCandidates)
+			rec.OptSecs = opt(out)
 			rec.ExecSecs = cloud.ExecSeconds(out.Counters)
 			rec.Counters = out.Counters
 			if budget > 0 && rec.ExecSecs > budget {

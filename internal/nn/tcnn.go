@@ -185,7 +185,7 @@ func (m *TCNN) Train(trees []*Tree, targets []float64, cfg TrainConfig) TrainRes
 	trainStart := time.Now()
 	if len(trees) == 0 || cfg.MaxEpochs <= 0 {
 		// Zero-work paths still report wall time so callers' cost
-		// accounting (TrainEvents, bao_retrain_wall_seconds_total) never
+		// accounting (LastTrain, bao_retrain_wall_seconds_total) never
 		// books a retrain at zero seconds.
 		return TrainResult{WallSeconds: time.Since(trainStart).Seconds()}
 	}

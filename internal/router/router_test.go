@@ -33,7 +33,7 @@ func microFactory(o *obs.Observer, workers int) func(string) (*core.Bao, error) 
 		cfg.ArmWarmup = 0
 		cfg.RetrainEvery = 8
 		cfg.Train.MaxEpochs = 2
-		cfg.Workers = workers
+		cfg.Train.Workers = workers
 		cfg.Observer = o
 		return core.New(e, cfg), nil
 	}

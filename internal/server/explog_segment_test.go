@@ -293,7 +293,7 @@ func TestServerExplogENOSPCDegradedServing(t *testing.T) {
 			SegmentBytes: 1 << 20,
 			ExplogFault:  &DiskFault{ENOSPCAtByte: 8 << 10, ENOSPCRelease: 40},
 		}, func(c *core.Config) {
-			c.Workers = workers
+			c.Train.Workers = workers
 			c.RetrainEvery = 1 << 30 // no background training: the append stream must be worker-invariant
 		})
 		base := "http://" + s.Addr()
@@ -351,7 +351,7 @@ func TestServerExplogENOSPCDegradedServing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := newTestBao(t, func(c *core.Config) { c.Workers = workers })
+		b := newTestBao(t, func(c *core.Config) { c.Train.Workers = workers })
 		l.Replay(b)
 		if b.ExperienceSize() == 0 {
 			t.Fatalf("workers=%d: nothing recovered from the degraded-then-restored log", workers)

@@ -337,7 +337,7 @@ func TestEveryEventKindHasAMetric(t *testing.T) {
 		}},
 		{obs.EventAbandoned, "bao_server_abandoned_total", func(t *testing.T, o *obs.Observer) func() {
 			b := trained(t, o, false, nil)
-			return func() { b.Abandon(selectOnce(t, b), "client went away") }
+			return func() { b.Abandon(selectOnce(t, b).Ticket(), "client went away") }
 		}},
 		{obs.EventCheckpoint, "bao_checkpoints_saved_total", func(t *testing.T, o *obs.Observer) func() {
 			s := server(t, o, t.TempDir())

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -323,8 +324,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // teardown is the one stop sequence behind Shutdown and Kill, which
 // differ only in how the listener closes and whether ctx bounds the wait
-// for the trainer: close the listener, detach the hooks, let the trainer
-// run its pending signal and exit, then close the log and the journal.
+// for the trainer: close the listener, detach the hooks, abandon the
+// pending tickets, let the trainer run its pending signal and exit, then
+// close the log and the journal.
 // Returns the first error.
 func (s *Server) teardown(ctx context.Context, closeHTTP func(*http.Server) error) error {
 	var errs []error
@@ -334,6 +336,7 @@ func (s *Server) teardown(ctx context.Context, closeHTTP func(*http.Server) erro
 	s.bao.SetRetrainHook(nil)
 	s.bao.SetExperienceHook(nil)
 	s.bao.SetCriticalHook(nil)
+	s.abandonPending()
 	close(s.stop)
 	select {
 	case <-s.trainerDone:
@@ -345,6 +348,26 @@ func (s *Server) teardown(ctx context.Context, closeHTTP func(*http.Server) erro
 		errs = append(errs, s.o.Journal().Close())
 	}
 	return cmp.Or(errs...)
+}
+
+// abandonPending empties the pending table at shutdown, abandoning each
+// ticket, oldest first, so no parked selection leaves uncounted.
+func (s *Server) abandonPending() {
+	s.selMu.Lock()
+	ids := make([]uint64, 0, len(s.pending))
+	for id := range s.pending {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	tickets := make([]core.Ticket, len(ids))
+	for i, id := range ids {
+		tickets[i] = s.pending[id]
+	}
+	clear(s.pending)
+	s.selMu.Unlock()
+	for _, t := range tickets {
+		s.bao.Abandon(t, "shutdown")
+	}
 }
 
 // probe builds the /v1/health body: readiness (startup durability work —
@@ -450,7 +473,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	sel, err := s.bao.SelectCtx(r.Context(), req.SQL)
 	if err != nil {
 		if r.Context().Err() != nil {
-			s.bao.Abandon(nil, "select abandoned: "+r.Context().Err().Error())
+			s.bao.Abandon(core.Ticket{}, "select abandoned: "+r.Context().Err().Error())
 			return
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -460,7 +483,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// hold a pending slot for a /v1/observe callback that can never come
 	// and leak until eviction.
 	if cerr := r.Context().Err(); cerr != nil {
-		s.bao.Abandon(sel, "selection dropped before park: "+cerr.Error())
+		s.bao.Abandon(sel.Ticket(), "selection dropped before park: "+cerr.Error())
 		return
 	}
 	id := s.park(sel.Ticket())
@@ -481,17 +504,26 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 // when the pending table is full. IDs ascend, so the oldest pending
 // selection is the lowest ID: the low-water mark advances past IDs
 // already observed and evicts until the table is back at its bound,
-// passing each ID once.
+// passing each ID once. The table was within its bound before this
+// ticket, so at most one ticket is evicted; it is abandoned outside
+// selMu.
 func (s *Server) park(t core.Ticket) uint64 {
 	s.selMu.Lock()
-	defer s.selMu.Unlock()
 	s.nextID++
-	s.pending[s.nextID] = t
+	id := s.nextID
+	s.pending[id] = t
+	var old core.Ticket
+	evicted := false
 	for len(s.pending) > pendingLimit {
 		s.evicted++
+		old, evicted = s.pending[s.evicted]
 		delete(s.pending, s.evicted)
 	}
-	return s.nextID
+	s.selMu.Unlock()
+	if evicted {
+		s.bao.Abandon(old, "evicted")
+	}
+	return id
 }
 
 // take removes and returns a parked ticket; ok is false when id is not
@@ -526,7 +558,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// the experience: the client never saw a response, so it will (and
 	// must be able to) retry against the same selection_id.
 	if cerr := r.Context().Err(); cerr != nil {
-		s.bao.Abandon(nil, "observe abandoned: "+cerr.Error())
+		s.bao.Abandon(core.Ticket{}, "observe abandoned: "+cerr.Error())
 		return
 	}
 	t, ok := s.take(req.SelectionID)
@@ -611,7 +643,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	// before replacing anything, so a disconnect mid-upload fails the read
 	// and never installs a half-parsed model.
 	if cerr := r.Context().Err(); cerr != nil {
-		s.bao.Abandon(nil, "model request abandoned: "+cerr.Error())
+		s.bao.Abandon(core.Ticket{}, "model request abandoned: "+cerr.Error())
 		return
 	}
 	switch r.Method {
@@ -653,7 +685,7 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 	}
 	// Abandoned before any state change: don't even mark the query.
 	if cerr := r.Context().Err(); cerr != nil {
-		s.bao.Abandon(nil, "critical abandoned: "+cerr.Error())
+		s.bao.Abandon(core.Ticket{}, "critical abandoned: "+cerr.Error())
 		return
 	}
 	s.bao.MarkCritical(req.SQL)
@@ -662,7 +694,7 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			// Exploration for the in-progress query stored nothing; the mark
 			// persists, so the next exploration pass covers it.
-			s.bao.Abandon(nil, "exploration abandoned: "+r.Context().Err().Error())
+			s.bao.Abandon(core.Ticket{}, "exploration abandoned: "+r.Context().Err().Error())
 			return
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -35,7 +35,7 @@ func newTestBao(t *testing.T, mutate func(*core.Config)) *core.Bao {
 	cfg.ArmWarmup = 0
 	cfg.RetrainEvery = 16
 	cfg.Train.MaxEpochs = 3
-	cfg.Workers = 2
+	cfg.Train.Workers = 2
 	cfg.Observer = obs.NewObserver(obs.NewRegistry(), nil)
 	if mutate != nil {
 		mutate(&cfg)
@@ -492,6 +492,56 @@ func TestPendingEviction(t *testing.T) {
 	}
 	if code := postJSON(t, base+"/v1/observe", observeRequest{SelectionID: last, Secs: 0.01}, nil); code != http.StatusOK {
 		t.Fatalf("live selection observe: status %d, want 200", code)
+	}
+}
+
+// TestPendingEvictionAbandonsTicket pins that no parked selection leaves
+// uncounted: each ticket evicted from the full table is abandoned, its
+// trace published with an "evicted" abandon span, and shutdown abandons
+// every ticket still pending.
+func TestPendingEvictionAbandonsTicket(t *testing.T) {
+	s := newTestServer(t, Config{}, func(c *core.Config) {
+		c.PlanCache = true
+		c.PlanCacheSize = 64
+	})
+	s.Bao().Observer().EnableTracing(64)
+	base := "http://" + s.Addr()
+	const over = 6
+	for i := 0; i < pendingLimit+over; i++ {
+		if code := postJSON(t, base+"/v1/select", selectRequest{SQL: testSQL}, nil); code != http.StatusOK {
+			t.Fatalf("select %d: status %d", i, code)
+		}
+	}
+	abandoned := func(note string) int {
+		n := 0
+		for _, tr := range s.Bao().Observer().Traces() {
+			for _, sp := range tr.Spans {
+				if sp.Name == "abandon" && sp.Note == note {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if n := abandoned("evicted"); n != over {
+		t.Fatalf("%d published traces abandoned as evicted, want %d", n, over)
+	}
+	if n := s.Bao().Stats().Counter("bao_server_abandoned_total"); n != over {
+		t.Fatalf("bao_server_abandoned_total = %v, want %d", n, over)
+	}
+	var st statusResponse
+	if code := getJSON(t, base+"/v1/status", &st); code != http.StatusOK || st.Pending != pendingLimit {
+		t.Fatalf("status %d, pending_selections = %d, want %d", code, st.Pending, pendingLimit)
+	}
+
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Bao().Stats().Counter("bao_server_abandoned_total"); n != over+pendingLimit {
+		t.Fatalf("after shutdown bao_server_abandoned_total = %v, want %d", n, over+pendingLimit)
+	}
+	if len(s.pending) != 0 {
+		t.Fatalf("%d tickets pending after shutdown", len(s.pending))
 	}
 }
 

@@ -55,7 +55,7 @@ func censoredQuery(t *testing.T, workers int) (queryTimeoutResponse, core.Experi
 	t.Helper()
 	const stallAt = 11
 	s := newTestServer(t, Config{}, func(cfg *core.Config) {
-		cfg.Workers = workers
+		cfg.Train.Workers = workers
 		cfg.QueryTimeout = 25 * time.Millisecond
 	})
 	s.Bao().Eng.Exec.Fault = &executor.Fault{AfterPages: stallAt, Stall: true}
