@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -371,22 +372,20 @@ func benchServer(b *testing.B, clients int) {
 	}
 	b.StopTimer()
 	// The observability endpoints must serve live data while the loop is
-	// under load: the regret ledger has booked every decision and the
-	// event journal is reachable.
-	var snap struct {
-		Decisions uint64 `json:"decisions"`
-	}
-	res, err := http.Get(base + "/debug/regret")
+	// under load: the trace ring holds observed decisions and the event
+	// journal is reachable.
+	var traces []*obs.Trace
+	res, err := http.Get(base + "/debug/traces")
 	if err != nil {
 		b.Fatal(err)
 	}
-	err = json.NewDecoder(res.Body).Decode(&snap)
+	err = json.NewDecoder(res.Body).Decode(&traces)
 	res.Body.Close()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if snap.Decisions == 0 {
-		b.Fatal("/debug/regret served no decisions after the query loop")
+	if !slices.ContainsFunc(traces, func(tr *obs.Trace) bool { return tr.ObservedSecs > 0 }) {
+		b.Fatal("/debug/traces served no observed decision after the query loop")
 	}
 	res, err = http.Get(base + "/debug/events")
 	if err != nil {

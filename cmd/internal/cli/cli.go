@@ -52,7 +52,7 @@ func ServeObs(addr string) {
 	if err != nil {
 		Fatal(err)
 	}
-	fmt.Printf("observability: http://%s/metrics, /debug/traces, /debug/regret, /debug/events\n", srv.Addr)
+	fmt.Printf("observability: http://%s/metrics, /debug/traces, /debug/events\n", srv.Addr)
 }
 
 // Scale registers -scale.

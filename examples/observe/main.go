@@ -64,7 +64,10 @@ func main() {
 		fmt.Printf("optimization overhead: %.2f ms/query mean across %d queries\n",
 			sel.Sum/float64(sel.Count)*1000, sel.Count)
 	}
-	fmt.Printf("buffer pool hit rate: %.1f%%\n", s.Gauge("bao_bufferpool_hit_rate")*100)
+	// Page hits and misses of the executions Bao learned from.
+	if hits, misses := s.Counter("bao_exec_page_hits_total"), s.Counter("bao_exec_page_misses_total"); hits+misses > 0 {
+		fmt.Printf("page-hit share of Bao's executions: %.1f%%\n", 100*hits/(hits+misses))
+	}
 	// The calibration histogram is labelled by arm; the total is the sum.
 	var calSum float64
 	var calCount int64

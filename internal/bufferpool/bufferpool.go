@@ -28,8 +28,7 @@ type Stats struct {
 // Total returns the number of page accesses counted.
 func (s Stats) Total() int64 { return s.Hits + s.Misses }
 
-// HitRate returns the hit fraction, zero when nothing was accessed. This
-// is the bao_bufferpool_hit_rate gauge the observability layer exports.
+// HitRate returns the hit fraction, zero when nothing was accessed.
 func (s Stats) HitRate() float64 {
 	if t := s.Total(); t > 0 {
 		return float64(s.Hits) / float64(t)

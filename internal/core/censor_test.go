@@ -90,8 +90,13 @@ func TestAbandonRecordsNothing(t *testing.T) {
 	if n := b.ExperienceSize(); n != 0 {
 		t.Fatalf("abandon leaked %d experiences into the window", n)
 	}
-	if n := b.Stats().Counter("bao_queries_total"); n != 0 {
+	snap := b.Stats()
+	if n := snap.Counter("bao_queries_total"); n != 0 {
 		t.Fatalf("abandon counted as a completed query (%v)", n)
+	}
+	// The selection and the request that never had one count apart.
+	if got := snap.Labeled["bao_server_abandoned_total"]; got["selection"] != 1 || got["request"] != 1 {
+		t.Fatalf("bao_server_abandoned_total = %v, want one selection and one request", got)
 	}
 }
 
@@ -211,12 +216,14 @@ func TestRunCtxCancelMidExecutionAbandons(t *testing.T) {
 		t.Fatalf("abandoned query recorded %d experiences", n)
 	}
 	for name, want := range map[string]float64{
-		"bao_server_abandoned_total": 1,
-		"bao_queries_total":          0,
-		"bao_query_timeouts_total":   0,
+		"bao_queries_total":        0,
+		"bao_query_timeouts_total": 0,
 	} {
 		if got := snap.Counter(name); got != want {
 			t.Fatalf("%s = %v, want %v", name, got, want)
 		}
+	}
+	if got := snap.Labeled["bao_server_abandoned_total"]; got["selection"] != 1 || got["request"] != 0 {
+		t.Fatalf("bao_server_abandoned_total = %v, want one selection", got)
 	}
 }

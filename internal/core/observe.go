@@ -11,7 +11,7 @@ import (
 )
 
 // Ticket is everything observing a selection reads: the SQL text (the
-// experience key), the chosen arm and its tree, three predictions and the
+// experience key), the chosen arm and its tree, two predictions and the
 // decision trace. A caller that executes the chosen plan itself and
 // reports its cost later keeps a Ticket, not the Selection, so the
 // analyzed query, the per-arm plans and predictions and every tree but
@@ -26,11 +26,10 @@ type Ticket struct {
 	// predicted: the model chose the arm (Selection.UsedModel) and priced
 	// every arm. Only then do the predictions mean anything: the chosen
 	// arm's and the default arm's as Select left them (non-finite ones
-	// clamped to MaxFloat64), and the smallest prediction that is finite
-	// and below MaxFloat64, +Inf when none is.
-	predicted               bool
-	pred, defPred, bestPred float64
-	trace                   *obs.Trace
+	// clamped to MaxFloat64).
+	predicted     bool
+	pred, defPred float64
+	trace         *obs.Trace
 }
 
 // Ticket returns what observing sel reads. The tree and the trace are
@@ -41,13 +40,7 @@ func (sel *Selection) Ticket() Ticket {
 		return t
 	}
 	t.predicted = true
-	t.pred, t.defPred, t.bestPred = sel.Preds[sel.ArmID], sel.Preds[0], math.Inf(1)
-	for _, v := range sel.Preds {
-		// MaxFloat64 is the clamp for degenerate predictions, not a price.
-		if isFinite(v) && v < math.MaxFloat64 && v < t.bestPred {
-			t.bestPred = v
-		}
-	}
+	t.pred, t.defPred = sel.Preds[sel.ArmID], sel.Preds[0]
 	return t
 }
 
@@ -100,41 +93,6 @@ func (b *Bao) ObserveTimeout(sel *Selection, budgetSecs float64) {
 	b.observe(sel.Ticket(), budgetSecs, true, true)
 }
 
-// regretEntry books one decision's regret accounting: observed cost of
-// the chosen arm against the default arm and the best arm. Baselines are
-// the model's own predictions; without them, both baselines equal the
-// observation and the entry contributes zero regret (it still counts the
-// decision). Measured per-arm regret is the experiment harness's job
-// (Figure 16), not the ledger's.
-func (b *Bao) regretEntry(t Ticket, secs float64, censored bool) obs.RegretEntry {
-	cause := t.trace.Cause()
-	e := obs.RegretEntry{
-		TraceID:      cause.TraceID,
-		RequestID:    cause.RequestID,
-		ArmID:        t.arm,
-		Arm:          b.Cfg.Arms[t.arm].Name,
-		ObservedSecs: secs,
-		DefaultSecs:  secs,
-		BestSecs:     secs,
-		Censored:     censored,
-		WarmUp:       t.warmUp,
-	}
-	if !t.predicted {
-		return e
-	}
-	if t.arm != 0 {
-		// Serving the default arm has zero regret vs default by
-		// definition.
-		if d := t.defPred; isFinite(d) && d < math.MaxFloat64 {
-			e.DefaultSecs = d
-		}
-	}
-	if isFinite(t.bestPred) {
-		e.BestSecs = t.bestPred
-	}
-	return e
-}
-
 // Abandon discards a selection's ticket without recording anything: no
 // experience, no explog append, no retrain signal. The serving layer calls
 // it for requests whose client is gone (HTTP timeout or disconnect), for
@@ -142,14 +100,15 @@ func (b *Bao) regretEntry(t Ticket, secs float64, censored bool) obs.RegretEntry
 // pending at shutdown — an abandoned request must leave the learning state
 // exactly as it found it. The decision trace, if any, is finished and
 // published flagged with the reason so dropped work stays visible in
-// /debug/traces. Every call counts in bao_server_abandoned_total; the zero
-// Ticket stands for a request that never had a selection, and counts
-// without an event or a trace.
+// /debug/traces. Every call counts in bao_server_abandoned_total: a
+// ticket under of="selection", the zero Ticket — a request that never had
+// a selection — under of="request", without an event or a trace.
 func (b *Bao) Abandon(t Ticket, reason string) {
-	b.observer.ServeAbandoned.Inc()
 	if t == (Ticket{}) {
+		b.observer.AbandonedRequests.Inc()
 		return
 	}
+	b.observer.AbandonedSelections.Inc()
 	cause := t.trace.Cause()
 	b.observer.Emit(obs.Event{
 		Kind:      obs.EventAbandoned,
@@ -184,15 +143,16 @@ func (b *Bao) RestoreExperiences(exps []Experience) {
 	b.mu.Unlock()
 }
 
-// observe is the one place a decision is booked: record metrics and
-// regret, admit the experience, and retrain on schedule (or early, when
-// allowEarly and the prediction was grossly wrong). It finishes and
-// publishes the ticket's trace. A censored observation is a lower bound —
-// the execution was cancelled at its deadline and secs is the budget — so
-// it is counted and journalled as such and yields no calibration sample. A
-// non-finite observation is admitted (and counted, by
-// bao_nonfinite_targets_total) but books no metric, regret or trace
-// value: one NaN in a running sum stays there for good.
+// observe is the one place a decision is booked: record metrics, admit
+// the experience, and retrain on schedule (or early, when allowEarly and
+// the prediction was grossly wrong). It finishes and publishes the
+// ticket's trace, the decision's one record of predicted against observed
+// cost. A censored observation is a lower bound — the execution was
+// cancelled at its deadline and secs is the budget — so it is counted and
+// journalled as such and yields no calibration sample. A non-finite
+// observation is admitted (and counted, by bao_nonfinite_targets_total)
+// but books no metric or trace value: one NaN in a running sum stays
+// there for good.
 func (b *Bao) observe(t Ticket, secs float64, allowEarly, censored bool) {
 	obsStart := time.Now()
 	o := b.observer
@@ -204,22 +164,12 @@ func (b *Bao) observe(t Ticket, secs float64, allowEarly, censored bool) {
 	finite := isFinite(secs)
 	if finite {
 		o.ExecSeconds.ObserveEx(secs, cause.TraceID, cause.RequestID)
-		if pred > 0 {
-			// Regret accrues either way — a censored run lost at least
-			// (budget - pred) — but observed/predicted on a lower bound
-			// would systematically understate the calibration ratio.
-			if regret := secs - pred; regret > 0 {
-				o.ArmRegret.With(armName).Add(regret)
-			}
-			if !censored {
-				ratio = secs / pred
-				o.ObserveCalibration(armName, ratio)
-			}
+		// Observed/predicted on a lower bound would systematically
+		// understate the calibration ratio.
+		if pred > 0 && !censored {
+			ratio = secs / pred
+			o.ObserveCalibration(armName, ratio)
 		}
-		// The ledger books a censored observation at its budget: a lower
-		// bound on the regret actually suffered, flagged so readers know
-		// it understates.
-		o.RecordRegret(b.regretEntry(t, secs, censored))
 	}
 	if censored {
 		o.QueryTimeouts.Inc()
@@ -231,12 +181,6 @@ func (b *Bao) observe(t Ticket, secs float64, allowEarly, censored bool) {
 			Arm:       armName,
 			Secs:      secs,
 		})
-	}
-	if b.Eng != nil {
-		st := b.Eng.Pool.Stats()
-		o.PoolHits.Set(float64(st.Hits))
-		o.PoolMisses.Set(float64(st.Misses))
-		o.PoolHitRate.Set(st.HitRate())
 	}
 	t.trace.AddSpan("observe", obsStart, time.Since(obsStart), "")
 	if allowEarly {

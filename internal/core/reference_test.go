@@ -344,40 +344,10 @@ func TestResidencyMatchesReference(t *testing.T) {
 	}
 }
 
-// regretEntryFromSelection and breakerVerdictFromSelection are what
-// observe booked when it read the whole Selection rather than a Ticket:
-// the regret entry, and whether a breaker outcome is reported and is a
-// failure. Kept as the oracle for the ticket's three predictions.
-func regretEntryFromSelection(b *Bao, sel *Selection, secs float64, censored bool) obs.RegretEntry {
-	e := obs.RegretEntry{
-		ArmID:        sel.ArmID,
-		Arm:          b.Cfg.Arms[sel.ArmID].Name,
-		ObservedSecs: secs,
-		DefaultSecs:  secs,
-		BestSecs:     secs,
-		Censored:     censored,
-		WarmUp:       sel.WarmUp,
-	}
-	if !sel.UsedModel || len(sel.Preds) == 0 {
-		return e
-	}
-	if sel.ArmID != 0 {
-		if d := sel.Preds[0]; isFinite(d) && d < math.MaxFloat64 {
-			e.DefaultSecs = d
-		}
-	}
-	best := math.Inf(1)
-	for _, v := range sel.Preds {
-		if isFinite(v) && v < best {
-			best = v
-		}
-	}
-	if isFinite(best) && best < math.MaxFloat64 {
-		e.BestSecs = best
-	}
-	return e
-}
-
+// breakerVerdictFromSelection is what observe reported to the breaker
+// when it read the whole Selection rather than a Ticket: whether an
+// outcome is reported and is a failure. Kept as the oracle for the
+// ticket's predictions.
 func breakerVerdictFromSelection(b *Bao, sel *Selection, secs float64) (report, failure bool) {
 	if !sel.UsedModel || sel.Preds == nil {
 		return false, false
@@ -390,9 +360,9 @@ func breakerVerdictFromSelection(b *Bao, sel *Selection, secs float64) (report, 
 // TestTicketMatchesSelectionReference draws selections — arm, model use,
 // warm-up, and predictions with ties, the MaxFloat64 clamp, zero,
 // negative, infinite and NaN values — and requires what observe books
-// from the selection's ticket to match the oracle: the regret entry, the
-// prediction the calibration and misprediction checks read, and the
-// breaker verdict (no report, a success, or a failure).
+// from the selection's ticket to match the oracle: the prediction the
+// calibration and misprediction checks read, and the breaker verdict (no
+// report, a success, or a failure).
 func TestTicketMatchesSelectionReference(t *testing.T) {
 	preds := []float64{0, 0.001, 0.001, 0.004, 0.5, -1, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
 	observed := []float64{0.001, 0.02, 0.05, 2, 1e9}
@@ -408,11 +378,8 @@ func TestTicketMatchesSelectionReference(t *testing.T) {
 				sel.Preds[i] = preds[rng.Intn(len(preds))]
 			}
 		}
-		secs, censored := observed[rng.Intn(len(observed))], rng.Intn(2) == 0
+		secs := observed[rng.Intn(len(observed))]
 		tk := sel.Ticket()
-		if got, want := b.regretEntry(tk, secs, censored), regretEntryFromSelection(b, sel, secs, censored); got != want {
-			t.Fatalf("trial %d: arm %d model %v preds %v: regret entry %+v, the reference booked %+v", trial, sel.ArmID, sel.UsedModel, sel.Preds, got, want)
-		}
 		var wantPred float64
 		if sel.UsedModel && sel.Preds != nil {
 			wantPred = sel.Preds[sel.ArmID]

@@ -21,7 +21,7 @@ const (
 	EventCheckpointError = "checkpoint-save-error" // bao_checkpoint_save_errors_total
 	EventRollback        = "checkpoint-rollback"   // bao_checkpoint_rollbacks_total
 	EventCensored        = "censored"              // bao_query_timeouts_total
-	EventAbandoned       = "abandoned"             // bao_server_abandoned_total
+	EventAbandoned       = "abandoned"             // bao_server_abandoned_total{of="selection"}
 	// Segmented experience-log durability: read-only degradation and
 	// recovery, plus snapshot-anchored compaction outcomes.
 	EventExplogDegraded      = "explog-degraded"       // bao_explog_degraded

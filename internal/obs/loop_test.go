@@ -1,9 +1,8 @@
 package obs
 
-// Tests for the learning-loop observability layer: the regret ledger,
-// calibration drift window, structured event journal (with file
-// rotation), exemplar-carrying histograms, and the /debug/regret and
-// /debug/events endpoints.
+// Tests for the learning-loop observability layer: calibration by arm,
+// the structured event journal (with file rotation), exemplar-carrying
+// histograms, and the /debug/events endpoint.
 
 import (
 	"encoding/json"
@@ -17,67 +16,6 @@ import (
 	"testing"
 	"time"
 )
-
-func TestRegretLedgerTotalsAndWindow(t *testing.T) {
-	l := NewRegretLedger(2)
-	// Decision 1: chose arm a (1.0s), default 2.0s, best 0.5s.
-	l.Record(RegretEntry{Arm: "a", ObservedSecs: 1, DefaultSecs: 2, BestSecs: 0.5})
-	// Decision 2: chose arm b (3.0s), default 1.0s, best 1.0s.
-	l.Record(RegretEntry{Arm: "b", ObservedSecs: 3, DefaultSecs: 1, BestSecs: 1, Censored: true})
-	s := l.Snapshot()
-	if s.Decisions != 2 {
-		t.Fatalf("decisions = %d, want 2", s.Decisions)
-	}
-	// Cumulative vs default: (1-2) + (3-1) = 1; vs best: (1-0.5) + (3-1) = 2.5.
-	if s.CumVsDefaultSecs != 1 || s.CumVsBestSecs != 2.5 {
-		t.Fatalf("cum = %v/%v, want 1/2.5", s.CumVsDefaultSecs, s.CumVsBestSecs)
-	}
-	if s.WindowLen != 2 || s.WindowVsDefaultSecs != 1 {
-		t.Fatalf("window = %d entries, vsDefault %v; want 2, 1", s.WindowLen, s.WindowVsDefaultSecs)
-	}
-	// Newest first.
-	if s.Window[0].Arm != "b" || s.Window[1].Arm != "a" {
-		t.Fatalf("window order = %q,%q, want b,a", s.Window[0].Arm, s.Window[1].Arm)
-	}
-
-	// Decision 3 evicts decision 1 from the window; cumulative keeps it.
-	l.Record(RegretEntry{Arm: "a", ObservedSecs: 2, DefaultSecs: 2, BestSecs: 2})
-	s = l.Snapshot()
-	if s.Decisions != 3 || s.WindowLen != 2 {
-		t.Fatalf("after eviction: decisions=%d windowLen=%d", s.Decisions, s.WindowLen)
-	}
-	// Window now holds decisions 2 and 3: vsDefault = 2 + 0 = 2.
-	if s.WindowVsDefaultSecs != 2 || s.WindowVsBestSecs != 2 {
-		t.Fatalf("window sums = %v/%v, want 2/2", s.WindowVsDefaultSecs, s.WindowVsBestSecs)
-	}
-	if s.CumVsDefaultSecs != 1 || s.CumVsBestSecs != 2.5 {
-		t.Fatalf("cumulative changed by eviction: %v/%v", s.CumVsDefaultSecs, s.CumVsBestSecs)
-	}
-	// Per-arm aggregates, sorted by name.
-	if len(s.PerArm) != 2 || s.PerArm[0].Arm != "a" || s.PerArm[1].Arm != "b" {
-		t.Fatalf("per-arm = %+v", s.PerArm)
-	}
-	if s.PerArm[0].Decisions != 2 || s.PerArm[1].Censored != 1 {
-		t.Fatalf("per-arm stats = %+v", s.PerArm)
-	}
-}
-
-func TestDriftWindowMedian(t *testing.T) {
-	d := newDriftWindow(3)
-	if got := d.add(1); got != 1 {
-		t.Fatalf("median of {1} = %v", got)
-	}
-	if got := d.add(3); got != 2 {
-		t.Fatalf("median of {1,3} = %v", got)
-	}
-	if got := d.add(100); got != 3 {
-		t.Fatalf("median of {1,3,100} = %v", got)
-	}
-	// Window slides: {3,100,2} → median 3.
-	if got := d.add(2); got != 3 {
-		t.Fatalf("median of {3,100,2} = %v", got)
-	}
-}
 
 func TestEventJournalRingAndSeq(t *testing.T) {
 	j := NewEventJournal(2)
@@ -205,31 +143,10 @@ func TestHistogramVecAndExemplarFormat(t *testing.T) {
 	}
 }
 
-func TestObserverRegretAndCalibration(t *testing.T) {
+func TestObserverCalibration(t *testing.T) {
 	o := NewObserver(NewRegistry(), nil)
-	o.RecordRegret(RegretEntry{Arm: "a", ObservedSecs: 2, DefaultSecs: 3, BestSecs: 1})
-	o.RecordRegret(RegretEntry{Arm: "a", ObservedSecs: 5, DefaultSecs: 4, BestSecs: 4})
-	// (2-3)+(5-4) = 0 vs default; (2-1)+(5-4) = 2 vs best.
-	if got := o.RegretVsDefault.Value(); got != 0 {
-		t.Fatalf("vs default gauge = %v, want 0", got)
-	}
-	s := o.RegretSnapshot()
-	if s.Decisions != 2 || len(s.PerArm) != 1 || s.PerArm[0].Decisions != 2 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-	if s.CumVsBestSecs != 2 || s.PerArm[0].ObservedSecs != 7 {
-		t.Fatalf("vs best = %v, observed = %v; want 2, 7", s.CumVsBestSecs, s.PerArm[0].ObservedSecs)
-	}
-
-	// Calibration: ratio 1, then ratio e.
 	o.ObserveCalibration("a", 1)
-	if got := o.CalibrationDrift(); got != 0 {
-		t.Fatalf("drift after ratio 1 = %v, want 0", got)
-	}
 	o.ObserveCalibration("a", 2.718281828459045)
-	if got := o.CalibrationDrift(); got < 0.49 || got > 0.51 {
-		t.Fatalf("drift = %v, want ~0.5 (median of {0,1})", got)
-	}
 	if got := o.Calibration.With("a").Count(); got != 2 {
 		t.Fatalf("by-arm count = %d, want 2", got)
 	}
@@ -296,17 +213,16 @@ func TestRequestIDContext(t *testing.T) {
 	}
 }
 
-func TestDebugRegretAndEventsEndpoints(t *testing.T) {
+func TestDebugEventsEndpoint(t *testing.T) {
 	o := NewObserver(NewRegistry(), NewTraceRing(8))
 	o.EnableEvents(8)
-	o.RecordRegret(RegretEntry{Arm: "hash+seq", ObservedSecs: 1, DefaultSecs: 2, BestSecs: 1, TraceID: 7})
 	o.Emit(Event{Kind: EventSwapAccepted, Detail: "samples=5"})
 	o.Emit(Event{Kind: EventCheckpoint, Generation: 3})
 
 	srv := httptest.NewServer(Handler(o))
 	defer srv.Close()
 
-	res, err := srv.Client().Get(srv.URL + "/debug/regret")
+	res, err := srv.Client().Get(srv.URL + "/debug/events?n=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,24 +230,8 @@ func TestDebugRegretAndEventsEndpoints(t *testing.T) {
 	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("content type = %q", ct)
 	}
-	var snap RegretSnapshot
-	if err := json.NewDecoder(res.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Decisions != 1 || snap.CumVsDefaultSecs != -1 {
-		t.Fatalf("regret snapshot = %+v", snap)
-	}
-	if len(snap.Window) != 1 || snap.Window[0].TraceID != 7 || snap.Window[0].Arm != "hash+seq" {
-		t.Fatalf("window = %+v", snap.Window)
-	}
-
-	res2, err := srv.Client().Get(srv.URL + "/debug/events?n=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res2.Body.Close()
 	var events []Event
-	if err := json.NewDecoder(res2.Body).Decode(&events); err != nil {
+	if err := json.NewDecoder(res.Body).Decode(&events); err != nil {
 		t.Fatal(err)
 	}
 	// Newest first, limited to 1.
@@ -344,14 +244,7 @@ func TestNilSafetyLoop(t *testing.T) {
 	// The disabled observer must absorb every learning-loop call without
 	// panicking and hand back empty values.
 	o := Disabled()
-	o.RecordRegret(RegretEntry{Arm: "a", ObservedSecs: 1})
-	if s := o.RegretSnapshot(); s.Decisions != 0 || s.PerArm == nil || s.Window == nil {
-		t.Fatalf("disabled regret snapshot = %+v", s)
-	}
 	o.ObserveCalibration("a", 2)
-	if o.CalibrationDrift() != 0 {
-		t.Fatal("disabled drift must be 0")
-	}
 	o.EnableEvents(8)
 	o.Emit(Event{Kind: EventCensored})
 	if o.Events() != nil || o.Journal() != nil {
@@ -367,11 +260,6 @@ func TestNilSafetyLoop(t *testing.T) {
 	j.Append(Event{})
 	if j.Events() != nil {
 		t.Fatal("nil journal events must be nil")
-	}
-	var l *RegretLedger
-	l.Record(RegretEntry{})
-	if s := l.Snapshot(); s.Decisions != 0 {
-		t.Fatal("nil ledger must snapshot empty")
 	}
 	var h *Histogram
 	h.ObserveEx(1, 2, "x")

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -20,7 +19,6 @@ type Observer struct {
 	// Decision-loop counters and gauges.
 	Queries     *Counter    // bao_queries_total
 	ArmSelected *CounterVec // bao_arm_selected_total{arm}
-	ArmRegret   *CounterVec // bao_arm_regret_seconds_total{arm}
 	External    *Counter    // bao_external_experiences_total
 	Window      *Gauge      // bao_experience_window
 	// PlansDeduped counts arm plans that collapsed onto an already-seen
@@ -43,16 +41,8 @@ type Observer struct {
 
 	// Prediction calibration and the mistake-driven retrain loop.
 	Calibration   *HistogramVec // bao_prediction_ratio{arm} (observed/predicted)
-	CalibDrift    *Gauge        // bao_calibration_drift_log_ratio
 	GrossMispred  *Counter      // bao_gross_mispredictions_total
 	EarlyRetrains *Counter      // bao_early_retrains_total
-
-	// Regret against the default arm, cumulative and over the ledger's
-	// sliding window: the "never much worse than the default" signal.
-	// Regret against the best arm lives in /debug/regret only: "best" is
-	// the model's own prediction, not a measurement.
-	RegretVsDefault *Gauge // bao_regret_vs_default_seconds
-	RegretWinDef    *Gauge // bao_regret_window_vs_default_seconds
 
 	// Queries cancelled at their deadline (each recorded as a censored,
 	// lower-bound experience).
@@ -77,7 +67,11 @@ type Observer struct {
 	LogBytes         *Counter   // bao_server_explog_bytes_total
 	LogReplayed      *Counter   // bao_server_explog_replayed_total
 	LogSkipped       *Counter   // bao_server_explog_skipped_total
-	ServeAbandoned   *Counter   // bao_server_abandoned_total
+	// bao_server_abandoned_total{of}: selections that left without an
+	// observation (of="selection") and requests that never had one
+	// (of="request"), each series resolved once here.
+	AbandonedSelections *Counter
+	AbandonedRequests   *Counter
 
 	// Segmented experience log: rotation, snapshot-anchored compaction,
 	// and read-only durability degradation (internal/server.ExperienceLog).
@@ -126,20 +120,16 @@ type Observer struct {
 	RouterRehashes    *Counter    // bao_router_ring_rehashes_total
 	RouterFailovers   *Counter    // bao_router_failovers_total
 
-	// Execution work counters (from executor.Counters) and buffer pool.
+	// Execution work counters (from executor.Counters) of every execution
+	// Bao learns from.
 	ExecCPUOps     *Counter // bao_exec_cpu_ops_total
 	ExecPageHits   *Counter // bao_exec_page_hits_total
 	ExecPageMisses *Counter // bao_exec_page_misses_total
 	ExecRandReads  *Counter // bao_exec_rand_reads_total
 	ExecRowsOut    *Counter // bao_exec_rows_out_total
-	PoolHits       *Gauge   // bao_bufferpool_hits
-	PoolMisses     *Gauge   // bao_bufferpool_misses
-	PoolHitRate    *Gauge   // bao_bufferpool_hit_rate
 
 	ring    atomic.Pointer[TraceRing]
 	journal atomic.Pointer[EventJournal]
-	ledger  *RegretLedger
-	drift   *driftWindow
 }
 
 // NewObserver registers the full Bao metric set on reg (get-or-create,
@@ -152,7 +142,6 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 
 		Queries:      reg.Counter("bao_queries_total", "Queries run through Bao's select-execute-observe loop."),
 		ArmSelected:  reg.CounterVec("bao_arm_selected_total", "Per-arm selection counts.", "arm"),
-		ArmRegret:    reg.CounterVec("bao_arm_regret_seconds_total", "Per-arm accumulated positive (observed - predicted) seconds; the model's realized optimism.", "arm"),
 		External:     reg.Counter("bao_external_experiences_total", "Off-policy experiences added (advisor mode, DBA plans)."),
 		Window:       reg.Gauge("bao_experience_window", "Experiences currently in the sliding window."),
 		PlansDeduped: reg.Counter("bao_plans_deduped_total", "Arm plans that duplicated another arm's plan and skipped featurization+inference."),
@@ -168,12 +157,8 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		ExecSeconds:   reg.Histogram("bao_execution_seconds", "Observed metric value (simulated seconds) per executed query.", lat),
 
 		Calibration:   reg.HistogramVec("bao_prediction_ratio", "Observed/predicted ratio by chosen arm (calibration; >8 triggers early retrain).", "arm", RatioBuckets()),
-		CalibDrift:    reg.Gauge("bao_calibration_drift_log_ratio", "Median log(observed/predicted) over the last calibrated decisions; 0 = calibrated, >0 = model optimistic."),
 		GrossMispred:  reg.Counter("bao_gross_mispredictions_total", "Executions observed >8x over prediction and slow in absolute terms."),
 		EarlyRetrains: reg.Counter("bao_early_retrains_total", "Retrains triggered by gross misprediction rather than schedule."),
-
-		RegretVsDefault: reg.Gauge("bao_regret_vs_default_seconds", "Cumulative signed regret of Bao's choices vs the default arm (negative = Bao is winning)."),
-		RegretWinDef:    reg.Gauge("bao_regret_window_vs_default_seconds", "Signed regret vs the default arm over the ledger's sliding window."),
 
 		QueryTimeouts: reg.Counter("bao_query_timeouts_total", "Queries cancelled at the per-query deadline, each recorded as a censored (lower-bound) experience."),
 
@@ -192,7 +177,6 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		LogBytes:         reg.Counter("bao_server_explog_bytes_total", "Bytes appended to the experience log."),
 		LogReplayed:      reg.Counter("bao_server_explog_replayed_total", "Records replayed from the experience log at startup."),
 		LogSkipped:       reg.Counter("bao_server_explog_skipped_total", "Corrupt or truncated experience-log records skipped during replay."),
-		ServeAbandoned:   reg.Counter("bao_server_abandoned_total", "Selections and requests abandoned before an outcome was recorded (client gone, HTTP timeout, or failed execution); nothing entered the window."),
 
 		LogSeals:        reg.Counter("bao_explog_seals_total", "Active-tail rotations into sealed experience-log segments."),
 		LogSegments:     reg.Gauge("bao_explog_segments", "Sealed experience-log segments on disk awaiting compaction."),
@@ -236,17 +220,15 @@ func NewObserver(reg *Registry, ring *TraceRing) *Observer {
 		ExecPageMisses: reg.Counter("bao_exec_page_misses_total", "Physical page reads charged by the executor."),
 		ExecRandReads:  reg.Counter("bao_exec_rand_reads_total", "Random physical reads charged by the executor."),
 		ExecRowsOut:    reg.Counter("bao_exec_rows_out_total", "Rows produced by executed plan roots."),
-		PoolHits:       reg.Gauge("bao_bufferpool_hits", "Cumulative buffer-pool hits (engine lifetime)."),
-		PoolMisses:     reg.Gauge("bao_bufferpool_misses", "Cumulative buffer-pool misses (engine lifetime)."),
-		PoolHitRate:    reg.Gauge("bao_bufferpool_hit_rate", "Buffer-pool hit fraction over the engine lifetime."),
 	}
 	// Every stage's series exists from the start, at zero: a scrape shows
 	// the stage before it first runs, and no selection pays to create it.
 	for _, s := range []string{"parse", "plancache", "plan_arms", "featurize", "infer", "select_arm"} {
 		o.SelectStage.With(s)
 	}
-	o.ledger = NewRegretLedger(256)
-	o.drift = newDriftWindow(128)
+	abandoned := reg.CounterVec("bao_server_abandoned_total", "Work abandoned before an outcome was recorded (client gone, HTTP timeout, failed execution, eviction or shutdown); nothing entered the window. of=selection counts selections that will never be observed, of=request requests that never had a selection.", "of")
+	o.AbandonedSelections = abandoned.With("selection")
+	o.AbandonedRequests = abandoned.With("request")
 	if ring != nil {
 		o.ring.Store(ring)
 	}
@@ -325,47 +307,13 @@ func (o *Observer) StartLinkedTrace(kind string, cause Cause) *Trace {
 	return t
 }
 
-// RecordRegret admits one decision into the regret ledger and refreshes
-// the regret gauges. Nil-safe; a disabled observer drops the entry.
-func (o *Observer) RecordRegret(e RegretEntry) {
-	if o == nil || o.ledger == nil {
-		return
-	}
-	cum, win := o.ledger.Record(e)
-	o.RegretVsDefault.Set(cum)
-	o.RegretWinDef.Set(win)
-}
-
-// RegretSnapshot copies the regret ledger (empty snapshot when the
-// observer is disabled), the programmatic form of /debug/regret.
-func (o *Observer) RegretSnapshot() RegretSnapshot {
-	if o == nil {
-		return RegretSnapshot{PerArm: []ArmRegretStats{}, Window: []RegretEntry{}}
-	}
-	return o.ledger.Snapshot()
-}
-
 // ObserveCalibration records one observed/predicted ratio for the chosen
-// arm and updates the windowed drift gauge. Call only with ratio > 0 (a
-// prediction existed).
+// arm. Call only with ratio > 0 (a prediction existed).
 func (o *Observer) ObserveCalibration(arm string, ratio float64) {
 	if o == nil || ratio <= 0 {
 		return
 	}
 	o.Calibration.With(arm).Observe(ratio)
-	if o.drift != nil {
-		o.CalibDrift.Set(o.drift.add(math.Log(ratio)))
-	}
-}
-
-// CalibrationDrift returns the current windowed drift statistic (median
-// log observed/predicted; 0 when unknown) — the signal a confidence gate
-// reads before letting the model deviate from the default plan.
-func (o *Observer) CalibrationDrift() float64 {
-	if o == nil {
-		return 0
-	}
-	return o.CalibDrift.Value()
 }
 
 // EnableEvents attaches an in-memory event journal retaining the last n

@@ -12,9 +12,6 @@ import (
 //	GET /metrics       Prometheus text format (version 0.0.4)
 //	GET /debug/traces  last-N per-query decision traces as JSON,
 //	                   newest first; ?n= limits the count
-//	GET /debug/regret  regret-ledger snapshot: cumulative and windowed
-//	                   regret vs default/best arm, per-arm aggregates,
-//	                   raw window entries
 //	GET /debug/events  structured lifecycle events, newest first;
 //	                   ?n= limits the count
 func Handler(o *Observer) http.Handler {
@@ -36,9 +33,6 @@ func Handler(o *Observer) http.Handler {
 			traces = []*Trace{}
 		}
 		writeJSON(w, traces)
-	})
-	mux.HandleFunc("/debug/regret", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, o.RegretSnapshot())
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		events := o.Events()

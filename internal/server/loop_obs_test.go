@@ -2,8 +2,9 @@ package baoserver
 
 // Tests for the serving layer's learning-loop observability: request-ID
 // propagation from the HTTP edge through the decision loop, linked
-// retrain/checkpoint traces under load, the live /debug/regret and
-// /debug/events endpoints, and the metrics contract against DESIGN.md §8.
+// retrain/checkpoint traces under load, the live /debug/events endpoint,
+// and the metrics contract against DESIGN.md §8 and the code and docs
+// that read a metric.
 
 import (
 	"io"
@@ -152,14 +153,7 @@ func TestRetrainLinkedTracesUnderLoad(t *testing.T) {
 		}
 	}
 
-	// The regret ledger and event journal serve live data over HTTP.
-	var snap obs.RegretSnapshot
-	if code := getJSON(t, base+"/debug/regret", &snap); code != http.StatusOK {
-		t.Fatalf("/debug/regret status %d", code)
-	}
-	if snap.Decisions < 20 || len(snap.Window) == 0 {
-		t.Fatalf("regret snapshot not live: %+v decisions", snap.Decisions)
-	}
+	// The event journal serves live data over HTTP.
 	var sawSwap, sawCkpt bool
 	for _, ev := range events {
 		switch ev.Kind {
@@ -204,6 +198,9 @@ func TestEventLogFileSink(t *testing.T) {
 // metricName extracts `bao_*` metric names from prose/markdown.
 var metricName = regexp.MustCompile(`bao_[a-z0-9_]+`)
 
+// debugRoute extracts `/debug/<name>` routes from prose/markdown.
+var debugRoute = regexp.MustCompile(`/debug/[a-z]+`)
+
 // TestMetricsContract is the contract between DESIGN.md §8 and the live
 // /metrics endpoint, run both ways: boot a real server, drive a short
 // workload through /v1/query, scrape, and require every metric the design
@@ -211,7 +208,12 @@ var metricName = regexp.MustCompile(`bao_[a-z0-9_]+`)
 // # TYPE lines even at zero) and every bao_* metric in the exposition to
 // be named in §8. A metric renamed or dropped without updating the docs,
 // documented but never registered, or registered but never documented
-// fails here. `go test -race ./...` runs it like any other test.
+// fails here. It also holds what reads a signal to the live server: every
+// bao_* name in README.md, examples/ and cmd/ must be registered (a name
+// ending in _ is a prefix that must match one), since Snapshot.Gauge and
+// Snapshot.Counter read an absent name as 0; and every /debug/ route §8
+// names must answer 200. `go test -race ./...` runs it like any other
+// test.
 func TestMetricsContract(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -268,16 +270,78 @@ func TestMetricsContract(t *testing.T) {
 	if len(undocumented) > 0 {
 		t.Errorf("metrics on /metrics but not named in DESIGN.md §8: %v", undocumented)
 	}
+
+	for file, names := range readerMetricNames(t) {
+		for _, name := range names {
+			prefix, isPrefix := strings.CutSuffix(name, "_")
+			ok := live[name]
+			if isPrefix {
+				for l := range live {
+					ok = ok || strings.HasPrefix(l, prefix+"_")
+				}
+			}
+			if !ok {
+				t.Errorf("%s reads %s, which no registered metric matches", file, name)
+			}
+		}
+	}
+
+	routes := debugRoute.FindAllString(text[start:end], -1)
+	if len(routes) == 0 {
+		t.Error("DESIGN.md §8 names no /debug/ route — did the section move?")
+	}
+	for _, route := range routes {
+		res, err := http.Get(base + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusOK {
+			t.Errorf("DESIGN.md §8 names %s, which answers %d", route, res.StatusCode)
+		}
+	}
+}
+
+// readerMetricNames returns the bao_* names README.md and every Go file
+// under examples/ and cmd/ mention, by file.
+func readerMetricNames(t *testing.T) map[string][]string {
+	t.Helper()
+	files := []string{"../../README.md"}
+	for _, root := range []string{"../../examples", "../../cmd"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := map[string][]string{}
+	for _, f := range files {
+		buf, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names := metricName.FindAllString(string(buf), -1); len(names) > 0 {
+			out[f] = names
+		}
+	}
+	if len(out) < 3 {
+		t.Fatalf("bao_* names found in only %d files — did README.md, examples/ or cmd/ move?", len(out))
+	}
+	return out
 }
 
 // typeLine captures the metric name of each # TYPE line in an exposition.
 var typeLine = regexp.MustCompile(`(?m)^# TYPE (bao_[a-z0-9_]+) `)
 
 // TestEveryEventKindHasAMetric drives each lifecycle event kind once and
-// checks that the counter or gauge named beside the kind (obs.Event*
-// constants, DESIGN.md §8) moved with it — by exactly the number of
-// events journalled, for a counter. The journal links events to
-// requests; counting them is the metrics' job.
+// checks that the counter, labeled counter series or gauge named beside
+// the kind (obs.Event* constants, DESIGN.md §8) moved with it — by exactly
+// the number of events journalled, for a counter. The journal links
+// events to requests; counting them is the metrics' job.
 func TestEveryEventKindHasAMetric(t *testing.T) {
 	// trained returns an optimizer on o with a few experiences in its
 	// window, trained once when train is set.
@@ -335,7 +399,7 @@ func TestEveryEventKindHasAMetric(t *testing.T) {
 			b := trained(t, o, false, nil)
 			return func() { b.ObserveTimeout(selectOnce(t, b), 0.25) }
 		}},
-		{obs.EventAbandoned, "bao_server_abandoned_total", func(t *testing.T, o *obs.Observer) func() {
+		{obs.EventAbandoned, `bao_server_abandoned_total{of="selection"}`, func(t *testing.T, o *obs.Observer) func() {
 			b := trained(t, o, false, nil)
 			return func() { b.Abandon(selectOnce(t, b).Ticket(), "client went away") }
 		}},
@@ -382,16 +446,24 @@ func TestEveryEventKindHasAMetric(t *testing.T) {
 			o := obs.NewObserver(obs.NewRegistry(), nil)
 			o.EnableEvents(256)
 			fire := c.setup(t, o)
-			read := func() float64 {
+			// read returns the metric's value and whether it is a counter.
+			read := func() (float64, bool) {
 				s := o.Snapshot()
+				if m := labeledSeries.FindStringSubmatch(c.metric); m != nil {
+					v, ok := s.Labeled[m[1]][m[2]]
+					if !ok {
+						t.Fatalf("%s is no labeled counter series", c.metric)
+					}
+					return v, true
+				}
 				if v, ok := s.Counters[c.metric]; ok {
-					return v
+					return v, true
 				}
 				if v, ok := s.Gauges[c.metric]; ok {
-					return v
+					return v, false
 				}
 				t.Fatalf("%s is neither a counter nor a gauge", c.metric)
-				return 0
+				return 0, false
 			}
 			count := func() (n int) {
 				for _, ev := range o.Events() {
@@ -401,21 +473,26 @@ func TestEveryEventKindHasAMetric(t *testing.T) {
 				}
 				return n
 			}
-			v0, n0 := read(), count()
+			v0, _ := read()
+			n0 := count()
 			fire()
-			v1, n := read(), count()-n0
+			v1, counter := read()
+			n := count() - n0
 			if n < 1 {
 				t.Fatalf("no %s event emitted", c.kind)
 			}
 			if v1 == v0 {
 				t.Fatalf("%s did not move with the %s event (%v)", c.metric, c.kind, v0)
 			}
-			if _, counter := o.Snapshot().Counters[c.metric]; counter && v1-v0 != float64(n) {
+			if counter && v1-v0 != float64(n) {
 				t.Fatalf("%s moved by %v for %d %s events", c.metric, v1-v0, n, c.kind)
 			}
 		})
 	}
 }
+
+// labeledSeries splits `name{label="value"}` into name and value.
+var labeledSeries = regexp.MustCompile(`^(bao_[a-z0-9_]+)\{[a-z]+="([a-z]+)"\}$`)
 
 // seedWindow puts three observed experiences into b's window: enough to
 // train on, too few for the retrain schedule to fire on its own.

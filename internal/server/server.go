@@ -246,15 +246,15 @@ func (s *Server) Log() *ExperienceLog { return s.log }
 //	POST /v1/model     ← value model to hot-swap in
 //	POST /v1/critical  {"sql": ...} → mark + explore a critical query
 //	GET  /v1/status    → JSON summary
-//	GET  /metrics, /debug/traces, /debug/regret, /debug/events
+//	GET  /metrics, /debug/traces, /debug/events
 //	                   → observability (unthrottled)
 //
 // Every request runs under a request ID: the client's X-Bao-Request-Id
 // header when present, a minted one otherwise. The ID is echoed on the
 // response, threaded through the request context into
 // select → plan → execute → observe, and stamped on the decision trace,
-// so one query is resolvable across /debug/traces, /debug/regret,
-// /debug/events, and histogram exemplars.
+// so one query is resolvable across /debug/traces, /debug/events, and
+// histogram exemplars.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/select", s.admitted(s.handleSelect))

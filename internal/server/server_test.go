@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"bao/internal/core"
 	"bao/internal/engine"
+	"bao/internal/executor"
 	"bao/internal/guard"
 	"bao/internal/obs"
 	"bao/internal/workload"
@@ -495,26 +497,108 @@ func TestPendingEviction(t *testing.T) {
 	}
 }
 
-// TestPendingEvictionAbandonsTicket pins that no parked selection leaves
-// uncounted: each ticket evicted from the full table is abandoned, its
-// trace published with an "evicted" abandon span, and shutdown abandons
-// every ticket still pending.
+// TestPendingEvictionAbandonsTicket pins that every selection leaves
+// exactly once. Selections are observed over /v1/observe and /v1/query,
+// censored at the query deadline, cancelled by the client, evicted from
+// the full pending table (each abandoned, its trace published with an
+// "evicted" abandon span) and left pending until Shutdown abandons them.
+// Before and after Shutdown, Σ bao_arm_selected_total =
+// bao_queries_total + bao_server_abandoned_total{of="selection"} +
+// pending_selections. Requests that never had a selection move only the
+// of="request" series.
 func TestPendingEvictionAbandonsTicket(t *testing.T) {
 	s := newTestServer(t, Config{}, func(c *core.Config) {
 		c.PlanCache = true
 		c.PlanCacheSize = 64
+		c.QueryTimeout = 500 * time.Millisecond
 	})
-	s.Bao().Observer().EnableTracing(64)
+	b := s.Bao()
 	base := "http://" + s.Addr()
+	abandoned := func(of string) float64 { return b.Stats().Labeled["bao_server_abandoned_total"][of] }
+	identity := func(when string, pending int) {
+		t.Helper()
+		selected, queries, left := labeledSum(b, "bao_arm_selected_total"), b.Stats().Counter("bao_queries_total"), abandoned("selection")
+		if selected != queries+left+float64(pending) {
+			t.Fatalf("%s: %v selections, but %v observed + %v abandoned + %d pending", when, selected, queries, left, pending)
+		}
+	}
+
+	// Observed over /v1/observe and over /v1/query.
+	for i := 0; i < 3; i++ {
+		var resp selectResponse
+		if code := postJSON(t, base+"/v1/select", selectRequest{SQL: testSQL}, &resp); code != http.StatusOK {
+			t.Fatalf("select %d: status %d", i, code)
+		}
+		if code := postJSON(t, base+"/v1/observe", observeRequest{SelectionID: resp.SelectionID, Secs: 0.01}, nil); code != http.StatusOK {
+			t.Fatalf("observe %d: status %d", i, code)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if code := postJSON(t, base+"/v1/query", selectRequest{SQL: testSQL}, nil); code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
+		}
+	}
+	// Censored at the query deadline: a stalled execution is cut off.
+	b.Eng.Exec.Fault = &executor.Fault{AfterPages: 11, Stall: true}
+	if code, body := postRaw(t, base+"/v1/query", selectRequest{SQL: testSQL}); code != http.StatusGatewayTimeout {
+		t.Fatalf("stalled query: status %d (body %q), want 504", code, body)
+	}
+	if n := b.Stats().Counter("bao_query_timeouts_total"); n != 1 {
+		t.Fatalf("bao_query_timeouts_total = %v, want 1", n)
+	}
+	// Cancelled by the client once its selection is made and its
+	// execution stalls.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/query", strings.NewReader(`{"sql": "`+testSQL+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := labeledSum(b, "bao_arm_selected_total")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor(t, "the cancelled query's selection", func() bool { return labeledSum(b, "bao_arm_selected_total") > before })
+	cancel()
+	<-done
+	waitFor(t, "the cancelled query's abandon", func() bool { return abandoned("selection") == 1 })
+	b.Eng.Exec.Fault = nil
+	identity("after observed, censored and cancelled selections", 0)
+
+	// Requests that never had a selection: each handler finds its client
+	// gone before doing anything.
+	gone, stop := context.WithCancel(context.Background())
+	stop()
+	for _, h := range []struct {
+		serve      http.HandlerFunc
+		path, body string
+	}{
+		{s.handleSelect, "/v1/select", `{"sql": "` + testSQL + `"}`},
+		{s.handleObserve, "/v1/observe", `{"selection_id": 1, "secs": 0.01}`},
+		{s.handleModel, "/v1/model", ""},
+		{s.handleCritical, "/v1/critical", `{"sql": "` + testSQL + `"}`},
+	} {
+		r := httptest.NewRequest(http.MethodPost, h.path, strings.NewReader(h.body)).WithContext(gone)
+		h.serve(httptest.NewRecorder(), r)
+	}
+	if got, want := abandoned("request"), 4.0; got != want || abandoned("selection") != 1 {
+		t.Fatalf("bao_server_abandoned_total: request %v, selection %v; want %v and 1", got, abandoned("selection"), want)
+	}
+
+	// Evicted past the bound, then left pending.
 	const over = 6
 	for i := 0; i < pendingLimit+over; i++ {
 		if code := postJSON(t, base+"/v1/select", selectRequest{SQL: testSQL}, nil); code != http.StatusOK {
 			t.Fatalf("select %d: status %d", i, code)
 		}
 	}
-	abandoned := func(note string) int {
+	abandonSpans := func(note string) int {
 		n := 0
-		for _, tr := range s.Bao().Observer().Traces() {
+		for _, tr := range b.Observer().Traces() {
 			for _, sp := range tr.Spans {
 				if sp.Name == "abandon" && sp.Note == note {
 					n++
@@ -523,25 +607,30 @@ func TestPendingEvictionAbandonsTicket(t *testing.T) {
 		}
 		return n
 	}
-	if n := abandoned("evicted"); n != over {
+	if n := abandonSpans("evicted"); n != over {
 		t.Fatalf("%d published traces abandoned as evicted, want %d", n, over)
 	}
-	if n := s.Bao().Stats().Counter("bao_server_abandoned_total"); n != over {
-		t.Fatalf("bao_server_abandoned_total = %v, want %d", n, over)
+	if n := abandoned("selection"); n != 1+over {
+		t.Fatalf("bao_server_abandoned_total{of=selection} = %v, want %d", n, 1+over)
 	}
 	var st statusResponse
 	if code := getJSON(t, base+"/v1/status", &st); code != http.StatusOK || st.Pending != pendingLimit {
 		t.Fatalf("status %d, pending_selections = %d, want %d", code, st.Pending, pendingLimit)
 	}
+	identity("before shutdown", st.Pending)
 
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Bao().Stats().Counter("bao_server_abandoned_total"); n != over+pendingLimit {
-		t.Fatalf("after shutdown bao_server_abandoned_total = %v, want %d", n, over+pendingLimit)
+	if n := abandoned("selection"); n != 1+over+pendingLimit {
+		t.Fatalf("after shutdown bao_server_abandoned_total{of=selection} = %v, want %d", n, 1+over+pendingLimit)
 	}
 	if len(s.pending) != 0 {
 		t.Fatalf("%d tickets pending after shutdown", len(s.pending))
+	}
+	identity("after shutdown", 0)
+	if got := abandoned("request"); got != 4 {
+		t.Fatalf("shutdown moved the request series to %v", got)
 	}
 }
 

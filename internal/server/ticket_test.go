@@ -49,12 +49,22 @@ func distinctTexts(t *testing.T, n int) []string {
 // durations) dropped.
 type loopState struct {
 	Experiences []core.Experience
-	Regret      obs.RegretSnapshot
 	Calibration map[string]obs.HistogramSnapshot
 	Breaker     guard.State
 	TrainCount  int
 	Events      []obs.Event
 	Spans       [][]string // per decision trace, oldest first
+	Booked      []booked   // per decision trace, oldest first
+}
+
+// booked is what observing wrote on a decision trace: the decision's one
+// record of its predicted against its observed cost.
+type booked struct {
+	ArmID                 int
+	UsedModel, WarmUp     bool
+	Predicted, Observed   float64
+	ObservedOverPredicted float64
+	Censored              bool
 }
 
 func captureLoop(t *testing.T, s *Server) loopState {
@@ -63,7 +73,6 @@ func captureLoop(t *testing.T, s *Server) loopState {
 	ord := map[uint64]uint64{0: 0}
 	st := loopState{
 		Experiences: b.Experiences(),
-		Regret:      o.RegretSnapshot(),
 		Calibration: o.Snapshot().LabeledHist["bao_prediction_ratio"],
 		Breaker:     b.Breaker().State(),
 		TrainCount:  b.TrainCount(),
@@ -81,6 +90,7 @@ func captureLoop(t *testing.T, s *Server) loopState {
 			names = append(names, sp.Name)
 		}
 		st.Spans = append(st.Spans, names)
+		st.Booked = append(st.Booked, booked{tr.ArmID, tr.UsedModel, tr.WarmUp, tr.PredictedSecs, tr.ObservedSecs, tr.Ratio, tr.Censored})
 	}
 	relabel := func(id uint64) uint64 {
 		if o, ok := ord[id]; ok {
@@ -88,9 +98,6 @@ func captureLoop(t *testing.T, s *Server) loopState {
 		}
 		t.Fatalf("trace %d is not a published decision trace", id)
 		return 0
-	}
-	for i := range st.Regret.Window {
-		st.Regret.Window[i].TraceID = relabel(st.Regret.Window[i].TraceID)
 	}
 	for i := range st.Events {
 		ev := &st.Events[i]
@@ -106,9 +113,9 @@ func captureLoop(t *testing.T, s *Server) loopState {
 // servers: one over HTTP, /v1/select then /v1/observe against the parked
 // ticket, the other in process, Select then ObserveLatency on the
 // selection's ticket. Everything an observation books must come out the
-// same: the experience window, the regret ledger, the calibration
-// histogram, the breaker state, the event journal and the decision
-// traces' spans.
+// same: the experience window, the calibration histogram, the breaker
+// state, the event journal, and the decision traces' spans and their
+// predicted and observed cost.
 func TestParkedObserveMatchesInProcess(t *testing.T) {
 	texts := distinctTexts(t, 24)
 	type step struct {
@@ -165,7 +172,7 @@ func TestParkedObserveMatchesInProcess(t *testing.T) {
 		name:  "cold start",
 		steps: []step{{texts[8], 0.01}, {texts[9], 0.02}},
 		check: func(t *testing.T, s *Server) {
-			if s.Bao().Trained() || s.o.RegretSnapshot().Decisions != 2 {
+			if s.Bao().Trained() || s.o.Snapshot().Counter("bao_queries_total") != 2 {
 				t.Fatal("want two decisions booked with no model")
 			}
 		},
